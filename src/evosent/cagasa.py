@@ -11,16 +11,10 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Set, Tuple
 
-from .corpus import Corpus, Instance, UnknownWordIndex
-from .evaluator import Semantics, Verdict, classify_score, evaluate_pairs, verdict_matches
-from .gasa import GasaChromosome, random_gene
-from .lexicon import (
-    EVOLVABLE_PAIRS,
-    NEUTRAL_PAIR,
-    ClassificationValuePair,
-    Dictionary,
-    lookup,
-)
+from .corpus import Corpus, UnknownWordIndex
+from .evaluator import Semantics, predict, slot_table, verdict_matches
+from .gasa import GasaChromosome, crossover, forced_new_pair, random_gene
+from .lexicon import ClassificationValuePair, Dictionary
 
 # Cap on context-list capacities and look-distances; bounds the search space.
 MAX_CONTEXT = 3
@@ -56,6 +50,9 @@ class CagasaChromosome:
 
     def __len__(self) -> int:
         return len(self.genes)
+
+    def pair_at(self, gene: int, tokens, position: int) -> ClassificationValuePair:
+        return resolve_word(self.genes[gene], tokens, position)
 
 
 def gather_context(
@@ -145,74 +142,9 @@ def random_cagasa_chromosome(
     return CagasaChromosome(genes)
 
 
-def _resolve_instance(
-    chromosome: CagasaChromosome,
-    tokens: Sequence[str],
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    oov_neutral: bool,
-) -> list:
-    pairs = []
-    for position, word in enumerate(tokens):
-        pair = lookup(word, sentiment_dict, amplifier_dict)
-        if pair is None:
-            gene_position = index.position_of.get(word)
-            if gene_position is not None:
-                pair = resolve_word(chromosome.genes[gene_position], tokens, position)
-            elif oov_neutral:
-                pair = NEUTRAL_PAIR
-            else:
-                raise KeyError(f"word {word!r} is not resolvable")
-        pairs.append(pair)
-    return pairs
-
-
-def fitness(
-    chromosome: CagasaChromosome,
-    corpus: Corpus,
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    semantics: Semantics = Semantics.LITERAL,
-) -> int:
-    if len(chromosome) != len(index):
-        raise ValueError(
-            f"chromosome length {len(chromosome)} != unknown-word count {len(index)}"
-        )
-    correct = 0
-    for inst in corpus.instances:
-        pairs = _resolve_instance(
-            chromosome, inst.tokens, index, sentiment_dict, amplifier_dict, False
-        )
-        verdict = classify_score(evaluate_pairs(pairs, semantics))
-        if verdict_matches(verdict, inst.label):
-            correct += 1
-    return correct
-
-
-def predict(
-    chromosome: CagasaChromosome,
-    instance: Instance,
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    semantics: Semantics = Semantics.LITERAL,
-) -> Verdict:
-    pairs = _resolve_instance(
-        chromosome, instance.tokens, index, sentiment_dict, amplifier_dict, True
-    )
-    return classify_score(evaluate_pairs(pairs, semantics))
-
-
 def to_context_free_gasa(chromosome: CagasaChromosome) -> GasaChromosome:
     """The GASA chromosome formed from the context-free pairs."""
     return GasaChromosome(tuple(g.context_free_pair for g in chromosome.genes))
-
-
-def _forced_new_pair(current: ClassificationValuePair, rng: random.Random):
-    candidates = [p for p in EVOLVABLE_PAIRS if p != current]
-    return candidates[rng.randrange(len(candidates))]
 
 
 def _mutate_list(
@@ -232,7 +164,7 @@ def _mutate_list(
     if fresh_prev and rule.previous_size > 0:
         sides.append("previous")
     if not sides:
-        return replace(gene, context_free_pair=_forced_new_pair(gene.context_free_pair, rng))
+        return replace(gene, context_free_pair=forced_new_pair(gene.context_free_pair, rng))
     side = sides[rng.randrange(len(sides))]
     if side == "next":
         fresh = fresh_next[rng.randrange(len(fresh_next))]
@@ -268,11 +200,11 @@ def mutate_cagasa(
     edit = rng.randrange(3)
     if edit == 0:
         new_gene = replace(
-            gene, context_free_pair=_forced_new_pair(gene.context_free_pair, rng)
+            gene, context_free_pair=forced_new_pair(gene.context_free_pair, rng)
         )
     elif edit == 1:
         new_rule = replace(
-            gene.rule, context_pair=_forced_new_pair(gene.rule.context_pair, rng)
+            gene.rule, context_pair=forced_new_pair(gene.rule.context_pair, rng)
         )
         new_gene = replace(gene, rule=new_rule)
     else:
@@ -280,22 +212,6 @@ def mutate_cagasa(
     genes = list(parent.genes)
     genes[position] = new_gene
     return CagasaChromosome(tuple(genes))
-
-
-def crossover_cagasa(
-    p1: CagasaChromosome, p2: CagasaChromosome, rng: random.Random
-) -> Tuple[CagasaChromosome, CagasaChromosome]:
-    """Swap the whole gene at one uniformly chosen position."""
-    n = len(p1)
-    if n != len(p2):
-        raise ValueError(f"parent lengths differ: {n} vs {len(p2)}")
-    if n == 0:
-        raise ValueError("cannot cross over empty chromosomes")
-    position = rng.randrange(n)
-    g1 = list(p1.genes)
-    g2 = list(p2.genes)
-    g1[position], g2[position] = g2[position], g1[position]
-    return CagasaChromosome(tuple(g1)), CagasaChromosome(tuple(g2))
 
 
 class CagasaProblem:
@@ -316,18 +232,16 @@ class CagasaProblem:
         self.semantics = semantics
         self.max_fitness = len(corpus.instances)
         self.neighbors = corpus_neighbors(corpus)
+        self.table = slot_table(index, sentiment_dict, amplifier_dict)
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)
 
     def fitness(self, genome: CagasaChromosome) -> int:
-        return fitness(
-            genome,
-            self.corpus,
-            self.index,
-            self.sentiment_dict,
-            self.amplifier_dict,
-            self.semantics,
+        table, semantics = self.table, self.semantics
+        return sum(
+            verdict_matches(predict(genome, inst.tokens, table, semantics), inst.label)
+            for inst in self.corpus.instances
         )
 
     def mutate(self, genome: CagasaChromosome, rng: random.Random) -> CagasaChromosome:
@@ -338,14 +252,4 @@ class CagasaProblem:
     def crossover(self, g1, g2, rng):
         if len(g1) == 0:
             return g1, g2
-        return crossover_cagasa(g1, g2, rng)
-
-    def predict(self, genome: CagasaChromosome, instance: Instance) -> Verdict:
-        return predict(
-            genome,
-            instance,
-            self.index,
-            self.sentiment_dict,
-            self.amplifier_dict,
-            self.semantics,
-        )
+        return crossover(g1, g2, rng)

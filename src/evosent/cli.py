@@ -14,24 +14,21 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import cagasa as cagasa_mod
-from . import gasa as gasa_mod
 from .corpus import (
     Corpus,
-    Instance,
-    Label,
     build_unknown_index,
     concat_corpora,
     load_corpus,
     save_corpus,
     tokenize,
 )
-from .evaluator import Semantics, Verdict, classify_score, evaluate_sentence
+from .evaluator import Semantics, Verdict, predict, slot_table
 from .experiments import (
     Algo,
     PlantedLexicon,
     format_report,
     generate_synthetic_corpus,
+    make_problem,
     random_planted_lexicon,
     run_holdout_accuracy,
     run_polarity_value_cv,
@@ -40,9 +37,7 @@ from .experiments import (
 )
 from .ga_engine import GAConfig, parse_config_file, run_ga
 from .lexicon import (
-    Dictionary,
     Kind,
-    NEUTRAL_PAIR,
     check_disjoint,
     empty_sentiment_dictionary,
     export_lexicon,
@@ -187,10 +182,7 @@ def cmd_train(args) -> int:
     sentiment, amplifier = _load_dictionaries(args)
     index = build_unknown_index(corpus, sentiment, amplifier)
     algo = Algo(args.algo)
-    if algo is Algo.GASA:
-        problem = gasa_mod.GasaProblem(corpus, index, sentiment, amplifier, semantics)
-    else:
-        problem = cagasa_mod.CagasaProblem(corpus, index, sentiment, amplifier, semantics)
+    problem = make_problem(algo, corpus, index, sentiment, amplifier, semantics)
     best, stats = run_ga(problem, config)
     trajectory = stats.best_fitness_per_generation
     print(f"unknown words: {len(index)}")
@@ -219,27 +211,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _predict_tokens(model: TrainedModel, tokens) -> Verdict:
-    if model.algo == "gasa":
-        resolve = gasa_mod.make_resolver(
-            model.chromosome,
-            model.index,
-            model.sentiment_dict,
-            model.amplifier_dict,
-            oov_neutral=True,
-        )
-        return classify_score(evaluate_sentence(tokens, resolve, model.semantics))
-    instance = Instance(tuple(tokens), Label.POSITIVE)  # label unused
-    return cagasa_mod.predict(
-        model.chromosome,
-        instance,
-        model.index,
-        model.sentiment_dict,
-        model.amplifier_dict,
-        model.semantics,
-    )
-
-
 def cmd_predict(args) -> int:
     model = load_model(_require_file(args.model, "model file"))
     if (args.text is None) == (args.input is None):
@@ -250,10 +221,11 @@ def cmd_predict(args) -> int:
         with open(_require_file(args.input, "input file"), "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
     tie_label = args.tie_policy
+    table = slot_table(model.index, model.sentiment_dict, model.amplifier_dict)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for line in lines:
-            verdict = _predict_tokens(model, tokenize(line))
+            verdict = predict(model.chromosome, tokenize(line), table, model.semantics)
             if verdict is Verdict.TIE:
                 label = tie_label
                 annotation = "\ttie" if args.show_ties else ""
@@ -292,24 +264,12 @@ def cmd_holdout(args) -> int:
     return EXIT_OK
 
 
-def cmd_cv_sentamp(args) -> int:
+def cmd_word_cv(args) -> int:
     config = _build_config(args)
     semantics = Semantics(args.semantics)
     corpus = _load_corpora(args)
     sentiment, amplifier = _load_dictionaries(args)
-    report = run_sent_vs_amp_cv(
-        corpus, sentiment, amplifier, args.freq_threshold, args.folds, config, semantics
-    )
-    _emit_report(report, args)
-    return EXIT_OK
-
-
-def cmd_cv_polarity(args) -> int:
-    config = _build_config(args)
-    semantics = Semantics(args.semantics)
-    corpus = _load_corpora(args)
-    sentiment, amplifier = _load_dictionaries(args)
-    report = run_polarity_value_cv(
+    report = args.run_protocol(
         corpus, sentiment, amplifier, args.freq_threshold, args.folds, config, semantics
     )
     _emit_report(report, args)
@@ -386,9 +346,9 @@ def build_parser() -> _Parser:
     p_holdout.add_argument("--report-out", default=None)
     p_holdout.set_defaults(func=cmd_holdout)
 
-    for name, func, help_text in (
-        ("cv-sentamp", cmd_cv_sentamp, "sentiment-vs-amplifier word CV"),
-        ("cv-polarity", cmd_cv_polarity, "polarity-value word CV"),
+    for name, run_protocol, help_text in (
+        ("cv-sentamp", run_sent_vs_amp_cv, "sentiment-vs-amplifier word CV"),
+        ("cv-polarity", run_polarity_value_cv, "polarity-value word CV"),
     ):
         p_cv = sub.add_parser(name, help=help_text)
         _add_common_flags(p_cv)
@@ -398,7 +358,7 @@ def build_parser() -> _Parser:
         p_cv.add_argument("--freq-threshold", type=int, default=0)
         p_cv.add_argument("--folds", type=int, default=10)
         p_cv.add_argument("--report-out", default=None)
-        p_cv.set_defaults(func=func)
+        p_cv.set_defaults(func=cmd_word_cv, run_protocol=run_protocol)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     _add_common_flags(p_synth)

@@ -16,10 +16,13 @@ arithmetic is exact.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Sequence
+from typing import Callable, Dict, Sequence, Union
 
-from .corpus import Label
-from .lexicon import ClassificationValuePair, Kind
+from .corpus import Label, UnknownWordIndex
+from .lexicon import NEUTRAL_PAIR, ClassificationValuePair, Dictionary, Kind, lookup
+
+# word -> its dictionary pair, or the position of its gene in a genome.
+SlotTable = Dict[str, Union[ClassificationValuePair, int]]
 
 
 class Semantics(enum.Enum):
@@ -65,6 +68,37 @@ def evaluate_sentence(
 ) -> float:
     """Resolve every token to its pair and score the sentence."""
     return evaluate_pairs([resolve(word) for word in tokens], semantics)
+
+
+def slot_table(
+    index: UnknownWordIndex, sentiment_dict: Dictionary, amplifier_dict: Dictionary
+) -> SlotTable:
+    """Resolve every dictionary and unknown word once: `lookup` decides, and
+    a word it does not know reads its gene."""
+    table = {}
+    for word in (*index.words, *sentiment_dict.entries, *amplifier_dict.entries):
+        pair = lookup(word, sentiment_dict, amplifier_dict)
+        table[word] = index.position_of[word] if pair is None else pair
+    return table
+
+
+def resolve(genome, tokens: Sequence[str], table: SlotTable) -> list:
+    """One pair per token: a gene slot is answered by `genome.pair_at`, and a
+    word missing from the table is neutral."""
+    pairs = []
+    for position, word in enumerate(tokens):
+        slot = table.get(word, NEUTRAL_PAIR)
+        if isinstance(slot, int):
+            slot = genome.pair_at(slot, tokens, position)
+        pairs.append(slot)
+    return pairs
+
+
+def predict(
+    genome, tokens: Sequence[str], table: SlotTable, semantics: Semantics
+) -> Verdict:
+    """The polarity a genome gives a token sequence."""
+    return classify_score(evaluate_pairs(resolve(genome, tokens, table), semantics))
 
 
 def classify_score(score: float) -> Verdict:

@@ -22,8 +22,8 @@ from .corpus import (
     split_holdout,
     word_frequencies,
 )
-from .evaluator import Semantics, Verdict, classify_score, evaluate_sentence
-from .ga_engine import GAConfig, run_ga
+from .evaluator import Semantics, Verdict, evaluate_sentence, predict
+from .ga_engine import GAConfig, config_records, run_ga
 from .gasa import GasaProblem, extract_classifications
 from .lexicon import (
     NEUTRAL_PAIR,
@@ -84,7 +84,7 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _make_problem(algo, corpus, index, sentiment_dict, amplifier_dict, semantics):
+def make_problem(algo, corpus, index, sentiment_dict, amplifier_dict, semantics):
     cls = GasaProblem if algo is Algo.GASA else CagasaProblem
     return cls(corpus, index, sentiment_dict, amplifier_dict, semantics)
 
@@ -122,7 +122,7 @@ def _run_word_cv(
     for fold_idx, test_words in enumerate(folds):
         fold_dict = sentiment_dict.without(test_words)
         index = build_unknown_index(corpus, fold_dict, amplifier_dict)
-        problem = _make_problem(
+        problem = make_problem(
             Algo.GASA, corpus, index, fold_dict, amplifier_dict, semantics
         )
         fold_config = replace(config, seed=config.seed + fold_idx)
@@ -217,7 +217,7 @@ def _test_accuracy(problem, best_genome, test_corpus) -> Tuple[float, Dict[str, 
     }
     correct = 0
     for inst in test_corpus.instances:
-        verdict = problem.predict(best_genome, inst)
+        verdict = predict(best_genome, inst.tokens, problem.table, problem.semantics)
         if verdict is Verdict.TIE:
             counts["ties"] += 1
         elif verdict.value == inst.label.value:
@@ -243,7 +243,7 @@ def run_holdout_accuracy(
     check_disjoint(sentiment_dict, amplifier_dict)
     train, test = split_holdout(corpus, train_fraction, config.seed)
     index = build_unknown_index(train, sentiment_dict, amplifier_dict)
-    problem = _make_problem(algo, train, index, sentiment_dict, amplifier_dict, semantics)
+    problem = make_problem(algo, train, index, sentiment_dict, amplifier_dict, semantics)
     best, stats = run_ga(problem, config)
     accuracy, counts = _test_accuracy(problem, best.genome, test)
     extras = dict(counts)
@@ -280,7 +280,7 @@ def run_instance_cv(
         train = Corpus(tuple(train_instances), corpus.provenance)
         test = Corpus(tuple(test_instances), corpus.provenance)
         index = build_unknown_index(train, sentiment_dict, amplifier_dict)
-        problem = _make_problem(
+        problem = make_problem(
             algo, train, index, sentiment_dict, amplifier_dict, semantics
         )
         fold_config = replace(config, seed=config.seed + fold_idx)
@@ -349,19 +349,10 @@ def generate_synthetic_corpus(
     return Corpus(tuple(interleaved), "synthetic")
 
 
-def _config_fields(config: GAConfig):
-    yield "population_size", str(config.population_size)
-    yield "tournament_size", str(config.tournament_size)
-    yield "max_generations", str(config.max_generations)
-    yield "crossover_rate", f"{config.crossover_rate:.6f}"
-    yield "mutation_rate", f"{config.mutation_rate:.6f}"
-    yield "seed", str(config.seed)
-
-
 def report_records(report: ExperimentReport):
     yield "protocol", report.protocol.value
     yield "semantics", report.semantics.value
-    for key, value in _config_fields(report.config):
+    for key, value in config_records(report.config):
         yield key, value
     if report.freq_threshold is not None:
         yield "freq_threshold", str(report.freq_threshold)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 
 @dataclass
@@ -35,6 +35,33 @@ class GAConfig:
             raise ValueError("crossover_rate + mutation_rate must equal 1.0")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be a probability")
+
+
+# The text form of a GAConfig: field -> type, in the order fields are written.
+CONFIG_FIELDS = {
+    "population_size": int,
+    "tournament_size": int,
+    "max_generations": int,
+    "crossover_rate": float,
+    "mutation_rate": float,
+    "seed": int,
+}
+
+
+def config_records(config: GAConfig) -> Iterator[Tuple[str, str]]:
+    """(field, text) for every config field; rates are written with `%.6f`."""
+    for key, kind in CONFIG_FIELDS.items():
+        value = getattr(config, key)
+        yield key, f"{value:.6f}" if kind is float else str(value)
+
+
+def parse_config_field(key: str, text: str):
+    """The typed value of one config field; ValueError on an unknown key or
+    a malformed value."""
+    kind = CONFIG_FIELDS.get(key)
+    if kind is None:
+        raise ValueError(f"unknown key {key!r}")
+    return kind(text)
 
 
 @dataclass
@@ -138,8 +165,6 @@ def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
 def parse_config_file(source) -> dict:
     """Parse a line-oriented `key=value` GA config file into keyword overrides."""
     overrides = {}
-    int_keys = {"population_size", "tournament_size", "max_generations", "seed"}
-    float_keys = {"crossover_rate", "mutation_rate"}
     with open(source, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -149,11 +174,8 @@ def parse_config_file(source) -> dict:
                 raise ValueError(f"line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key in int_keys:
-                overrides[key] = int(value)
-            elif key in float_keys:
-                overrides[key] = float(value)
-            else:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
+            try:
+                overrides[key] = parse_config_field(key, value.strip())
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return overrides

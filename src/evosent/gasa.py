@@ -2,9 +2,9 @@
 
 The chromosome is an ordered gene sequence aligned to the unknown-word
 index. Fitness is the number of training instances whose evaluated polarity
-matches the true label. `fitness` is the plain reference implementation;
-`CompiledCorpus`/`fitness_population` is a vectorized equivalent used to
-evaluate whole populations (the two are asserted equal in the test suite).
+matches the true label. `CompiledCorpus`/`fitness_population` evaluate whole
+populations at once; the test suite asserts them equal to the plain
+reference implementation in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -15,17 +15,15 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Corpus, Instance, Label, UnknownWordIndex
-from .evaluator import Semantics, Verdict, classify_score, evaluate_sentence, verdict_matches
+from .corpus import Corpus, Label, UnknownWordIndex
+from .evaluator import Semantics, SlotTable, slot_table
 from .lexicon import (
     AMPLIFIER_VALUES,
     EVOLVABLE_PAIRS,
-    NEUTRAL_PAIR,
     SENTIMENT_VALUES,
     ClassificationValuePair,
     Dictionary,
     Kind,
-    lookup,
 )
 
 
@@ -35,6 +33,9 @@ class GasaChromosome:
 
     def __len__(self) -> int:
         return len(self.genes)
+
+    def pair_at(self, gene: int, tokens, position: int) -> ClassificationValuePair:
+        return self.genes[gene]
 
 
 def random_gene(rng: random.Random) -> ClassificationValuePair:
@@ -50,64 +51,12 @@ def random_chromosome(n: int, rng: random.Random) -> GasaChromosome:
     return GasaChromosome(tuple(random_gene(rng) for _ in range(n)))
 
 
-def make_resolver(
-    chromosome: GasaChromosome,
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    oov_neutral: bool = False,
-):
-    """Dictionary-first resolution; unknown words read their gene. Words
-    outside both dictionaries and the index are neutral when `oov_neutral`,
-    otherwise an error (they cannot occur on the training corpus)."""
-
-    def resolve(word: str) -> ClassificationValuePair:
-        pair = lookup(word, sentiment_dict, amplifier_dict)
-        if pair is not None:
-            return pair
-        position = index.position_of.get(word)
-        if position is not None:
-            return chromosome.genes[position]
-        if oov_neutral:
-            return NEUTRAL_PAIR
-        raise KeyError(f"word {word!r} is not resolvable")
-
-    return resolve
-
-
-def fitness(
-    chromosome: GasaChromosome,
-    corpus: Corpus,
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    semantics: Semantics = Semantics.LITERAL,
-) -> int:
-    if len(chromosome) != len(index):
-        raise ValueError(
-            f"chromosome length {len(chromosome)} != unknown-word count {len(index)}"
-        )
-    resolve = make_resolver(chromosome, index, sentiment_dict, amplifier_dict)
-    correct = 0
-    for inst in corpus.instances:
-        verdict = classify_score(evaluate_sentence(inst.tokens, resolve, semantics))
-        if verdict_matches(verdict, inst.label):
-            correct += 1
-    return correct
-
-
-def predict(
-    chromosome: GasaChromosome,
-    instance: Instance,
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    semantics: Semantics = Semantics.LITERAL,
-) -> Verdict:
-    resolve = make_resolver(
-        chromosome, index, sentiment_dict, amplifier_dict, oov_neutral=True
-    )
-    return classify_score(evaluate_sentence(instance.tokens, resolve, semantics))
+def forced_new_pair(
+    current: ClassificationValuePair, rng: random.Random
+) -> ClassificationValuePair:
+    """Uniform over the five evolvable pairs other than `current`."""
+    candidates = [p for p in EVOLVABLE_PAIRS if p != current]
+    return candidates[rng.randrange(len(candidates))]
 
 
 def mutate(parent: GasaChromosome, rng: random.Random) -> GasaChromosome:
@@ -116,17 +65,14 @@ def mutate(parent: GasaChromosome, rng: random.Random) -> GasaChromosome:
     if n == 0:
         raise ValueError("cannot mutate an empty chromosome")
     position = rng.randrange(n)
-    current = parent.genes[position]
-    candidates = [p for p in EVOLVABLE_PAIRS if p != current]
     genes = list(parent.genes)
-    genes[position] = candidates[rng.randrange(len(candidates))]
+    genes[position] = forced_new_pair(genes[position], rng)
     return GasaChromosome(tuple(genes))
 
 
-def crossover(
-    p1: GasaChromosome, p2: GasaChromosome, rng: random.Random
-) -> Tuple[GasaChromosome, GasaChromosome]:
-    """Swap the genes at one uniformly chosen position."""
+def crossover(p1, p2, rng: random.Random) -> Tuple:
+    """Swap the genes at one uniformly chosen position; the children have
+    the parents' chromosome type (GASA or CA-GASA)."""
     n = len(p1)
     if n != len(p2):
         raise ValueError(f"parent lengths differ: {n} vs {len(p2)}")
@@ -136,7 +82,7 @@ def crossover(
     g1 = list(p1.genes)
     g2 = list(p2.genes)
     g1[position], g2[position] = g2[position], g1[position]
-    return GasaChromosome(tuple(g1)), GasaChromosome(tuple(g2))
+    return type(p1)(tuple(g1)), type(p2)(tuple(g2))
 
 
 def extract_classifications(
@@ -162,19 +108,15 @@ class CompiledCorpus:
     dict_amplifier: np.ndarray  # (instances, width) bool
     active: np.ndarray  # (instances, width) bool
     label_positive: np.ndarray  # (instances,) bool
-    n_genes: int
 
     @property
     def n_instances(self) -> int:
         return self.gene_index.shape[0]
 
 
-def compile_corpus(
-    corpus: Corpus,
-    index: UnknownWordIndex,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-) -> CompiledCorpus:
+def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
+    """Every corpus word must be in the table (true of the corpus the table's
+    unknown-word index was built from)."""
     n_inst = len(corpus.instances)
     width = max((len(i.tokens) for i in corpus.instances), default=0)
     width = max(width, 1)
@@ -187,15 +129,13 @@ def compile_corpus(
         label_positive[i] = inst.label is Label.POSITIVE
         for t, word in enumerate(inst.tokens):
             active[i, t] = True
-            pair = lookup(word, sentiment_dict, amplifier_dict)
-            if pair is not None:
-                dict_value[i, t] = pair.value
-                dict_amplifier[i, t] = pair.kind is Kind.AMPLIFIER
+            slot = table[word]
+            if isinstance(slot, int):
+                gene_index[i, t] = slot
             else:
-                gene_index[i, t] = index.position_of[word]
-    return CompiledCorpus(
-        gene_index, dict_value, dict_amplifier, active, label_positive, len(index)
-    )
+                dict_value[i, t] = slot.value
+                dict_amplifier[i, t] = slot.kind is Kind.AMPLIFIER
+    return CompiledCorpus(gene_index, dict_value, dict_amplifier, active, label_positive)
 
 
 def _chromosome_arrays(chromosomes) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,7 +213,8 @@ class GasaProblem:
         self.amplifier_dict = amplifier_dict
         self.semantics = semantics
         self.max_fitness = len(corpus.instances)
-        self._compiled = compile_corpus(corpus, index, sentiment_dict, amplifier_dict)
+        self.table = slot_table(index, sentiment_dict, amplifier_dict)
+        self._compiled = compile_corpus(corpus, self.table)
 
     def random_genome(self, rng: random.Random) -> GasaChromosome:
         return random_chromosome(len(self.index), rng)
@@ -293,13 +234,3 @@ class GasaProblem:
         if len(g1) == 0:
             return g1, g2
         return crossover(g1, g2, rng)
-
-    def predict(self, genome: GasaChromosome, instance: Instance) -> Verdict:
-        return predict(
-            genome,
-            instance,
-            self.index,
-            self.sentiment_dict,
-            self.amplifier_dict,
-            self.semantics,
-        )

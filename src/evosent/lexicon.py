@@ -9,6 +9,7 @@ immutable dictionaries; everything else is learned by evolution.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,15 +141,19 @@ def load_polarity_lists(positive_source, negative_source) -> Dictionary:
     return Dictionary(entries, Kind.SENTIMENT)
 
 
-def _parse_pair(kind_text: str, value_text: str, lineno: int) -> ClassificationValuePair:
+def parse_pair(kind_text: str, value_text: str) -> ClassificationValuePair:
+    """Inverse of `format_pair`; raises ValueError on an unknown kind or a
+    value that is not a finite float."""
     try:
         kind = Kind(kind_text)
     except ValueError:
-        raise LexiconParseError(f"line {lineno}: unknown kind {kind_text!r}") from None
+        raise ValueError(f"unknown kind {kind_text!r}") from None
     try:
         value = float(value_text)
     except ValueError:
-        raise LexiconParseError(f"line {lineno}: bad value {value_text!r}") from None
+        raise ValueError(f"bad value {value_text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value_text!r}")
     return ClassificationValuePair(kind, value)
 
 
@@ -160,7 +165,10 @@ def parse_lexicon(source) -> dict:
         if len(fields) != 3:
             raise LexiconParseError(f"line {lineno}: expected 3 tab-separated fields")
         word = fields[0].lower()
-        pair = _parse_pair(fields[1], fields[2], lineno)
+        try:
+            pair = parse_pair(fields[1], fields[2])
+        except ValueError as exc:
+            raise LexiconParseError(f"line {lineno}: {exc}") from None
         if word in entries and entries[word] != pair:
             raise ConflictingWordError(f"word {word!r} listed twice with different pairs")
         entries[word] = pair
@@ -197,7 +205,8 @@ def check_disjoint(sentiment_dict: Dictionary, amplifier_dict: Dictionary) -> No
 
 
 def format_pair(pair: ClassificationValuePair) -> str:
-    return f"{pair.kind.value}\t{pair.value:.1f}"
+    """`kind<TAB>value`, the value as its shortest round-trip repr."""
+    return f"{pair.kind.value}\t{float(pair.value)!r}"
 
 
 def export_lexicon(

@@ -15,9 +15,9 @@ from typing import Union
 from .cagasa import CagasaChromosome, CagasaGene, ContextRule
 from .corpus import UnknownWordIndex
 from .evaluator import Semantics
-from .ga_engine import GAConfig
+from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
 from .gasa import GasaChromosome
-from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair
+from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair
 
 FORMAT_VERSION = "1"
 
@@ -75,12 +75,8 @@ def save_model(model: TrainedModel, sink: Union[str, Path]) -> None:
         fh.write(f"model\t{FORMAT_VERSION}\n")
         fh.write(f"algo\t{model.algo}\n")
         fh.write(f"semantics\t{model.semantics.value}\n")
-        fh.write(f"population_size\t{model.config.population_size}\n")
-        fh.write(f"tournament_size\t{model.config.tournament_size}\n")
-        fh.write(f"max_generations\t{model.config.max_generations}\n")
-        fh.write(f"crossover_rate\t{model.config.crossover_rate:.6f}\n")
-        fh.write(f"mutation_rate\t{model.config.mutation_rate:.6f}\n")
-        fh.write(f"seed\t{model.config.seed}\n")
+        for key, value in config_records(model.config):
+            fh.write(f"{key}\t{value}\n")
         fh.write(f"best_fitness\t{model.best_fitness}\n")
         fh.write(f"train_instances\t{model.train_instances}\n")
         for word, pair in model.sentiment_dict.entries.items():
@@ -93,13 +89,6 @@ def save_model(model: TrainedModel, sink: Union[str, Path]) -> None:
         else:
             for gene in model.chromosome.genes:
                 fh.write(_gene_line(gene.word, gene) + "\n")
-
-
-def _parse_pair(kind_text: str, value_text: str) -> ClassificationValuePair:
-    try:
-        return ClassificationValuePair(Kind(kind_text), float(value_text))
-    except ValueError as exc:
-        raise ModelFormatError(f"bad pair {kind_text!r}:{value_text!r}") from exc
 
 
 def _split_words(text: str) -> frozenset:
@@ -120,40 +109,43 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                 continue
             fields = line.split("\t")
             tag = fields[0]
-            if tag == "dict":
-                if len(fields) != 4:
-                    raise ModelFormatError(f"line {lineno}: bad dict record")
-                pair = _parse_pair(fields[2], fields[3])
-                target = (
-                    sentiment_entries if pair.kind is Kind.SENTIMENT else amplifier_entries
-                )
-                target[fields[1]] = pair
-            elif tag == "gene":
-                if len(fields) != 4:
-                    raise ModelFormatError(f"line {lineno}: bad gene record")
-                gene_words.append(fields[1])
-                gasa_genes.append(_parse_pair(fields[2], fields[3]))
-            elif tag == "cgene":
-                if len(fields) != 12:
-                    raise ModelFormatError(f"line {lineno}: bad cgene record")
-                word = fields[1]
-                rule = ContextRule(
-                    next_size=int(fields[2]),
-                    previous_size=int(fields[3]),
-                    list_next=_split_words(fields[4]),
-                    list_previous=_split_words(fields[5]),
-                    number_ahead=int(fields[6]),
-                    number_behind=int(fields[7]),
-                    context_pair=_parse_pair(fields[8], fields[9]),
-                )
-                gene_words.append(word)
-                cagasa_genes.append(
-                    CagasaGene(word, rule, _parse_pair(fields[10], fields[11]))
-                )
-            elif len(fields) == 2:
-                header[tag] = fields[1]
-            else:
-                raise ModelFormatError(f"line {lineno}: unrecognized record {tag!r}")
+            try:
+                if tag == "dict":
+                    if len(fields) != 4:
+                        raise ValueError("bad dict record")
+                    pair = parse_pair(fields[2], fields[3])
+                    target = (
+                        sentiment_entries if pair.kind is Kind.SENTIMENT else amplifier_entries
+                    )
+                    target[fields[1]] = pair
+                elif tag == "gene":
+                    if len(fields) != 4:
+                        raise ValueError("bad gene record")
+                    gene_words.append(fields[1])
+                    gasa_genes.append(parse_pair(fields[2], fields[3]))
+                elif tag == "cgene":
+                    if len(fields) != 12:
+                        raise ValueError("bad cgene record")
+                    word = fields[1]
+                    rule = ContextRule(
+                        next_size=int(fields[2]),
+                        previous_size=int(fields[3]),
+                        list_next=_split_words(fields[4]),
+                        list_previous=_split_words(fields[5]),
+                        number_ahead=int(fields[6]),
+                        number_behind=int(fields[7]),
+                        context_pair=parse_pair(fields[8], fields[9]),
+                    )
+                    gene_words.append(word)
+                    cagasa_genes.append(
+                        CagasaGene(word, rule, parse_pair(fields[10], fields[11]))
+                    )
+                elif len(fields) == 2:
+                    header[tag] = fields[1]
+                else:
+                    raise ValueError(f"unrecognized record {tag!r}")
+            except ValueError as exc:
+                raise ModelFormatError(f"line {lineno}: {exc}") from exc
     if header.get("model") != FORMAT_VERSION:
         raise ModelFormatError("missing or unsupported model version header")
     algo = header.get("algo")
@@ -165,12 +157,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
         raise ModelFormatError("cagasa model contains plain genes")
     try:
         config = GAConfig(
-            population_size=int(header["population_size"]),
-            tournament_size=int(header["tournament_size"]),
-            max_generations=int(header["max_generations"]),
-            crossover_rate=float(header["crossover_rate"]),
-            mutation_rate=float(header["mutation_rate"]),
-            seed=int(header["seed"]),
+            **{key: parse_config_field(key, header[key]) for key in CONFIG_FIELDS}
         )
         semantics = Semantics(header["semantics"])
         best_fitness = int(header["best_fitness"])

@@ -2,9 +2,9 @@
 
 import itertools
 
+from evosent.evaluator import Semantics
 from evosent.gasa import GasaChromosome
-from evosent.gasa import fitness as gasa_fitness
-from evosent.lexicon import EVOLVABLE_PAIRS, Kind
+from evosent.lexicon import EVOLVABLE_PAIRS, NEUTRAL_PAIR, Kind
 
 
 def reference_sentence_score(pairs, prose: bool) -> float:
@@ -32,6 +32,77 @@ def reference_sentence_score(pairs, prose: bool) -> float:
         if len(pairs) > 0 and pairs[-1].kind == Kind.AMPLIFIER:
             sentiment_count = sentiment_count + amplifier_count
     return sentiment_count
+
+
+def _verdict_value(score):
+    """'positive', 'negative' or 'tie', comparable with `Verdict.value`."""
+    if score > 0.0:
+        return "positive"
+    if score < 0.0:
+        return "negative"
+    return "tie"
+
+
+def gasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, semantics):
+    """Sentiment dictionary, then amplifier dictionary, then the word's gene;
+    any other word is neutral."""
+    pairs = []
+    for word in tokens:
+        if word in sentiment_dict.entries:
+            pairs.append(sentiment_dict.entries[word])
+        elif word in amplifier_dict.entries:
+            pairs.append(amplifier_dict.entries[word])
+        elif word in index.position_of:
+            pairs.append(chromosome.genes[index.position_of[word]])
+        else:
+            pairs.append(NEUTRAL_PAIR)
+    return _verdict_value(reference_sentence_score(pairs, semantics is Semantics.PROSE))
+
+
+def cagasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, semantics):
+    """As `gasa_verdict`, but a gene's context pair replaces its context-free
+    pair when at least half of the word's neighbourhood is in its lists."""
+    pairs = []
+    for position, word in enumerate(tokens):
+        if word in sentiment_dict.entries:
+            pairs.append(sentiment_dict.entries[word])
+        elif word in amplifier_dict.entries:
+            pairs.append(amplifier_dict.entries[word])
+        elif word in index.position_of:
+            gene = chromosome.genes[index.position_of[word]]
+            rule = gene.rule
+            ahead = set(tokens[position + 1 : position + 1 + rule.number_ahead])
+            behind = set(tokens[max(0, position - rule.number_behind) : position])
+            hits = len(ahead & rule.list_next) + len(behind & rule.list_previous)
+            size = len(ahead) + len(behind)
+            if size > 0 and 2 * hits >= size:
+                pairs.append(rule.context_pair)
+            else:
+                pairs.append(gene.context_free_pair)
+        else:
+            pairs.append(NEUTRAL_PAIR)
+    return _verdict_value(reference_sentence_score(pairs, semantics is Semantics.PROSE))
+
+
+def _fitness(verdict, chromosome, corpus, index, sd, ad, semantics):
+    if len(chromosome) != len(index):
+        raise ValueError(
+            f"chromosome length {len(chromosome)} != unknown-word count {len(index)}"
+        )
+    return sum(
+        verdict(chromosome, inst.tokens, index, sd, ad, semantics) == inst.label.value
+        for inst in corpus.instances
+    )
+
+
+def gasa_fitness(chromosome, corpus, index, sd, ad, semantics=Semantics.LITERAL) -> int:
+    """Training instances whose GASA verdict equals their label."""
+    return _fitness(gasa_verdict, chromosome, corpus, index, sd, ad, semantics)
+
+
+def cagasa_fitness(chromosome, corpus, index, sd, ad, semantics=Semantics.LITERAL) -> int:
+    """Training instances whose CA-GASA verdict equals their label."""
+    return _fitness(cagasa_verdict, chromosome, corpus, index, sd, ad, semantics)
 
 
 def exhaustive_best_fitness(corpus, index, sentiment_dict, amplifier_dict, semantics):

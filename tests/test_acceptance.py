@@ -14,16 +14,14 @@ from evosent.cagasa import (
     CagasaGene,
     ContextRule,
     corpus_neighbors,
-    fitness as cagasa_fitness,
     gather_context,
-    predict as cagasa_predict,
     random_cagasa_chromosome,
     resolve_word,
     to_context_free_gasa,
 )
 from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index, concat_corpora, word_frequencies
-from evosent.evaluator import Semantics, evaluate_sentence
+from evosent.evaluator import Semantics, evaluate_sentence, predict, slot_table
 from evosent.experiments import (
     generate_synthetic_corpus,
     random_planted_lexicon,
@@ -35,9 +33,7 @@ from evosent.gasa import (
     GasaProblem,
     crossover,
     extract_classifications,
-    fitness as gasa_fitness,
     mutate,
-    predict as gasa_predict,
     random_chromosome,
 )
 from evosent.lexicon import (
@@ -48,7 +44,12 @@ from evosent.lexicon import (
 )
 
 from conftest import A, S, make_corpus
-from oracles import exhaustive_best_fitness, reference_sentence_score
+from oracles import (
+    cagasa_fitness,
+    exhaustive_best_fitness,
+    gasa_fitness,
+    reference_sentence_score,
+)
 
 
 @contextmanager
@@ -382,10 +383,11 @@ def test_08_cagasa_reduction(capsys):
             assert cagasa_fitness(
                 stripped, corpus, index, sd, ad, semantics
             ) == gasa_fitness(plain, corpus, index, sd, ad, semantics)
+            table = slot_table(index, sd, ad)
             for inst in corpus.instances:
-                assert cagasa_predict(
-                    stripped, inst, index, sd, ad, semantics
-                ) == gasa_predict(plain, inst, index, sd, ad, semantics)
+                assert predict(stripped, inst.tokens, table, semantics) == predict(
+                    plain, inst.tokens, table, semantics
+                )
 
 
 def test_09_determinism_every_subcommand(capsys, tmp_path):

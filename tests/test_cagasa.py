@@ -10,24 +10,21 @@ from evosent.cagasa import (
     ContextRule,
     context_applies,
     corpus_neighbors,
-    crossover_cagasa,
-    fitness,
     gather_context,
     mutate_cagasa,
-    predict,
     random_cagasa_chromosome,
     random_cagasa_gene,
     resolve_word,
     to_context_free_gasa,
 )
 from evosent.corpus import build_unknown_index
-from evosent.evaluator import Semantics
+from evosent.evaluator import Semantics, predict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
-from evosent.gasa import fitness as gasa_fitness
-from evosent.gasa import predict as gasa_predict
+from evosent.gasa import crossover
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import S, make_corpus
+from oracles import cagasa_fitness, gasa_fitness
 
 
 def rule(
@@ -186,7 +183,7 @@ class TestOperators:
             def randrange(self, n):
                 return 0
 
-        o1, o2 = crossover_cagasa(c1, c2, PositionZero())
+        o1, o2 = crossover(c1, c2, PositionZero())
         assert o1.genes[0] == c2.genes[0] and o2.genes[0] == c1.genes[0]
         assert o1.genes[1:] == c1.genes[1:] and o2.genes[1:] == c2.genes[1:]
 
@@ -226,12 +223,12 @@ class TestOperators:
         with pytest.raises(ValueError):
             mutate_cagasa(CagasaChromosome(()), {}, rng)
         with pytest.raises(ValueError):
-            crossover_cagasa(CagasaChromosome(()), CagasaChromosome(()), rng)
+            crossover(CagasaChromosome(()), CagasaChromosome(()), rng)
 
     def test_length_mismatch(self, rng):
         c1, _ = self._random_chromosome(rng)
         with pytest.raises(ValueError):
-            crossover_cagasa(c1, CagasaChromosome(c1.genes[:1]), rng)
+            crossover(c1, CagasaChromosome(c1.genes[:1]), rng)
 
 
 def neutralized(chromosome):
@@ -264,12 +261,13 @@ class TestGasaReduction:
         neighbors = corpus_neighbors(corpus)
         chromosome = neutralized(random_cagasa_chromosome(index, neighbors, rnd))
         gasa_chromosome = to_context_free_gasa(chromosome)
-        assert fitness(chromosome, corpus, index, sd, ad, semantics) == gasa_fitness(
-            gasa_chromosome, corpus, index, sd, ad, semantics
-        )
+        assert cagasa_fitness(
+            chromosome, corpus, index, sd, ad, semantics
+        ) == gasa_fitness(gasa_chromosome, corpus, index, sd, ad, semantics)
+        table = slot_table(index, sd, ad)
         for inst in corpus.instances:
-            assert predict(chromosome, inst, index, sd, ad, semantics) == gasa_predict(
-                gasa_chromosome, inst, index, sd, ad, semantics
+            assert predict(chromosome, inst.tokens, table, semantics) == predict(
+                gasa_chromosome, inst.tokens, table, semantics
             )
 
 

@@ -294,7 +294,7 @@ class TestReports:
         assert code == 0
         assert "protocol" in capsys.readouterr().out
 
-    def test_cv_polarity_threshold_too_high_exits_1(self, corpus_file, tmp_path, capsys):
+    def test_cv_polarity_threshold_too_high_exits_2(self, corpus_file, tmp_path, capsys):
         pos = tmp_path / "pos.txt"
         neg = tmp_path / "neg.txt"
         pos.write_text("zorp\n")

@@ -2,22 +2,26 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosent.corpus import Label
+from evosent.cagasa import MAX_CONTEXT, CagasaChromosome, CagasaGene, ContextRule
+from evosent.corpus import Label, UnknownWordIndex
 from evosent.evaluator import (
     Semantics,
     Verdict,
     classify_score,
     evaluate_pairs,
     evaluate_sentence,
+    predict,
+    slot_table,
     verdict_matches,
 )
-from evosent.lexicon import EVOLVABLE_PAIRS, Kind
+from evosent.gasa import GasaChromosome
+from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
 
 from conftest import A, S
-from oracles import reference_sentence_score
+from oracles import cagasa_verdict, gasa_verdict, reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
 modes = pytest.mark.parametrize("semantics", list(Semantics))
@@ -112,3 +116,77 @@ class TestExhaustiveShortSentences:
                 got = evaluate_pairs(list(pairs), semantics)
                 want = reference_sentence_score(list(pairs), semantics is Semantics.PROSE)
                 assert got == want, pairs
+
+
+# Dictionary words, gene words and out-of-vocabulary words share one vocabulary
+# so that the strategies below can mix them in one sentence and one table.
+VOCABULARY = ["good", "bad", "not", "very", "g0", "g1", "g2", "g3", "oov0", "oov1"]
+words = st.sampled_from(VOCABULARY)
+
+
+@st.composite
+def dictionaries(draw):
+    """Sentiment and amplifier dictionaries over the shared vocabulary; they
+    may overlap, as nothing but `check_disjoint` keeps them apart."""
+    values = st.sampled_from([-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 1.25, 2.0])
+    sentiment = draw(st.dictionaries(words, values.map(S), max_size=4))
+    amplifier = draw(st.dictionaries(words, values.map(A), max_size=4))
+    return Dictionary(sentiment, Kind.SENTIMENT), Dictionary(amplifier, Kind.AMPLIFIER)
+
+
+def unknown_index(gene_words):
+    return UnknownWordIndex(tuple(gene_words), {w: i for i, w in enumerate(gene_words)})
+
+
+@st.composite
+def context_genes(draw, word):
+    next_size = draw(st.integers(0, MAX_CONTEXT))
+    previous_size = draw(st.integers(0, MAX_CONTEXT))
+    rule = ContextRule(
+        next_size=next_size,
+        previous_size=previous_size,
+        list_next=frozenset(draw(st.lists(words, max_size=next_size))),
+        list_previous=frozenset(draw(st.lists(words, max_size=previous_size))),
+        number_ahead=draw(st.integers(0, MAX_CONTEXT)),
+        number_behind=draw(st.integers(0, MAX_CONTEXT)),
+        context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
+    )
+    return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
+
+
+class TestSharedPredict:
+    @settings(max_examples=300)
+    @given(
+        data=st.data(),
+        dicts=dictionaries(),
+        gene_words=st.lists(words, unique=True, max_size=6),
+        sentences=st.lists(st.lists(words, max_size=9), min_size=1, max_size=5),
+        semantics=st.sampled_from(list(Semantics)),
+    )
+    def test_matches_oracle(self, data, dicts, gene_words, sentences, semantics):
+        sd, ad = dicts
+        index = unknown_index(gene_words)
+        table = slot_table(index, sd, ad)
+        gasa = GasaChromosome(
+            tuple(data.draw(st.sampled_from(EVOLVABLE_PAIRS)) for _ in gene_words)
+        )
+        cagasa = CagasaChromosome(tuple(data.draw(context_genes(w)) for w in gene_words))
+        for tokens in sentences:
+            got = predict(gasa, tokens, table, semantics).value
+            assert got == gasa_verdict(gasa, tokens, index, sd, ad, semantics)
+            got = predict(cagasa, tokens, table, semantics).value
+            assert got == cagasa_verdict(cagasa, tokens, index, sd, ad, semantics)
+
+
+class TestSlotTable:
+    @given(dicts=dictionaries(), gene_words=st.lists(words, unique=True, max_size=6))
+    def test_dictionary_words_resolve_through_lookup(self, dicts, gene_words):
+        sd, ad = dicts
+        index = unknown_index(gene_words)
+        table = slot_table(index, sd, ad)
+        known = set(sd.entries) | set(ad.entries)
+        for word in known:
+            assert table[word] == lookup(word, sd, ad)
+        for word in set(gene_words) - known:
+            assert table[word] == index.position_of[word]
+        assert set(table) == known | set(gene_words)

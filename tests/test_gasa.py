@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosent.corpus import Corpus, Instance, Label, build_unknown_index
-from evosent.evaluator import Semantics, Verdict
+from evosent.evaluator import Semantics, Verdict, predict, slot_table
 from evosent.gasa import (
     GasaChromosome,
     GasaProblem,
     compile_corpus,
     crossover,
     extract_classifications,
-    fitness,
     fitness_population,
     mutate,
-    predict,
     random_chromosome,
     random_gene,
 )
@@ -30,6 +28,7 @@ from evosent.lexicon import (
 )
 
 from conftest import A, S, make_corpus
+from oracles import gasa_fitness as fitness
 
 chromosomes = st.lists(st.sampled_from(EVOLVABLE_PAIRS), min_size=1, max_size=30).map(
     lambda genes: GasaChromosome(tuple(genes))
@@ -117,14 +116,18 @@ class TestPredict:
         corpus = make_corpus([(["good"], "positive")])
         index = build_unknown_index(corpus, sd, ad)
         inst = Instance(("good",), Label.POSITIVE)
-        assert predict(GasaChromosome(()), inst, index, sd, ad) is Verdict.POSITIVE
+        table = slot_table(index, sd, ad)
+        verdict = predict(GasaChromosome(()), inst.tokens, table, Semantics.LITERAL)
+        assert verdict is Verdict.POSITIVE
 
     def test_oov_word_is_neutral(self):
         sd, ad = empty_dicts()
         corpus = make_corpus([(["zorp"], "positive")])
         index = build_unknown_index(corpus, sd, ad)
         inst = Instance(("neverseen",), Label.POSITIVE)
-        assert predict(GasaChromosome((S(1.0),)), inst, index, sd, ad) is Verdict.TIE
+        table = slot_table(index, sd, ad)
+        verdict = predict(GasaChromosome((S(1.0),)), inst.tokens, table, Semantics.LITERAL)
+        assert verdict is Verdict.TIE
 
 
 class TestMutate:
@@ -261,7 +264,7 @@ class TestBatchFitness:
         sd = Dictionary({"good": S(1.0), "bad": S(-1.0)}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, index, sd, ad)
+        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         rnd = random.Random(seed)
         chroms = [random_chromosome(len(index), rnd) for _ in range(5)]

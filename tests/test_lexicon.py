@@ -134,6 +134,11 @@ class TestExport:
         export_lexicon(["very"], [A(1.5)], buf)
         assert buf.getvalue() == "very\tamplifier\t1.5\n"
 
+    def test_values_written_exactly(self):
+        buf = io.StringIO()
+        export_lexicon(["a", "b"], [S(1.25), A(0.05)], buf)
+        assert buf.getvalue() == "a\tsentiment\t1.25\nb\tamplifier\t0.05\n"
+
     def test_empty(self):
         buf = io.StringIO()
         export_lexicon([], [], buf)
@@ -169,6 +174,11 @@ class TestLabeledDictionary:
         path = write(tmp_path, "amp.tsv", "very\tsentiment\t1.0\n")
         with pytest.raises(ConflictingWordError):
             load_labeled_dictionary(path, Kind.AMPLIFIER)
+
+    @given(value=st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]))
+    def test_non_finite_value_is_parse_error(self, value):
+        with pytest.raises(LexiconParseError, match="line 2: non-finite"):
+            parse_lexicon(io.StringIO(f"good\tsentiment\t1.0\nbad\tsentiment\t{value}\n"))
 
     def test_bad_kind_is_parse_error(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "w\tnoise\t1.0\n")

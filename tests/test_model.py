@@ -1,16 +1,24 @@
+import dataclasses
+import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evosent.cagasa import corpus_neighbors, random_cagasa_chromosome
 from evosent.corpus import build_unknown_index
-from evosent.evaluator import Semantics
+from evosent.evaluator import Semantics, predict, slot_table
 from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
 from conftest import A, S, make_corpus
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
 
 
 def gasa_model():
@@ -73,6 +81,35 @@ class TestRoundTrip:
         save_model(gasa_model(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @given(
+        make=st.sampled_from([gasa_model, cagasa_model]),
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4
+        ),
+    )
+    def test_arbitrary_finite_dictionary_values(self, make, values):
+        good, bad, negator, very = values
+        model = dataclasses.replace(
+            make(),
+            sentiment_dict=Dictionary({"good": S(good), "bad": S(bad)}, Kind.SENTIMENT),
+            amplifier_dict=Dictionary({"not": A(negator), "very": A(very)}, Kind.AMPLIFIER),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a"), Path(tmp, "b")
+            save_model(model, first)
+            loaded = load_model(first)
+            save_model(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded.sentiment_dict == model.sentiment_dict
+        assert loaded.amplifier_dict == model.amplifier_dict
+        before = slot_table(model.index, model.sentiment_dict, model.amplifier_dict)
+        after = slot_table(loaded.index, loaded.sentiment_dict, loaded.amplifier_dict)
+        words = ["good", "bad", "not", "very", "zorp", "blick", "unseen"]
+        for tokens in itertools.permutations(words, 3):
+            assert predict(loaded.chromosome, tokens, after, loaded.semantics) == predict(
+                model.chromosome, tokens, before, model.semantics
+            )
+
     def test_gene_pairs_context_free(self):
         model = cagasa_model()
         pairs = model.gene_pairs()
@@ -107,4 +144,37 @@ class TestFormatErrors:
                 "cgene\tw\t1\t1\t\t\t1\t1\tsentiment\t1.0\tsentiment\t0.0\n"
             )
         with pytest.raises(ModelFormatError, match="context genes"):
+            load_model(path)
+
+    def _saved_lines(self, make, tmp_path):
+        path = tmp_path / "m"
+        save_model(make(), path)
+        return path, path.read_text().splitlines()
+
+    @given(value=NON_FINITE, record=st.sampled_from(["dict", "gene", "cgene"]))
+    def test_non_finite_values_rejected(self, value, record):
+        make = cagasa_model if record == "cgene" else gasa_model
+        with tempfile.TemporaryDirectory() as tmp:
+            path, lines = self._saved_lines(make, Path(tmp))
+            lineno = next(i for i, line in enumerate(lines) if line.startswith(f"{record}\t"))
+            fields = lines[lineno].split("\t")
+            fields[-1] = value
+            lines[lineno] = "\t".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ModelFormatError, match=f"line {lineno + 1}: non-finite"):
+                load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [(2, "x"), (3, "1.5"), (6, ""), (7, "two"), (4, "a,b,c,d")],
+    )
+    def test_bad_cgene_field(self, field, text, tmp_path):
+        path, lines = self._saved_lines(cagasa_model, tmp_path)
+        lineno = next(i for i, line in enumerate(lines) if line.startswith("cgene\t"))
+        fields = lines[lineno].split("\t")
+        fields[2] = fields[3] = "3"  # capacity 3 holds any sampled list
+        fields[field] = text
+        lines[lineno] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=f"line {lineno + 1}"):
             load_model(path)
