@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Set, Tuple
 
 from .corpus import Corpus, UnknownWordIndex
-from .evaluator import Semantics, predict, slot_table, verdict_matches
-from .gasa import GasaChromosome, crossover, forced_new_pair, random_gene
-from .lexicon import ClassificationValuePair, Dictionary
+from .evaluator import predict, verdict_matches
+from .gasa import GasaChromosome, WordGeneProblem, forced_new_pair, random_gene
+from .lexicon import ClassificationValuePair
 
 # Cap on context-list capacities and look-distances; bounds the search space.
 MAX_CONTEXT = 3
@@ -160,29 +160,19 @@ def _mutate_list(
     fresh_next = sorted(following - rule.list_next)
     fresh_prev = sorted(preceding - rule.list_previous)
     if fresh_next and rule.next_size > 0:
-        sides.append("next")
+        sides.append((fresh_next, rule.next_size, "list_next"))
     if fresh_prev and rule.previous_size > 0:
-        sides.append("previous")
+        sides.append((fresh_prev, rule.previous_size, "list_previous"))
     if not sides:
         return replace(gene, context_free_pair=forced_new_pair(gene.context_free_pair, rng))
-    side = sides[rng.randrange(len(sides))]
-    if side == "next":
-        fresh = fresh_next[rng.randrange(len(fresh_next))]
-        words = sorted(rule.list_next)
-        if len(words) >= rule.next_size and words:
-            words[rng.randrange(len(words))] = fresh
-        else:
-            words.append(fresh)
-        new_rule = replace(rule, list_next=frozenset(words))
+    fresh_words, capacity, field = sides[rng.randrange(len(sides))]
+    fresh = fresh_words[rng.randrange(len(fresh_words))]
+    words = sorted(getattr(rule, field))
+    if len(words) >= capacity and words:
+        words[rng.randrange(len(words))] = fresh
     else:
-        fresh = fresh_prev[rng.randrange(len(fresh_prev))]
-        words = sorted(rule.list_previous)
-        if len(words) >= rule.previous_size and words:
-            words[rng.randrange(len(words))] = fresh
-        else:
-            words.append(fresh)
-        new_rule = replace(rule, list_previous=frozenset(words))
-    return replace(gene, rule=new_rule)
+        words.append(fresh)
+    return replace(gene, rule=replace(rule, **{field: frozenset(words)}))
 
 
 def mutate_cagasa(
@@ -214,25 +204,12 @@ def mutate_cagasa(
     return CagasaChromosome(tuple(genes))
 
 
-class CagasaProblem:
+class CagasaProblem(WordGeneProblem):
     """Adapter exposing CA-GASA to the GA engine."""
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        index: UnknownWordIndex,
-        sentiment_dict: Dictionary,
-        amplifier_dict: Dictionary,
-        semantics: Semantics = Semantics.LITERAL,
-    ):
-        self.corpus = corpus
-        self.index = index
-        self.sentiment_dict = sentiment_dict
-        self.amplifier_dict = amplifier_dict
-        self.semantics = semantics
-        self.max_fitness = len(corpus.instances)
-        self.neighbors = corpus_neighbors(corpus)
-        self.table = slot_table(index, sentiment_dict, amplifier_dict)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.neighbors = corpus_neighbors(self.corpus)
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)
@@ -244,12 +221,5 @@ class CagasaProblem:
             for inst in self.corpus.instances
         )
 
-    def mutate(self, genome: CagasaChromosome, rng: random.Random) -> CagasaChromosome:
-        if len(genome) == 0:
-            return genome
+    def mutate_genes(self, genome: CagasaChromosome, rng: random.Random) -> CagasaChromosome:
         return mutate_cagasa(genome, self.neighbors, rng)
-
-    def crossover(self, g1, g2, rng):
-        if len(g1) == 0:
-            return g1, g2
-        return crossover(g1, g2, rng)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .corpus import (
     Corpus,
+    CorpusParseError,
     build_unknown_index,
     concat_corpora,
     load_corpus,
@@ -37,7 +38,9 @@ from .experiments import (
 )
 from .ga_engine import GAConfig, parse_config_file, run_ga
 from .lexicon import (
+    ConflictingWordError,
     Kind,
+    LexiconParseError,
     check_disjoint,
     empty_sentiment_dictionary,
     export_lexicon,
@@ -46,7 +49,7 @@ from .lexicon import (
     parse_lexicon,
     seed_amplifier_dictionary,
 )
-from .model import TrainedModel, load_model, save_model
+from .model import ModelFormatError, TrainedModel, load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,6 +58,13 @@ EXIT_RUNTIME = 2
 
 class ValidationError(ValueError):
     """User input failed validation (exit code 1)."""
+
+
+# Malformed input files are input-validation errors too.
+INPUT_ERRORS = (
+    ValidationError, ModelFormatError,
+    CorpusParseError, LexiconParseError, ConflictingWordError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,10 +88,10 @@ def _add_common_flags(parser):
         default=Semantics.LITERAL.value,
         help="sentence evaluation semantics",
     )
-    parser.add_argument("--config", default=None, help="key=value GA config file")
 
 
 def _add_ga_flags(parser):
+    parser.add_argument("--config", default=None, help="key=value GA config file")
     parser.add_argument("--pop", type=int, default=None, help="population size")
     parser.add_argument("--tournament", type=int, default=None, help="tournament size")
     parser.add_argument("--generations", type=int, default=None, help="max generations")
@@ -385,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

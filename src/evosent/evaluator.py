@@ -9,8 +9,12 @@ readings that differ in when the amplifier accumulator is consumed:
   sentiment word, and the trailing addition happens only when the final
   token is an amplifier.
 
-All reachable values are sums and products of halves, so double-precision
-arithmetic is exact.
+Gene values are multiples of one half, and sums and products of such values
+are exact in double precision. Dictionaries accept any finite value, and
+then the arithmetic rounds. The batched GASA kernel (`gasa.score_population`)
+still gives the same scores as `evaluate_pairs`, because it performs the
+same operations in the same order; the padding it adds contributes only
+exact zeros.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .lexicon import (
     AMPLIFIER_VALUES,
     EVOLVABLE_PAIRS,
     SENTIMENT_VALUES,
+    NEUTRAL_PAIR,
     ClassificationValuePair,
     Dictionary,
     Kind,
@@ -101,54 +102,38 @@ def extract_classifications(
 
 @dataclass(frozen=True)
 class CompiledCorpus:
-    """Padded array form of a corpus against a fixed index and dictionaries."""
+    """A corpus as slots into each genome's value table: the genome's genes,
+    then `fixed_pairs`. Gene slots are gene positions; fixed slots count back
+    from the end of the table, so they do not depend on the genome's length.
 
-    gene_index: np.ndarray  # (instances, width) int32; -1 = dictionary word / pad
-    dict_value: np.ndarray  # (instances, width) float64
-    dict_amplifier: np.ndarray  # (instances, width) bool
-    active: np.ndarray  # (instances, width) bool
+    Sentences are padded on the left with the neutral pair, the last fixed
+    pair. A leading neutral sentiment word adds nothing to the sentiment and
+    leaves the amplifier accumulator at zero under both semantics, so the
+    padding changes no score and every sentence ends in the last column.
+    """
+
+    slots: np.ndarray  # (instances, width) int32
+    fixed_pairs: tuple  # the dictionary pairs the corpus uses, then NEUTRAL_PAIR
     label_positive: np.ndarray  # (instances,) bool
-
-    @property
-    def n_instances(self) -> int:
-        return self.gene_index.shape[0]
 
 
 def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
     """Every corpus word must be in the table (true of the corpus the table's
     unknown-word index was built from)."""
-    n_inst = len(corpus.instances)
-    width = max((len(i.tokens) for i in corpus.instances), default=0)
-    width = max(width, 1)
-    gene_index = np.full((n_inst, width), -1, dtype=np.int32)
-    dict_value = np.zeros((n_inst, width), dtype=np.float64)
-    dict_amplifier = np.zeros((n_inst, width), dtype=bool)
-    active = np.zeros((n_inst, width), dtype=bool)
-    label_positive = np.zeros(n_inst, dtype=bool)
-    for i, inst in enumerate(corpus.instances):
-        label_positive[i] = inst.label is Label.POSITIVE
-        for t, word in enumerate(inst.tokens):
-            active[i, t] = True
-            slot = table[word]
-            if isinstance(slot, int):
-                gene_index[i, t] = slot
-            else:
-                dict_value[i, t] = slot.value
-                dict_amplifier[i, t] = slot.kind is Kind.AMPLIFIER
-    return CompiledCorpus(gene_index, dict_value, dict_amplifier, active, label_positive)
-
-
-def _chromosome_arrays(chromosomes) -> Tuple[np.ndarray, np.ndarray]:
-    pop = len(chromosomes)
-    n = len(chromosomes[0]) if pop else 0
-    width = max(n, 1)
-    values = np.zeros((pop, width), dtype=np.float64)
-    amplifier = np.zeros((pop, width), dtype=bool)
-    for i, chrom in enumerate(chromosomes):
-        for j, gene in enumerate(chrom.genes):
-            values[i, j] = gene.value
-            amplifier[i, j] = gene.kind is Kind.AMPLIFIER
-    return values, amplifier
+    instances = corpus.instances
+    word_slots = {word: table[word] for inst in instances for word in inst.tokens}
+    dictionary_pairs = dict.fromkeys(s for s in word_slots.values() if not isinstance(s, int))
+    fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
+    fixed_slot = {pair: k - len(fixed_pairs) for k, pair in enumerate(dictionary_pairs)}
+    word_slots = {w: s if isinstance(s, int) else fixed_slot[s] for w, s in word_slots.items()}
+    width = max((len(inst.tokens) for inst in instances), default=0)
+    rows = [
+        [-1] * (width - len(inst.tokens)) + [word_slots[w] for w in inst.tokens]
+        for inst in instances
+    ]
+    slots = np.array(rows, dtype=np.int32).reshape(len(instances), width)
+    label_positive = np.array([inst.label is Label.POSITIVE for inst in instances])
+    return CompiledCorpus(slots, fixed_pairs, label_positive)
 
 
 def score_population(
@@ -157,33 +142,28 @@ def score_population(
     semantics: Semantics = Semantics.LITERAL,
 ) -> np.ndarray:
     """Sentence scores for every (chromosome, instance), shape (pop, instances)."""
-    pop = len(chromosomes)
-    values, amp_kind = _chromosome_arrays(chromosomes)
-    n_inst, width = compiled.gene_index.shape
-    sentiment = np.zeros((pop, n_inst), dtype=np.float64)
-    amplifier = np.zeros((pop, n_inst), dtype=np.float64)
-    last_amp = np.zeros((pop, n_inst), dtype=bool)
-    for t in range(width):
-        gi = compiled.gene_index[:, t]
-        act = compiled.active[:, t]
-        unknown = gi >= 0
-        gi_safe = np.where(unknown, gi, 0)
-        v = np.where(unknown, values[:, gi_safe], compiled.dict_value[:, t])
-        amp = np.where(unknown, amp_kind[:, gi_safe], compiled.dict_amplifier[:, t])
-        amp &= act
-        sent = act & ~amp
+    n_instances = len(compiled.label_positive)
+    if not chromosomes:
+        return np.zeros((0, n_instances))
+    amplifier_kind = Kind.AMPLIFIER
+    # The value tables, one row per slot and one column per genome.
+    pairs = [(*chrom.genes, *compiled.fixed_pairs) for chrom in chromosomes]
+    values = np.array([[p.value for p in row] for row in pairs], dtype=np.float64).T.copy()
+    is_amp = np.array([[p.kind is amplifier_kind for p in row] for row in pairs]).T.copy()
+    sentiment = np.zeros((n_instances, len(chromosomes)))
+    amplifier = np.zeros_like(sentiment)
+    for column in compiled.slots.T:
+        v = values[column]
+        amp = is_amp[column]
         contrib = np.where(amplifier != 0.0, amplifier * v, v)
-        sentiment += np.where(sent, contrib, 0.0)
+        sentiment += np.where(amp, 0.0, contrib)
         if semantics is Semantics.LITERAL:
-            amplifier = amplifier + np.where(amp, v, 0.0)
-        else:
-            amplifier = np.where(amp, amplifier + v, np.where(sent, 0.0, amplifier))
-        last_amp = np.where(act, amp, last_amp)
-    if semantics is Semantics.LITERAL:
-        sentiment += amplifier
-    else:
-        sentiment += np.where(last_amp, amplifier, 0.0)
-    return sentiment
+            amplifier += np.where(amp, v, 0.0)
+        else:  # PROSE: a sentiment word consumes the accumulator
+            amplifier = np.where(amp, amplifier + v, 0.0)
+    # LITERAL adds the accumulator whenever it is nonzero; under PROSE it is
+    # nonzero only when the sentence ends in an amplifier.
+    return (sentiment + amplifier).T
 
 
 def fitness_population(
@@ -196,8 +176,9 @@ def fitness_population(
     return correct.sum(axis=1)
 
 
-class GasaProblem:
-    """Adapter exposing GASA to the GA engine with batched fitness."""
+class WordGeneProblem:
+    """What GASA and CA-GASA share as GA-engine problems: one gene per
+    unknown word, resolved through one slot table."""
 
     def __init__(
         self,
@@ -214,7 +195,24 @@ class GasaProblem:
         self.semantics = semantics
         self.max_fitness = len(corpus.instances)
         self.table = slot_table(index, sentiment_dict, amplifier_dict)
-        self._compiled = compile_corpus(corpus, self.table)
+
+    def mutate(self, genome, rng: random.Random):
+        if len(genome) == 0:  # nothing to evolve on a fully covered corpus
+            return genome
+        return self.mutate_genes(genome, rng)
+
+    def crossover(self, g1, g2, rng: random.Random):
+        if len(g1) == 0:
+            return g1, g2
+        return crossover(g1, g2, rng)
+
+
+class GasaProblem(WordGeneProblem):
+    """Adapter exposing GASA to the GA engine with batched fitness."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._compiled = compile_corpus(self.corpus, self.table)
 
     def random_genome(self, rng: random.Random) -> GasaChromosome:
         return random_chromosome(len(self.index), rng)
@@ -225,12 +223,5 @@ class GasaProblem:
     def fitness_many(self, genomes) -> list:
         return [int(f) for f in fitness_population(genomes, self._compiled, self.semantics)]
 
-    def mutate(self, genome: GasaChromosome, rng: random.Random) -> GasaChromosome:
-        if len(genome) == 0:  # nothing to evolve on a fully covered corpus
-            return genome
+    def mutate_genes(self, genome: GasaChromosome, rng: random.Random) -> GasaChromosome:
         return mutate(genome, rng)
-
-    def crossover(self, g1, g2, rng):
-        if len(g1) == 0:
-            return g1, g2
-        return crossover(g1, g2, rng)

@@ -95,11 +95,19 @@ def _split_words(text: str) -> frozenset:
     return frozenset(w for w in text.split(",") if w)
 
 
+def _evolvable(pair: ClassificationValuePair) -> ClassificationValuePair:
+    if not pair.is_evolvable():
+        raise ValueError(f"gene pair {pair.kind.value} {pair.value!r} is not evolvable")
+    return pair
+
+
 def load_model(source: Union[str, Path]) -> TrainedModel:
+    """Parse a model file; ModelFormatError on a malformed record or on a
+    model that `save_model` could not have written from a training run."""
     header = {}
     sentiment_entries = {}
     amplifier_entries = {}
-    gene_words = []
+    gene_positions = {}
     gasa_genes = []
     cagasa_genes = []
     with open(source, "r", encoding="utf-8") as fh:
@@ -121,12 +129,10 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                 elif tag == "gene":
                     if len(fields) != 4:
                         raise ValueError("bad gene record")
-                    gene_words.append(fields[1])
-                    gasa_genes.append(parse_pair(fields[2], fields[3]))
+                    gasa_genes.append(_evolvable(parse_pair(fields[2], fields[3])))
                 elif tag == "cgene":
                     if len(fields) != 12:
                         raise ValueError("bad cgene record")
-                    word = fields[1]
                     rule = ContextRule(
                         next_size=int(fields[2]),
                         previous_size=int(fields[3]),
@@ -134,16 +140,18 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                         list_previous=_split_words(fields[5]),
                         number_ahead=int(fields[6]),
                         number_behind=int(fields[7]),
-                        context_pair=parse_pair(fields[8], fields[9]),
+                        context_pair=_evolvable(parse_pair(fields[8], fields[9])),
                     )
-                    gene_words.append(word)
-                    cagasa_genes.append(
-                        CagasaGene(word, rule, parse_pair(fields[10], fields[11]))
-                    )
+                    context_free_pair = _evolvable(parse_pair(fields[10], fields[11]))
+                    cagasa_genes.append(CagasaGene(fields[1], rule, context_free_pair))
                 elif len(fields) == 2:
                     header[tag] = fields[1]
                 else:
                     raise ValueError(f"unrecognized record {tag!r}")
+                if tag in ("gene", "cgene"):
+                    if fields[1] in gene_positions:
+                        raise ValueError(f"duplicate gene word {fields[1]!r}")
+                    gene_positions[fields[1]] = len(gene_positions)
             except ValueError as exc:
                 raise ModelFormatError(f"line {lineno}: {exc}") from exc
     if header.get("model") != FORMAT_VERSION:
@@ -159,14 +167,20 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
         config = GAConfig(
             **{key: parse_config_field(key, header[key]) for key in CONFIG_FIELDS}
         )
+        config.validate()
         semantics = Semantics(header["semantics"])
         best_fitness = int(header["best_fitness"])
         train_instances = int(header["train_instances"])
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad model header: {exc}") from exc
-    index = UnknownWordIndex(
-        tuple(gene_words), {w: i for i, w in enumerate(gene_words)}
-    )
+    if not 0 <= best_fitness <= train_instances:
+        raise ModelFormatError(
+            f"best_fitness {best_fitness} is outside 0..train_instances ({train_instances})"
+        )
+    for word in gene_positions:
+        if word in sentiment_entries or word in amplifier_entries:
+            raise ModelFormatError(f"gene word {word!r} is also a dictionary word")
+    index = UnknownWordIndex(tuple(gene_positions), gene_positions)
     chromosome = (
         GasaChromosome(tuple(gasa_genes))
         if algo == "gasa"

@@ -180,11 +180,49 @@ class TestPredict:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_corrupt_model_exits_2(self, tmp_path, capsys):
+    def test_corrupt_model_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("not a model\n")
         code = main(["predict", "--model", str(bad), "--text", "x"])
-        assert code == 2
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_inconsistent_model_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(
+            "model\t1\nalgo\tgasa\nsemantics\tliteral\npopulation_size\t-1\n"
+            "tournament_size\t7\nmax_generations\t5\ncrossover_rate\t0.600000\n"
+            "mutation_rate\t0.400000\nseed\t0\nbest_fitness\t99\n"
+            "train_instances\t1\ngene\tzorp\tsentiment\t9.0\n"
+            "gene\tzorp\tsentiment\t1.0\n"
+        )
+        code = main(["predict", "--model", str(bad), "--text", "zorp"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [
+        ("--corpus", "maybe\tgood text\n", "line 1"),
+        ("--corpus", "no tab here\n", "line 1"),
+        ("--sentiment-dict", "good\tsentiment\tlots\n", "line 1"),
+        ("--sentiment-dict", "good\tsentiment\n", "line 1"),
+        ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1.0\n", "twice"),
+        ("--amplifier-dict", "not\tamplifier\tnan\n", "non-finite"),
+    ],
+)
+def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(content)
+    args = train_args(corpus_file, tmp_path / "model")
+    if flag == "--corpus":
+        args[2] = str(bad)
+    else:
+        args += [flag, str(bad)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 class TestSynth:
@@ -218,6 +256,13 @@ class TestSynth:
         main(args + ["--out", str(o1)])
         main(args + ["--out", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_config_flag_rejected(self, tmp_path):
+        out = tmp_path / "c.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(out), "--config", str(tmp_path / "ga.conf")])
+        assert exc.value.code == 1
+        assert not out.exists()
 
     def test_planted_lexicon_file(self, tmp_path):
         lex = tmp_path / "planted.tsv"

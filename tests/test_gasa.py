@@ -272,6 +272,51 @@ class TestBatchFitness:
         scalar = [fitness(c, corpus, index, sd, ad, semantics) for c in chroms]
         assert list(batch) == scalar
 
+    # Huge values overflow to inf and nan in both paths alike; numpy warns.
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        semantics=st.sampled_from(list(Semantics)),
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5
+        ),
+    )
+    def test_matches_scalar_fitness_for_any_dictionary_values(self, data, semantics, values):
+        good, bad, meh, negator, very = values
+        sd = Dictionary({"good": S(good), "bad": S(bad), "meh": S(meh)}, Kind.SENTIMENT)
+        ad = Dictionary({"not": A(negator), "very": A(very)}, Kind.AMPLIFIER)
+        vocab = ["good", "bad", "meh", "not", "very", "w1", "w2", "w3"]
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(vocab), min_size=0, max_size=9),
+                    st.sampled_from(["positive", "negative"]),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        corpus = make_corpus(rows)
+        index = build_unknown_index(corpus, sd, ad)
+        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        rnd = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        chroms = [random_chromosome(len(index), rnd) for _ in range(5)]
+        batch = fitness_population(chroms, compiled, semantics)
+        scalar = [fitness(c, corpus, index, sd, ad, semantics) for c in chroms]
+        assert list(batch) == scalar
+
+    def test_empty_population_and_zero_genes(self):
+        corpus = make_corpus([([], "positive"), (["good"], "positive"), (["not"], "negative")])
+        sd = Dictionary({"good": S(1.25)}, Kind.SENTIMENT)
+        ad = seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        assert len(index) == 0
+        assert fitness_population([], compiled).shape == (0,)
+        # the empty sentence scores 0 and is never correct
+        assert list(fitness_population([GasaChromosome(())], compiled)) == [2]
+
     def test_problem_adapter_consistency(self, rng):
         corpus = make_corpus(
             [(["good", "zorp"], "positive"), (["not", "zorp", "blick"], "negative")]

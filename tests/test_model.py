@@ -178,3 +178,36 @@ class TestFormatErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match=f"line {lineno + 1}"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "make, tag, occurrence, field, text, match",
+        [
+            (gasa_model, "population_size", 0, 1, "-1", "population_size"),
+            (gasa_model, "tournament_size", 0, 1, "51", "tournament_size"),
+            (gasa_model, "crossover_rate", 0, 1, "0.900000", "must equal 1.0"),
+            (gasa_model, "max_generations", 0, 1, "-5", "max_generations"),
+            (gasa_model, "best_fitness", 0, 1, "2", "best_fitness 2 is outside"),
+            (gasa_model, "best_fitness", 0, 1, "-1", "best_fitness -1 is outside"),
+            (gasa_model, "train_instances", 0, 1, "0", "best_fitness 1 is outside"),
+            (gasa_model, "gene", 0, 3, "9.0", "not evolvable"),
+            (gasa_model, "gene", 1, 2, "sentiment", "not evolvable"),
+            (cagasa_model, "cgene", 0, 9, "9.0", "not evolvable"),
+            (cagasa_model, "cgene", 1, 11, "-0.5", "not evolvable"),
+            (gasa_model, "gene", 1, 1, "zorp", "duplicate gene word 'zorp'"),
+            (cagasa_model, "cgene", 1, 1, "zorp", "duplicate gene word 'zorp'"),
+            (gasa_model, "gene", 0, 1, "good", "'good' is also a dictionary word"),
+            (gasa_model, "gene", 1, 1, "not", "'not' is also a dictionary word"),
+            (cagasa_model, "cgene", 0, 1, "never", "'never' is also a dictionary word"),
+        ],
+    )
+    def test_inconsistent_model_rejected(
+        self, make, tag, occurrence, field, text, match, tmp_path
+    ):
+        path, lines = self._saved_lines(make, tmp_path)
+        lineno = [i for i, line in enumerate(lines) if line.startswith(f"{tag}\t")][occurrence]
+        fields = lines[lineno].split("\t")
+        fields[field] = text
+        lines[lineno] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
