@@ -9,11 +9,11 @@ signs the evolved chromosome recovered.
 import argparse
 import random
 
-from evosent.corpus import build_unknown_index, word_frequencies
+from evosent.corpus import word_frequencies
 from evosent.evaluator import Semantics
-from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
-from evosent.ga_engine import GAConfig, run_ga
-from evosent.gasa import GasaProblem, extract_classifications
+from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon, train
+from evosent.ga_engine import GAConfig
+from evosent.gasa import extract_classifications
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 
 
@@ -27,15 +27,15 @@ def run_seed(seed: int, args) -> tuple:
         Semantics(args.semantics),
         data_rng,
     )
-    sentiment_dict = Dictionary({}, Kind.SENTIMENT)
-    amplifier_dict = seed_amplifier_dictionary()
-    index = build_unknown_index(corpus, sentiment_dict, amplifier_dict)
-    problem = GasaProblem(
-        corpus, index, sentiment_dict, amplifier_dict, Semantics(args.semantics)
+    model, stats = train(
+        corpus,
+        Dictionary({}, Kind.SENTIMENT),
+        seed_amplifier_dictionary(),
+        GAConfig(seed=seed),
+        Semantics(args.semantics),
     )
-    best, stats = run_ga(problem, GAConfig(seed=seed))
     planted = sorted(lexicon.entries)
-    genes = extract_classifications(best.genome, planted, index)
+    genes = extract_classifications(model.chromosome, planted, model.index)
     recovered = sum(
         1
         for word, gene in zip(planted, genes)
@@ -45,7 +45,7 @@ def run_seed(seed: int, args) -> tuple:
     )
     min_freq = min(word_frequencies(corpus)[w] for w in planted)
     return (
-        best.fitness / len(corpus),
+        model.best_fitness / len(corpus),
         recovered / len(planted),
         stats.generations_executed,
         min_freq,

@@ -55,37 +55,23 @@ class CagasaChromosome:
         return resolve_word(self.genes[gene], tokens, position)
 
 
-def gather_context(
-    tokens: Sequence[str], position: int, number_ahead: int, number_behind: int
-) -> Tuple[Set[str], Set[str]]:
-    """Distinct words up to `number_ahead` after and `number_behind` before
-    the position, truncated at the sentence boundaries."""
-    if not 0 <= position < len(tokens):
-        raise ValueError(f"position {position} out of range")
-    list_x = set(tokens[position + 1 : position + 1 + number_ahead])
-    list_y = set(tokens[max(0, position - number_behind) : position])
-    return list_x, list_y
-
-
-def context_applies(rule: ContextRule, list_x: Set[str], list_y: Set[str]) -> bool:
-    """Overlap ratio (a+b)/(size_x+size_y) >= 0.5; an empty neighborhood
-    provides no context evidence and never fires the rule."""
-    size = len(list_x) + len(list_y)
-    if size == 0:
-        return False
-    a = len(list_x & rule.list_next)
-    b = len(list_y & rule.list_previous)
-    return (a + b) / size >= 0.5
-
-
 def resolve_word(
     gene: CagasaGene, tokens: Sequence[str], position: int
 ) -> ClassificationValuePair:
-    list_x, list_y = gather_context(
-        tokens, position, gene.rule.number_ahead, gene.rule.number_behind
-    )
-    if context_applies(gene.rule, list_x, list_y):
-        return gene.rule.context_pair
+    """The context pair when at least half of the word's neighborhood, the
+    distinct words up to `number_ahead` after and `number_behind` before the
+    position (cut at the sentence boundaries), is in the rule's lists; the
+    context-free pair otherwise. An empty neighborhood never fires."""
+    if not 0 <= position < len(tokens):
+        raise ValueError(f"position {position} out of range")
+    rule = gene.rule
+    ahead = set(tokens[position + 1 : position + 1 + rule.number_ahead])
+    behind = set(tokens[max(0, position - rule.number_behind) : position])
+    size = len(ahead) + len(behind)
+    hits = len(ahead & rule.list_next) + len(behind & rule.list_previous)
+    # (a + b) / size >= 0.5, in exact integer arithmetic
+    if size and 2 * hits >= size:
+        return rule.context_pair
     return gene.context_free_pair
 
 

@@ -17,26 +17,25 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusParseError,
-    build_unknown_index,
     concat_corpora,
     load_corpus,
     save_corpus,
     tokenize,
 )
-from .evaluator import Semantics, Verdict, predict, slot_table
+from .evaluator import Semantics, Verdict
 from .experiments import (
     Algo,
     PlantedLexicon,
     format_report,
     generate_synthetic_corpus,
-    make_problem,
     random_planted_lexicon,
     run_holdout_accuracy,
     run_polarity_value_cv,
     run_sent_vs_amp_cv,
+    train,
     write_report,
 )
-from .ga_engine import GAConfig, parse_config_file, run_ga
+from .ga_engine import GAConfig, parse_config_file
 from .lexicon import (
     ConflictingWordError,
     Kind,
@@ -49,7 +48,7 @@ from .lexicon import (
     parse_lexicon,
     seed_amplifier_dictionary,
 )
-from .model import ModelFormatError, TrainedModel, load_model, save_model
+from .model import ModelFormatError, load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,16 +89,15 @@ def _add_common_flags(parser):
     )
 
 
-def _add_ga_flags(parser):
+def _add_training_flags(parser):
+    """The common flags, then the GA, dictionary and corpus flags."""
+    _add_common_flags(parser)
     parser.add_argument("--config", default=None, help="key=value GA config file")
     parser.add_argument("--pop", type=int, default=None, help="population size")
     parser.add_argument("--tournament", type=int, default=None, help="tournament size")
     parser.add_argument("--generations", type=int, default=None, help="max generations")
     parser.add_argument("--crossover-rate", type=float, default=None)
     parser.add_argument("--mutation-rate", type=float, default=None)
-
-
-def _add_dict_flags(parser):
     parser.add_argument("--positive-words", default=None, help="positive word list")
     parser.add_argument("--negative-words", default=None, help="negative word list")
     parser.add_argument(
@@ -110,9 +108,6 @@ def _add_dict_flags(parser):
         default=None,
         help="amplifier lexicon (default: seeded negators 'not' and 'never')",
     )
-
-
-def _add_corpus_flag(parser):
     parser.add_argument(
         "--corpus",
         action="append",
@@ -185,38 +180,30 @@ def _load_corpora(args) -> Corpus:
     return corpus
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args) -> tuple:
+    """(corpus, sentiment, amplifier, config, semantics), in `train`'s
+    argument order; the config is validated first, then the files."""
     config = _build_config(args)
     semantics = Semantics(args.semantics)
     corpus = _load_corpora(args)
     sentiment, amplifier = _load_dictionaries(args)
-    index = build_unknown_index(corpus, sentiment, amplifier)
-    algo = Algo(args.algo)
-    problem = make_problem(algo, corpus, index, sentiment, amplifier, semantics)
-    best, stats = run_ga(problem, config)
+    return corpus, sentiment, amplifier, config, semantics
+
+
+def cmd_train(args) -> int:
+    model, stats = train(*_training_inputs(args), Algo(args.algo))
     trajectory = stats.best_fitness_per_generation
-    print(f"unknown words: {len(index)}")
+    print(f"unknown words: {len(model.index)}")
     print(
-        f"best fitness: {best.fitness}/{len(corpus)} "
+        f"best fitness: {model.best_fitness}/{model.train_instances} "
         f"(initial {trajectory[0]}, generations {stats.generations_executed}, "
         f"early stop {str(stats.terminated_early).lower()})"
-    )
-    model = TrainedModel(
-        algo=algo.value,
-        semantics=semantics,
-        config=config,
-        sentiment_dict=sentiment,
-        amplifier_dict=amplifier,
-        index=index,
-        chromosome=best.genome,
-        best_fitness=best.fitness,
-        train_instances=len(corpus),
     )
     if args.model_out:
         save_model(model, args.model_out)
         print(f"model written to {args.model_out}")
     if args.export_lexicon:
-        export_lexicon(list(index.words), model.gene_pairs(), args.export_lexicon)
+        export_lexicon(list(model.index.words), model.gene_pairs(), args.export_lexicon)
         print(f"lexicon written to {args.export_lexicon}")
     return EXIT_OK
 
@@ -231,11 +218,10 @@ def cmd_predict(args) -> int:
         with open(_require_file(args.input, "input file"), "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
     tie_label = args.tie_policy
-    table = slot_table(model.index, model.sentiment_dict, model.amplifier_dict)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for line in lines:
-            verdict = predict(model.chromosome, tokenize(line), table, model.semantics)
+            verdict = model.predict(tokenize(line))
             if verdict is Verdict.TIE:
                 label = tie_label
                 annotation = "\ttie" if args.show_ties else ""
@@ -257,28 +243,15 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_holdout(args) -> int:
-    config = _build_config(args)
-    semantics = Semantics(args.semantics)
-    corpus = _load_corpora(args)
-    sentiment, amplifier = _load_dictionaries(args)
     report = run_holdout_accuracy(
-        corpus,
-        sentiment,
-        amplifier,
-        config,
-        semantics,
-        Algo(args.algo),
-        args.train_fraction,
+        *_training_inputs(args), Algo(args.algo), args.train_fraction
     )
     _emit_report(report, args)
     return EXIT_OK
 
 
 def cmd_word_cv(args) -> int:
-    config = _build_config(args)
-    semantics = Semantics(args.semantics)
-    corpus = _load_corpora(args)
-    sentiment, amplifier = _load_dictionaries(args)
+    corpus, sentiment, amplifier, config, semantics = _training_inputs(args)
     report = args.run_protocol(
         corpus, sentiment, amplifier, args.freq_threshold, args.folds, config, semantics
     )
@@ -326,10 +299,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="evolve a lexicon on a labeled corpus")
-    _add_common_flags(p_train)
-    _add_ga_flags(p_train)
-    _add_dict_flags(p_train)
-    _add_corpus_flag(p_train)
+    _add_training_flags(p_train)
     p_train.add_argument("--algo", choices=["gasa", "cagasa"], default="gasa")
     p_train.add_argument("--model-out", default=None, help="trained model path")
     p_train.add_argument("--export-lexicon", default=None, help="learned lexicon path")
@@ -347,10 +317,7 @@ def build_parser() -> _Parser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_holdout = sub.add_parser("holdout", help="stratified holdout accuracy run")
-    _add_common_flags(p_holdout)
-    _add_ga_flags(p_holdout)
-    _add_dict_flags(p_holdout)
-    _add_corpus_flag(p_holdout)
+    _add_training_flags(p_holdout)
     p_holdout.add_argument("--algo", choices=["gasa", "cagasa"], default="gasa")
     p_holdout.add_argument("--train-fraction", type=float, default=0.7)
     p_holdout.add_argument("--report-out", default=None)
@@ -361,10 +328,7 @@ def build_parser() -> _Parser:
         ("cv-polarity", run_polarity_value_cv, "polarity-value word CV"),
     ):
         p_cv = sub.add_parser(name, help=help_text)
-        _add_common_flags(p_cv)
-        _add_ga_flags(p_cv)
-        _add_dict_flags(p_cv)
-        _add_corpus_flag(p_cv)
+        _add_training_flags(p_cv)
         p_cv.add_argument("--freq-threshold", type=int, default=0)
         p_cv.add_argument("--folds", type=int, default=10)
         p_cv.add_argument("--report-out", default=None)

@@ -31,7 +31,6 @@ class Instance:
 @dataclass(frozen=True)
 class Corpus:
     instances: tuple
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -62,12 +61,11 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
-def load_corpus(source: Union[str, Path], provenance: str = "") -> Corpus:
+def load_corpus(source: Union[str, Path]) -> Corpus:
     """Load a `label<TAB>text` file; instances that tokenize to nothing are
     skipped with a warning."""
     instances = []
     skipped = 0
-    name = provenance or os.path.basename(str(source))
     with open(source, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -89,8 +87,9 @@ def load_corpus(source: Union[str, Path], provenance: str = "") -> Corpus:
                 continue
             instances.append(Instance(tuple(tokens), label))
     if skipped:
+        name = os.path.basename(source)
         logger.warning("%s: skipped %d instance(s) with no tokens", name, skipped)
-    return Corpus(tuple(instances), name)
+    return Corpus(tuple(instances))
 
 
 def save_corpus(corpus: Corpus, sink: Union[str, Path]) -> None:
@@ -99,11 +98,11 @@ def save_corpus(corpus: Corpus, sink: Union[str, Path]) -> None:
             fh.write(f"{inst.label.value}\t{' '.join(inst.tokens)}\n")
 
 
-def concat_corpora(corpora: Sequence[Corpus], provenance: str = "combined") -> Corpus:
+def concat_corpora(corpora: Sequence[Corpus]) -> Corpus:
     instances = []
     for corpus in corpora:
         instances.extend(corpus.instances)
-    return Corpus(tuple(instances), provenance)
+    return Corpus(tuple(instances))
 
 
 def build_unknown_index(
@@ -165,8 +164,8 @@ def split_holdout(corpus: Corpus, train_fraction: float, seed) -> tuple:
         train_parts.append(group[:n_train])
         test_parts.append(group[n_train:])
     return (
-        Corpus(tuple(_interleave(train_parts)), corpus.provenance),
-        Corpus(tuple(_interleave(test_parts)), corpus.provenance),
+        Corpus(tuple(_interleave(train_parts))),
+        Corpus(tuple(_interleave(test_parts))),
     )
 
 

@@ -6,11 +6,10 @@ used as the verifiable oracle for the whole pipeline.
 from __future__ import annotations
 
 import enum
-import os
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .cagasa import CagasaProblem
 from .corpus import (
@@ -22,8 +21,8 @@ from .corpus import (
     split_holdout,
     word_frequencies,
 )
-from .evaluator import Semantics, Verdict, evaluate_sentence, predict
-from .ga_engine import GAConfig, config_records, run_ga
+from .evaluator import Semantics, Verdict, evaluate_sentence
+from .ga_engine import GAConfig, RunStats, config_records, run_ga
 from .gasa import GasaProblem, extract_classifications
 from .lexicon import (
     NEUTRAL_PAIR,
@@ -32,6 +31,7 @@ from .lexicon import (
     Kind,
     check_disjoint,
 )
+from .model import TrainedModel
 
 
 class Protocol(enum.Enum):
@@ -84,9 +84,32 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def make_problem(algo, corpus, index, sentiment_dict, amplifier_dict, semantics):
-    cls = GasaProblem if algo is Algo.GASA else CagasaProblem
-    return cls(corpus, index, sentiment_dict, amplifier_dict, semantics)
+def train(
+    corpus: Corpus,
+    sentiment_dict: Dictionary,
+    amplifier_dict: Dictionary,
+    config: GAConfig,
+    semantics: Semantics = Semantics.LITERAL,
+    algo: Algo = Algo.GASA,
+) -> Tuple[TrainedModel, RunStats]:
+    """Evolve one gene per corpus word that is in neither dictionary; the
+    model holds the best genome found."""
+    index = build_unknown_index(corpus, sentiment_dict, amplifier_dict)
+    problem_class = GasaProblem if algo is Algo.GASA else CagasaProblem
+    problem = problem_class(corpus, index, sentiment_dict, amplifier_dict, semantics)
+    best, stats = run_ga(problem, config)
+    model = TrainedModel(
+        algo=algo.value,
+        semantics=semantics,
+        config=config,
+        sentiment_dict=sentiment_dict,
+        amplifier_dict=amplifier_dict,
+        index=index,
+        chromosome=best.genome,
+        best_fitness=best.fitness,
+        train_instances=len(corpus),
+    )
+    return model, stats
 
 
 def _filtered_dictionary_words(
@@ -121,13 +144,9 @@ def _run_word_cv(
     fold_word_counts = []
     for fold_idx, test_words in enumerate(folds):
         fold_dict = sentiment_dict.without(test_words)
-        index = build_unknown_index(corpus, fold_dict, amplifier_dict)
-        problem = make_problem(
-            Algo.GASA, corpus, index, fold_dict, amplifier_dict, semantics
-        )
         fold_config = replace(config, seed=config.seed + fold_idx)
-        best, _ = run_ga(problem, fold_config)
-        genes = extract_classifications(best.genome, test_words, index)
+        model, _ = train(corpus, fold_dict, amplifier_dict, fold_config, semantics)
+        genes = extract_classifications(model.chromosome, test_words, model.index)
         correct = sum(
             1
             for word, gene in zip(test_words, genes)
@@ -207,7 +226,9 @@ def run_polarity_value_cv(
     )
 
 
-def _test_accuracy(problem, best_genome, test_corpus) -> Tuple[float, Dict[str, float]]:
+def _test_accuracy(
+    model: TrainedModel, test_corpus: Corpus
+) -> Tuple[float, Dict[str, float]]:
     counts = {
         "true_positive": 0,
         "true_negative": 0,
@@ -217,7 +238,7 @@ def _test_accuracy(problem, best_genome, test_corpus) -> Tuple[float, Dict[str, 
     }
     correct = 0
     for inst in test_corpus.instances:
-        verdict = predict(best_genome, inst.tokens, problem.table, problem.semantics)
+        verdict = model.predict(inst.tokens)
         if verdict is Verdict.TIE:
             counts["ties"] += 1
         elif verdict.value == inst.label.value:
@@ -241,14 +262,12 @@ def run_holdout_accuracy(
     train_fraction: float = 0.7,
 ) -> ExperimentReport:
     check_disjoint(sentiment_dict, amplifier_dict)
-    train, test = split_holdout(corpus, train_fraction, config.seed)
-    index = build_unknown_index(train, sentiment_dict, amplifier_dict)
-    problem = make_problem(algo, train, index, sentiment_dict, amplifier_dict, semantics)
-    best, stats = run_ga(problem, config)
-    accuracy, counts = _test_accuracy(problem, best.genome, test)
+    train_corpus, test = split_holdout(corpus, train_fraction, config.seed)
+    model, stats = train(train_corpus, sentiment_dict, amplifier_dict, config, semantics, algo)
+    accuracy, counts = _test_accuracy(model, test)
     extras = dict(counts)
-    extras["train_fitness"] = float(best.fitness)
-    extras["train_instances"] = float(len(train))
+    extras["train_fitness"] = float(model.best_fitness)
+    extras["train_instances"] = float(len(train_corpus))
     extras["test_instances"] = float(len(test))
     extras["generations_executed"] = float(stats.generations_executed)
     return ExperimentReport(
@@ -276,16 +295,12 @@ def run_instance_cv(
     fold_accuracies = []
     for fold_idx, test_instances in enumerate(folds):
         held_out = set(id(inst) for inst in test_instances)
-        train_instances = [i for i in corpus.instances if id(i) not in held_out]
-        train = Corpus(tuple(train_instances), corpus.provenance)
-        test = Corpus(tuple(test_instances), corpus.provenance)
-        index = build_unknown_index(train, sentiment_dict, amplifier_dict)
-        problem = make_problem(
-            algo, train, index, sentiment_dict, amplifier_dict, semantics
-        )
+        train_corpus = Corpus(tuple(i for i in corpus.instances if id(i) not in held_out))
         fold_config = replace(config, seed=config.seed + fold_idx)
-        best, _ = run_ga(problem, fold_config)
-        accuracy, _counts = _test_accuracy(problem, best.genome, test)
+        model, _ = train(
+            train_corpus, sentiment_dict, amplifier_dict, fold_config, semantics, algo
+        )
+        accuracy, _counts = _test_accuracy(model, Corpus(tuple(test_instances)))
         fold_accuracies.append(accuracy)
     return ExperimentReport(
         protocol=Protocol.GASA_VS_CAGASA,
@@ -346,7 +361,7 @@ def generate_synthetic_corpus(
     for pos, neg in zip(positives, negatives):
         interleaved.append(pos)
         interleaved.append(neg)
-    return Corpus(tuple(interleaved), "synthetic")
+    return Corpus(tuple(interleaved))
 
 
 def report_records(report: ExperimentReport):

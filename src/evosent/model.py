@@ -9,12 +9,13 @@ the full context rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
-from .cagasa import CagasaChromosome, CagasaGene, ContextRule
+from .cagasa import MAX_CONTEXT, CagasaChromosome, CagasaGene, ContextRule
 from .corpus import UnknownWordIndex
-from .evaluator import Semantics
+from .evaluator import Semantics, SlotTable, Verdict, predict, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
 from .gasa import GasaChromosome
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair
@@ -40,6 +41,15 @@ class TrainedModel:
         if self.algo == "gasa":
             return list(self.chromosome.genes)
         return [g.context_free_pair for g in self.chromosome.genes]
+
+    @cached_property
+    def table(self) -> SlotTable:
+        """Built on first use, from the dictionaries and index of that time."""
+        return slot_table(self.index, self.sentiment_dict, self.amplifier_dict)
+
+    def predict(self, tokens: Sequence[str]) -> Verdict:
+        """The polarity the model gives a token sequence."""
+        return predict(self.chromosome, tokens, self.table, self.semantics)
 
 
 class ModelFormatError(ValueError):
@@ -95,6 +105,13 @@ def _split_words(text: str) -> frozenset:
     return frozenset(w for w in text.split(",") if w)
 
 
+def _context_int(text: str, name: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_CONTEXT:
+        raise ValueError(f"{name} {value} is outside 1..{MAX_CONTEXT}")
+    return value
+
+
 def _evolvable(pair: ClassificationValuePair) -> ClassificationValuePair:
     if not pair.is_evolvable():
         raise ValueError(f"gene pair {pair.kind.value} {pair.value!r} is not evolvable")
@@ -125,6 +142,8 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                     target = (
                         sentiment_entries if pair.kind is Kind.SENTIMENT else amplifier_entries
                     )
+                    if fields[1] in target:
+                        raise ValueError(f"duplicate {pair.kind.value} word {fields[1]!r}")
                     target[fields[1]] = pair
                 elif tag == "gene":
                     if len(fields) != 4:
@@ -134,12 +153,12 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                     if len(fields) != 12:
                         raise ValueError("bad cgene record")
                     rule = ContextRule(
-                        next_size=int(fields[2]),
-                        previous_size=int(fields[3]),
+                        next_size=_context_int(fields[2], "next_size"),
+                        previous_size=_context_int(fields[3], "previous_size"),
                         list_next=_split_words(fields[4]),
                         list_previous=_split_words(fields[5]),
-                        number_ahead=int(fields[6]),
-                        number_behind=int(fields[7]),
+                        number_ahead=_context_int(fields[6], "number_ahead"),
+                        number_behind=_context_int(fields[7], "number_behind"),
                         context_pair=_evolvable(parse_pair(fields[8], fields[9])),
                     )
                     context_free_pair = _evolvable(parse_pair(fields[10], fields[11]))

@@ -8,13 +8,13 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from evosent.cagasa import (
     CagasaChromosome,
     CagasaGene,
     ContextRule,
     corpus_neighbors,
-    gather_context,
     random_cagasa_chromosome,
     resolve_word,
     to_context_free_gasa,
@@ -163,8 +163,22 @@ def test_02_worked_examples_exact(capsys):
             S(1.0),
         )
         tokens = ["the", "ship", "sunk"]
-        assert gather_context(tokens, 2, 1, 2) == (set(), {"ship", "the"})
         assert resolve_word(gene, tokens, 2) == S(-1.0)
+
+        # the neighborhood is exactly {ship, the}, both behind: one hit fires
+        # (so at most two words), "the" alone hits too, and neither is ahead
+        def with_lists(list_next, list_previous):
+            rule = replace(
+                gene.rule,
+                next_size=2,
+                previous_size=2,
+                list_next=frozenset(list_next),
+                list_previous=frozenset(list_previous),
+            )
+            return resolve_word(replace(gene, rule=rule), tokens, 2)
+
+        assert with_lists((), {"the"}) == S(-1.0)
+        assert with_lists({"ship", "the"}, ()) == S(1.0)
 
 
 def test_03_operator_invariants(capsys):

@@ -8,9 +8,7 @@ from evosent.cagasa import (
     CagasaGene,
     CagasaProblem,
     ContextRule,
-    context_applies,
     corpus_neighbors,
-    gather_context,
     mutate_cagasa,
     random_cagasa_chromosome,
     random_cagasa_gene,
@@ -47,60 +45,86 @@ def rule(
     )
 
 
+def fires(rule, tokens, position):
+    """Whether `resolve_word` picks the context pair (S(-1)) over the
+    context-free pair (S(1)) at `tokens[position]`."""
+    assert rule.context_pair == S(-1.0)
+    return resolve_word(CagasaGene("w", rule, S(1.0)), tokens, position) == S(-1.0)
+
+
 class TestGatherContext:
+    """The neighborhood `resolve_word` reads: distinct words within the look
+    distances, cut at the sentence boundaries."""
+
     def test_ship_sunk_neighborhood(self):
-        list_x, list_y = gather_context(["the", "ship", "sunk"], 2, 1, 2)
-        assert list_x == set()
-        assert list_y == {"ship", "the"}
+        tokens = ["the", "ship", "sunk"]
+        # one matching word behind fires, so the neighborhood has at most two
+        # words; "the", at distance 2, and "ship" are both in it, and behind
+        assert fires(rule(list_previous={"the"}, number_ahead=1, number_behind=2), tokens, 2)
+        assert fires(rule(list_previous={"ship"}, number_ahead=1, number_behind=2), tokens, 2)
+        assert not fires(
+            rule(list_next={"the", "ship"}, number_ahead=1, number_behind=2), tokens, 2
+        )
 
     def test_start_boundary(self):
-        list_x, list_y = gather_context(["a", "b"], 0, 1, 5)
-        assert list_y == set()
-        assert list_x == {"b"}
+        # "b" ahead fires; nothing behind the first word matches either word
+        assert fires(rule(list_next={"b"}, number_ahead=1, number_behind=5), ["a", "b"], 0)
+        assert not fires(
+            rule(list_previous={"a", "b"}, number_ahead=1, number_behind=5), ["a", "b"], 0
+        )
 
     def test_zero_distances(self):
-        assert gather_context(["a", "b", "c"], 1, 0, 0) == (set(), set())
+        # zero look distances leave an empty neighborhood, which never fires
+        words = {"a", "b", "c"}
+        r = rule(list_next=words, list_previous=words, number_ahead=0, number_behind=0)
+        assert not fires(r, ["a", "b", "c"], 1)
 
     def test_deduplication(self):
-        list_x, _ = gather_context(["w", "x", "x", "x"], 0, 3, 0)
-        assert list_x == {"x"}
+        # ahead of "w" is {x, y}: one hit of two fires; counting the repeated
+        # "x" three times would make it one of four
+        r = rule(list_next={"y"}, number_ahead=4, number_behind=0)
+        assert fires(r, ["w", "x", "x", "x", "y"], 0)
 
     def test_bad_position(self):
         with pytest.raises(ValueError):
-            gather_context(["a"], 1, 1, 1)
+            resolve_word(CagasaGene("w", rule(), S(1.0)), ["a"], 1)
 
 
 class TestContextApplies:
+    """The firing rule: at least half of the neighborhood in the lists."""
+
     def test_ship_sunk_ratio(self):
-        r = rule(list_next={"book"}, list_previous={"ship"})
+        r = rule(list_next={"book"}, list_previous={"ship"}, number_ahead=1, number_behind=2)
         # a=0, b=1, sizes 0+2 -> ratio exactly 0.5
-        assert context_applies(r, set(), {"ship", "the"})
+        assert fires(r, ["the", "ship", "sunk"], 2)
 
     def test_empty_neighborhood_never_fires(self):
         r = rule(list_next={"x"}, list_previous={"y"})
-        assert not context_applies(r, set(), set())
+        assert not fires(r, ["w"], 0)
 
     def test_full_overlap(self):
-        r = rule(list_next={"x", "y"})
-        assert context_applies(r, {"x", "y"}, set())
+        r = rule(list_next={"x", "y"}, number_ahead=2)
+        assert fires(r, ["w", "x", "y"], 0)
 
     def test_below_half(self):
-        r = rule(list_previous={"ship"})
-        assert not context_applies(r, set(), {"ship", "the", "old"})
+        r = rule(list_previous={"ship"}, number_behind=3)
+        assert not fires(r, ["the", "old", "ship", "w"], 3)
 
     def test_monotone_in_overlap(self, rng):
         for _ in range(300):
-            neighborhood_x = {f"x{i}" for i in range(rng.randrange(1, 4))}
-            neighborhood_y = {f"y{i}" for i in range(rng.randrange(0, 3))}
+            neighborhood_x = [f"x{i}" for i in range(rng.randrange(1, 4))]
+            neighborhood_y = [f"y{i}" for i in range(rng.randrange(0, 3))]
+            tokens = [*neighborhood_y, "w", *neighborhood_x]
+            position = len(neighborhood_y)
+            distances = dict(number_ahead=len(neighborhood_x), number_behind=position)
             matched = {w for w in neighborhood_x if rng.random() < 0.5}
-            base = rule(list_next=matched, next_size=len(neighborhood_x) + 1)
-            unmatched = sorted(neighborhood_x - matched)
-            if not unmatched or not context_applies(base, neighborhood_x, neighborhood_y):
+            capacity = len(neighborhood_x) + 1
+            base = rule(list_next=matched, next_size=capacity, **distances)
+            unmatched = sorted(set(neighborhood_x) - matched)
+            if not unmatched or not fires(base, tokens, position):
                 continue
-            grown = rule(
-                list_next=matched | {unmatched[0]}, next_size=len(neighborhood_x) + 1
-            )
-            assert context_applies(grown, neighborhood_x, neighborhood_y)
+            grown = rule(list_next=matched | {unmatched[0]}, next_size=capacity, **distances)
+            assert fires(grown, tokens, position)
 
 
 class TestResolveWord:

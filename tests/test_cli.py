@@ -200,6 +200,35 @@ class TestPredict:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algo, tag, field, text, message",
+        [
+            ("cagasa", "cgene", 2, "99", "next_size 99 is outside 1..3"),
+            ("cagasa", "cgene", 6, "0", "number_ahead 0 is outside 1..3"),
+            ("cagasa", "cgene", 7, "-4", "number_behind -4 is outside 1..3"),
+            ("gasa", "dict", None, "dict\tnot\tamplifier\t1.5", "duplicate amplifier word"),
+        ],
+    )
+    def test_impossible_model_exits_1(
+        self, algo, tag, field, text, message, corpus_file, tmp_path, capsys
+    ):
+        path = tmp_path / "model.tsv"
+        assert main(train_args(corpus_file, path, ["--algo", algo])) == 0
+        lines = path.read_text().splitlines()
+        if field is None:  # a second record for a word already in the model
+            lines.append(text)
+        else:
+            lineno = next(i for i, line in enumerate(lines) if line.startswith(f"{tag}\t"))
+            fields = lines[lineno].split("\t")
+            fields[field] = text
+            lines[lineno] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--text", "not zorp blick"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
 
 @pytest.mark.parametrize(
     "flag, content, message",

@@ -1,14 +1,17 @@
 import dataclasses
+import io
 import itertools
 import random
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosent.cagasa import corpus_neighbors, random_cagasa_chromosome
+from evosent.cli import main
 from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics, predict, slot_table
 from evosent.ga_engine import GAConfig
@@ -19,6 +22,16 @@ from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 from conftest import A, S, make_corpus
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+
+# Any printable text, tabs and line breaks included, or a value that is valid
+# in some field of a model file.
+FIELD_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from("\t\n\r")),
+    st.sampled_from(
+        ["", "0", "1", "3", "4", "-1", "99", "1.5", "-0.5", "sentiment", "amplifier",
+         "gasa", "cagasa", "prose", "zorp", "blick", "good", "not", "never", "a,b"]
+    ),
+)
 
 
 def gasa_model():
@@ -110,6 +123,25 @@ class TestRoundTrip:
                 model.chromosome, tokens, before, model.semantics
             )
 
+    def test_word_in_both_dictionaries(self, tmp_path):
+        """`save_model` writes a word in both dictionaries, so it loads."""
+        model = dataclasses.replace(
+            gasa_model(), sentiment_dict=Dictionary({"not": S(1.0)}, Kind.SENTIMENT)
+        )
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        assert loaded.sentiment_dict == model.sentiment_dict
+        assert loaded.amplifier_dict == model.amplifier_dict
+
+    def test_predict_reads_the_slot_table(self):
+        model = gasa_model()
+        table = slot_table(model.index, model.sentiment_dict, model.amplifier_dict)
+        assert model.table == table
+        for tokens in itertools.permutations(["good", "not", "zorp", "blick", "unseen"], 3):
+            assert model.predict(tokens) == predict(
+                model.chromosome, tokens, table, model.semantics
+            )
+
     def test_gene_pairs_context_free(self):
         model = cagasa_model()
         pairs = model.gene_pairs()
@@ -198,6 +230,12 @@ class TestFormatErrors:
             (gasa_model, "gene", 0, 1, "good", "'good' is also a dictionary word"),
             (gasa_model, "gene", 1, 1, "not", "'not' is also a dictionary word"),
             (cagasa_model, "cgene", 0, 1, "never", "'never' is also a dictionary word"),
+            (cagasa_model, "cgene", 0, 2, "99", "next_size 99 is outside 1..3"),
+            (cagasa_model, "cgene", 1, 3, "0", "previous_size 0 is outside 1..3"),
+            (cagasa_model, "cgene", 0, 6, "0", "number_ahead 0 is outside 1..3"),
+            (cagasa_model, "cgene", 1, 7, "-4", "number_behind -4 is outside 1..3"),
+            (cagasa_model, "cgene", 0, 7, "4", "number_behind 4 is outside 1..3"),
+            (gasa_model, "dict", 2, 1, "not", "duplicate amplifier word 'not'"),
         ],
     )
     def test_inconsistent_model_rejected(
@@ -211,3 +249,26 @@ class TestFormatErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match=match):
             load_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(make=st.sampled_from([gasa_model, cagasa_model]), data=st.data())
+    def test_any_single_field_corruption(self, make, data):
+        """A model with one field replaced loads or raises ModelFormatError,
+        and `predict` exits 0 or 1 accordingly."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, lines = self._saved_lines(make, Path(tmp))
+            lineno = data.draw(st.integers(0, len(lines) - 1), label="line")
+            fields = lines[lineno].split("\t")
+            field = data.draw(st.integers(0, len(fields) - 1), label="field")
+            fields[field] = data.draw(FIELD_TEXT, label="text")
+            lines[lineno] = "\t".join(fields)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                load_model(path)
+                rejected = False
+            except ModelFormatError:
+                rejected = True
+            argv = ["predict", "--model", str(path), "--text", "zorp blick good not x"]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code == (1 if rejected else 0)
