@@ -3,21 +3,45 @@
 Each gene carries two classification-value pairs. The context pair fires
 when at least half of the word's observed neighborhood overlaps the gene's
 stored context lists; otherwise the context-free pair applies.
+
+`resolve_word` is the rule for one word, which prediction uses.
+`ContextCorpus` applies it to every occurrence of a genome's gene words,
+deciding each gene once in numpy, and scores the genome on the GASA kernel;
+the test suite asserts it equal to the plain reference implementation in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Set, Tuple
 
+import numpy as np
+
 from .corpus import Corpus, UnknownWordIndex
-from .evaluator import predict, verdict_matches
-from .gasa import GasaChromosome, WordGeneProblem, forced_new_pair, random_gene
-from .lexicon import ClassificationValuePair
+from .evaluator import Semantics, SlotTable
+from .gasa import (
+    GasaChromosome,
+    WordGeneProblem,
+    accumulate,
+    compile_corpus,
+    count_correct,
+    forced_new_pair,
+    random_gene,
+)
+from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair, Kind
 
 # Cap on context-list capacities and look-distances; bounds the search space.
 MAX_CONTEXT = 3
+
+_PAIR_CODES = {pair: code for code, pair in enumerate(EVOLVABLE_PAIRS)}
+_CODE_VALUES = np.array([p.value for p in EVOLVABLE_PAIRS])
+_CODE_IS_AMP = np.array([p.kind is Kind.AMPLIFIER for p in EVOLVABLE_PAIRS])
+# The id of a list word outside the corpus, and the pad of shorter lists:
+# it equals no neighbor id, which is a word id or -1.
+_NO_WORD = -2
 
 
 @dataclass(frozen=True)
@@ -35,6 +59,8 @@ class ContextRule:
             raise ValueError("list_next exceeds its declared capacity")
         if len(self.list_previous) > self.previous_size:
             raise ValueError("list_previous exceeds its declared capacity")
+        if self.number_ahead < 0 or self.number_behind < 0:
+            raise ValueError("look distances must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -190,8 +216,180 @@ def mutate_cagasa(
     return CagasaChromosome(tuple(genes))
 
 
+def _first_sightings(words: np.ndarray) -> np.ndarray:
+    """`words` (offsets, occurrences) with -1 wherever a word repeats one at
+    a nearer offset."""
+    out = words.copy()
+    for k in range(1, len(words)):
+        out[k][(words[:k] == words[k]).any(axis=0)] = -1
+    return out
+
+
+def _encode_genes(genes: Sequence[CagasaGene], word_ids: dict) -> Tuple[np.ndarray, int]:
+    """(fields, next list length). `fields` has one int32 row per gene: its
+    two look distances, its context-free and context pair codes, then its
+    next list and its previous list as word ids, each padded to the longest
+    list among `genes` with _NO_WORD."""
+    n_next = max((len(g.rule.list_next) for g in genes), default=0)
+    n_previous = max((len(g.rule.list_previous) for g in genes), default=0)
+    rows = []
+    for gene in genes:
+        rule = gene.rule
+        list_next = [word_ids.get(w, _NO_WORD) for w in rule.list_next]
+        list_previous = [word_ids.get(w, _NO_WORD) for w in rule.list_previous]
+        rows.append(
+            [
+                rule.number_ahead,
+                rule.number_behind,
+                _PAIR_CODES[gene.context_free_pair],
+                _PAIR_CODES[rule.context_pair],
+                *list_next,
+                *[_NO_WORD] * (n_next - len(list_next)),
+                *list_previous,
+                *[_NO_WORD] * (n_previous - len(list_previous)),
+            ]
+        )
+    fields = np.array(rows, dtype=np.int32).reshape(len(genes), 4 + n_next + n_previous)
+    return fields, n_next
+
+
+class _Decision(weakref.ref):
+    """A weak reference to a gene that holds the pair codes the gene
+    resolves to at the occurrences of one position (int8 bytes), and the
+    key they are remembered under. It calls its callback with itself once
+    the gene is freed, before the gene's id can be reused."""
+
+    __slots__ = ("key", "codes")
+
+    def __new__(cls, gene, callback, key, codes: bytes):
+        self = super().__new__(cls, gene, callback)
+        self.key, self.codes = key, codes
+        return self
+
+    def __init__(self, gene, callback, key, codes: bytes):
+        super().__init__(gene, callback)
+
+
+class ContextCorpus:
+    """A corpus compiled for scoring CA-GASA genomes on the GASA kernel.
+
+    `compiled` is the GASA slot matrix in which every gene-word occurrence
+    has a slot of its own, its occurrence number, so that a genome's value
+    table holds the pair each occurrence resolves to. Occurrences are
+    numbered gene position by gene position. Which pair an occurrence
+    resolves to depends only on the gene at its position, so the pair codes
+    of each (position, gene object) are decided once and remembered for as
+    long as the gene lives.
+    """
+
+    def __init__(self, corpus: Corpus, table: SlotTable):
+        compiled = compile_corpus(corpus, table)
+        slots = compiled.slots
+        rows, columns = np.nonzero(slots >= 0)
+        order = np.argsort(slots[rows, columns], kind="stable")
+        rows, columns = rows[order], columns[order]
+        own_slots = slots.copy()
+        own_slots[rows, columns] = np.arange(len(rows))
+        self.compiled = replace(compiled, slots=own_slots)
+        self.occurrence_gene = slots[rows, columns]  # ascending
+        self.width = slots.shape[1]
+        tokens = [inst.tokens for inst in corpus.instances]
+        self.word_ids = {w: k for k, w in enumerate(dict.fromkeys(w for t in tokens for w in t))}
+        # Each occurrence as a position into the corpus's concatenated word
+        # ids, with the bounds of its sentence there.
+        self._ids = np.array([self.word_ids[w] for t in tokens for w in t], dtype=np.int32)
+        lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        self._end = ends[rows]
+        self._start = self._end - lengths[rows]
+        self._at = self._start + columns - (self.width - lengths[rows])
+        self._ahead = self._behind = np.zeros((0, len(rows)), dtype=np.int32)
+        self.fixed_values = np.array([p.value for p in compiled.fixed_pairs], dtype=np.float64)
+        self.fixed_is_amp = np.array([p.kind is Kind.AMPLIFIER for p in compiled.fixed_pairs])
+        remembered: dict = {}  # (position, id(gene)) -> _Decision
+        self._codes = remembered
+        self._forget = lambda decision: remembered.pop(decision.key, None)
+
+    def neighbor_ids(self, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(ahead, behind), each with at least `depth` rows and one column
+        per occurrence: row k - 1 holds the id of the word k positions after
+        or before the occurrence, or -1 where that position is outside the
+        sentence or repeats a nearer word on the same side. The distinct
+        words within look distance d are then exactly the valid ids in rows
+        0..d-1. `depth` must be below the longest sentence's length; the
+        rows are built when first asked for, at least MAX_CONTEXT of them."""
+        if depth > len(self._ahead):
+            depth = min(max(depth, MAX_CONTEXT), self.width - 1)
+            offsets = np.arange(1, depth + 1)[:, None]
+            after, before = self._at + offsets, self._at - offsets
+            last = max(len(self._ids) - 1, 0)
+            ahead = np.where(after < self._end, self._ids[np.minimum(after, last)], -1)
+            behind = np.where(before >= self._start, self._ids[np.maximum(before, 0)], -1)
+            self._ahead, self._behind = _first_sightings(ahead), _first_sightings(behind)
+        return self._ahead, self._behind
+
+    def _decide(self, positions: list, genes: list) -> None:
+        """Remember the pair codes each gene resolves to at the occurrences
+        of its position, deciding all of them in one pass."""
+        fields, n_next = _encode_genes(genes, self.word_ids)
+        first = np.searchsorted(self.occurrence_gene, positions, side="left")
+        counts = np.searchsorted(self.occurrence_gene, positions, side="right") - first
+        cells = np.concatenate([np.arange(f, f + c) for f, c in zip(first, counts)])
+        at = np.repeat(fields, counts, axis=0).T  # one column per cell
+        ahead_distance, behind_distance, free_code, context_code = at[:4]
+        # offsets past the longest distance among the genes or the widest
+        # sentence hold no neighbor
+        depth = max(0, min(int(fields[:, :2].max(initial=0)), self.width - 1))
+        offsets = np.arange(1, depth + 1)[:, None]
+        ahead, behind = self.neighbor_ids(depth)
+        size = hits = 0
+        sides = (
+            (ahead_distance, ahead, at[4 : 4 + n_next]),
+            (behind_distance, behind, at[4 + n_next :]),
+        )
+        for distance, neighbors, lists in sides:
+            words = neighbors[:depth].take(cells, axis=1)  # (offsets, cells)
+            seen = (words >= 0) & (offsets <= distance)
+            size = size + seen.sum(axis=0)
+            hits = hits + (seen & (lists[:, None] == words).any(axis=0)).sum(axis=0)
+        codes = np.where((size > 0) & (2 * hits >= size), context_code, free_code)
+        codes = codes.astype(np.int8).tobytes()
+        ends = np.cumsum(counts)
+        for position, gene, end, count in zip(positions, genes, ends.tolist(), counts.tolist()):
+            key = position, id(gene)
+            self._codes[key] = _Decision(gene, self._forget, key, codes[end - count : end])
+
+    def fitness(self, chromosome: CagasaChromosome, semantics: Semantics) -> int:
+        """Correctly labelled instances. Every gene pair must be evolvable,
+        as those of random, mutated and loaded genes are."""
+        remembered = self._codes
+        keys = [(position, id(gene)) for position, gene in enumerate(chromosome.genes)]
+        missing = [position for position, key in enumerate(keys) if key not in remembered]
+        if missing:
+            self._decide(missing, [chromosome.genes[position] for position in missing])
+        codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
+        values = np.concatenate([_CODE_VALUES[codes], self.fixed_values])
+        is_amp = np.concatenate([_CODE_IS_AMP[codes], self.fixed_is_amp])
+        scores = accumulate(self.compiled.slots, values[:, None], is_amp[:, None], semantics)
+        return int(count_correct(scores, self.compiled.label_positive)[0])
+
+
+def fitness_population(
+    chromosomes: Sequence[CagasaChromosome],
+    context: ContextCorpus,
+    semantics: Semantics = Semantics.LITERAL,
+) -> np.ndarray:
+    """Correctly labelled instances per chromosome, scored one at a time."""
+    return np.array([context.fitness(c, semantics) for c in chromosomes], dtype=np.int64)
+
+
 class CagasaProblem(WordGeneProblem):
-    """Adapter exposing CA-GASA to the GA engine."""
+    """Adapter exposing CA-GASA to the GA engine. It scores one genome at a
+    time, with no `fitness_many`: a genome whose genes were all decided
+    before costs one pass of the kernel."""
+
+    _compile = ContextCorpus
+    _score = staticmethod(fitness_population)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -199,13 +397,6 @@ class CagasaProblem(WordGeneProblem):
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)
-
-    def fitness(self, genome: CagasaChromosome) -> int:
-        table, semantics = self.table, self.semantics
-        return sum(
-            verdict_matches(predict(genome, inst.tokens, table, semantics), inst.label)
-            for inst in self.corpus.instances
-        )
 
     def mutate_genes(self, genome: CagasaChromosome, rng: random.Random) -> CagasaChromosome:
         return mutate_cagasa(genome, self.neighbors, rng)

@@ -4,13 +4,15 @@ The chromosome is an ordered gene sequence aligned to the unknown-word
 index. Fitness is the number of training instances whose evaluated polarity
 matches the true label. `CompiledCorpus`/`fitness_population` evaluate whole
 populations at once; the test suite asserts them equal to the plain
-reference implementation in `tests/oracles.py`.
+reference implementation in `tests/oracles.py`. `accumulate`, the column
+loop over the slot matrix, is the scoring kernel of CA-GASA too.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -118,10 +120,11 @@ class CompiledCorpus:
 
 
 def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
-    """Every corpus word must be in the table (true of the corpus the table's
-    unknown-word index was built from)."""
+    """A word missing from the table is neutral, as in `evaluator.resolve`."""
     instances = corpus.instances
-    word_slots = {word: table[word] for inst in instances for word in inst.tokens}
+    word_slots = {
+        word: table.get(word, NEUTRAL_PAIR) for inst in instances for word in inst.tokens
+    }
     dictionary_pairs = dict.fromkeys(s for s in word_slots.values() if not isinstance(s, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
     fixed_slot = {pair: k - len(fixed_pairs) for k, pair in enumerate(dictionary_pairs)}
@@ -142,19 +145,29 @@ def score_population(
     semantics: Semantics = Semantics.LITERAL,
 ) -> np.ndarray:
     """Sentence scores for every (chromosome, instance), shape (pop, instances)."""
-    n_instances = len(compiled.label_positive)
     if not chromosomes:
-        return np.zeros((0, n_instances))
+        return np.zeros((0, len(compiled.label_positive)))
     amplifier_kind = Kind.AMPLIFIER
     # The value tables, one row per slot and one column per genome.
     pairs = [(*chrom.genes, *compiled.fixed_pairs) for chrom in chromosomes]
     values = np.array([[p.value for p in row] for row in pairs], dtype=np.float64).T.copy()
     is_amp = np.array([[p.kind is amplifier_kind for p in row] for row in pairs]).T.copy()
-    sentiment = np.zeros((n_instances, len(chromosomes)))
+    return accumulate(compiled.slots, values, is_amp, semantics)
+
+
+def accumulate(
+    slots: np.ndarray, values: np.ndarray, is_amp: np.ndarray, semantics: Semantics
+) -> np.ndarray:
+    """Sentence scores, shape (genomes, instances), of a left-padded slot
+    matrix read through value tables with one row per slot and one column
+    per genome (`values` and `is_amp`, the pair's value and whether it is an
+    amplifier). GASA and CA-GASA share this loop."""
+    sentiment = np.zeros((len(slots), values.shape[1]))
     amplifier = np.zeros_like(sentiment)
-    for column in compiled.slots.T:
-        v = values[column]
-        amp = is_amp[column]
+    for column in slots.T:
+        # `take` along the slots is faster than indexing with `column`
+        v = values.take(column, axis=0)
+        amp = is_amp.take(column, axis=0)
         contrib = np.where(amplifier != 0.0, amplifier * v, v)
         sentiment += np.where(amp, 0.0, contrib)
         if semantics is Semantics.LITERAL:
@@ -166,19 +179,27 @@ def score_population(
     return (sentiment + amplifier).T
 
 
+def count_correct(scores: np.ndarray, label_positive: np.ndarray) -> np.ndarray:
+    """Per genome, the instances whose score has the sign of their label."""
+    correct = np.where(label_positive, scores > 0.0, scores < 0.0)
+    return correct.sum(axis=1)
+
+
 def fitness_population(
     chromosomes: Sequence[GasaChromosome],
     compiled: CompiledCorpus,
     semantics: Semantics = Semantics.LITERAL,
 ) -> np.ndarray:
     scores = score_population(chromosomes, compiled, semantics)
-    correct = np.where(compiled.label_positive, scores > 0.0, scores < 0.0)
-    return correct.sum(axis=1)
+    return count_correct(scores, compiled.label_positive)
 
 
 class WordGeneProblem:
     """What GASA and CA-GASA share as GA-engine problems: one gene per
-    unknown word, resolved through one slot table."""
+    unknown word, resolved through one slot table. A subclass supplies
+    `_compile(corpus, table)`, which compiles the corpus, and
+    `_score(genomes, compiled, semantics)`, which counts each genome's
+    correctly labelled instances on it."""
 
     def __init__(
         self,
@@ -196,6 +217,14 @@ class WordGeneProblem:
         self.max_fitness = len(corpus.instances)
         self.table = slot_table(index, sentiment_dict, amplifier_dict)
 
+    @cached_property
+    def _compiled(self):
+        """Built on first use, so that building the problem stays cheap."""
+        return self._compile(self.corpus, self.table)
+
+    def fitness(self, genome) -> int:
+        return int(self._score([genome], self._compiled, self.semantics)[0])
+
     def mutate(self, genome, rng: random.Random):
         if len(genome) == 0:  # nothing to evolve on a fully covered corpus
             return genome
@@ -210,18 +239,14 @@ class WordGeneProblem:
 class GasaProblem(WordGeneProblem):
     """Adapter exposing GASA to the GA engine with batched fitness."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._compiled = compile_corpus(self.corpus, self.table)
+    _compile = staticmethod(compile_corpus)
+    _score = staticmethod(fitness_population)
 
     def random_genome(self, rng: random.Random) -> GasaChromosome:
         return random_chromosome(len(self.index), rng)
 
-    def fitness(self, genome: GasaChromosome) -> int:
-        return int(fitness_population([genome], self._compiled, self.semantics)[0])
-
     def fitness_many(self, genomes) -> list:
-        return [int(f) for f in fitness_population(genomes, self._compiled, self.semantics)]
+        return [int(f) for f in self._score(genomes, self._compiled, self.semantics)]
 
     def mutate_genes(self, genome: GasaChromosome, rng: random.Random) -> GasaChromosome:
         return mutate(genome, rng)

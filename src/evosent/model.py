@@ -21,6 +21,8 @@ from .gasa import GasaChromosome
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair
 
 FORMAT_VERSION = "1"
+# The two-field records `save_model` writes, each exactly once.
+HEADER_KEYS = ("model", "algo", "semantics", *CONFIG_FIELDS, "best_fitness", "train_instances")
 
 
 @dataclass
@@ -164,6 +166,10 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                     context_free_pair = _evolvable(parse_pair(fields[10], fields[11]))
                     cagasa_genes.append(CagasaGene(fields[1], rule, context_free_pair))
                 elif len(fields) == 2:
+                    if tag not in HEADER_KEYS:
+                        raise ValueError(f"unknown header record {tag!r}")
+                    if tag in header:
+                        raise ValueError(f"repeated header record {tag!r}")
                     header[tag] = fields[1]
                 else:
                     raise ValueError(f"unrecognized record {tag!r}")

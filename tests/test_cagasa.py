@@ -1,27 +1,31 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosent.cagasa import (
     MAX_CONTEXT,
     CagasaChromosome,
     CagasaGene,
     CagasaProblem,
+    ContextCorpus,
     ContextRule,
     corpus_neighbors,
+    fitness_population,
     mutate_cagasa,
     random_cagasa_chromosome,
     random_cagasa_gene,
     resolve_word,
     to_context_free_gasa,
 )
-from evosent.corpus import build_unknown_index
+from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, predict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.gasa import crossover
-from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
+from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
-from conftest import S, make_corpus
+from conftest import A, S, make_corpus
 from oracles import cagasa_fitness, gasa_fitness
 
 
@@ -312,3 +316,135 @@ class TestProblemAdapter:
         history = stats.best_fitness_per_generation
         assert best.fitness >= history[0]
         assert best.fitness > 20  # clearly better than chance on 40 instances
+
+
+# Corpus words, and list words that no corpus sentence holds.
+CORPUS_WORDS = ["a", "b", "c", "d", "e", "f"]
+ABSENT_WORDS = ["y", "z"]
+
+
+@st.composite
+def look_genes(draw, word):
+    """A gene with look distances 0..5 and lists that may name words outside
+    the corpus."""
+    list_words = st.sampled_from(CORPUS_WORDS + ABSENT_WORDS)
+    list_next = frozenset(draw(st.lists(list_words, max_size=5)))
+    list_previous = frozenset(draw(st.lists(list_words, max_size=5)))
+    rule = ContextRule(
+        next_size=draw(st.integers(len(list_next), 5)),
+        previous_size=draw(st.integers(len(list_previous), 5)),
+        list_next=list_next,
+        list_previous=list_previous,
+        number_ahead=draw(st.integers(0, 5)),
+        number_behind=draw(st.integers(0, 5)),
+        context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
+    )
+    return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
+
+
+corpus_word = st.sampled_from(CORPUS_WORDS)
+sentences = st.one_of(
+    st.lists(corpus_word, max_size=9),
+    # repeated neighbours: w x x x y
+    st.builds(
+        lambda w, x, n, y: [w] + [x] * n + [y],
+        corpus_word, corpus_word, st.integers(1, 4), corpus_word,
+    ),
+)
+
+
+class TestKernelFitness:
+    """`CagasaProblem.fitness`, on the GASA kernel, against the reference
+    fitness."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.lists(
+            st.tuples(sentences, st.sampled_from(["positive", "negative"])), max_size=8
+        ),
+        sentiment=st.dictionaries(
+            corpus_word, st.sampled_from([-1.0, 0.0, 0.5, 1.25]).map(S), max_size=2
+        ),
+        amplifier=st.dictionaries(
+            corpus_word, st.sampled_from([-1.0, 0.5, 1.5]).map(A), max_size=2
+        ),
+        gene_words=st.lists(corpus_word, unique=True, max_size=4),
+        semantics=st.sampled_from(list(Semantics)),
+    )
+    def test_matches_reference_fitness(
+        self, data, rows, sentiment, amplifier, gene_words, semantics
+    ):
+        # Words in neither the dictionaries nor `gene_words` are out of
+        # vocabulary; a gene word that is also a dictionary word is dead.
+        corpus = make_corpus(rows)
+        sd = Dictionary(sentiment, Kind.SENTIMENT)
+        ad = Dictionary(amplifier, Kind.AMPLIFIER)
+        index = UnknownWordIndex(
+            tuple(gene_words), {w: k for k, w in enumerate(gene_words)}
+        )
+        population = data.draw(
+            st.lists(
+                st.tuples(*(look_genes(w) for w in gene_words)).map(CagasaChromosome),
+                max_size=4,
+            )
+        )
+        # the same gene objects again at other positions
+        population += [CagasaChromosome(c.genes[::-1]) for c in population]
+        problem = CagasaProblem(corpus, index, sd, ad, semantics)
+        expected = [cagasa_fitness(c, corpus, index, sd, ad, semantics) for c in population]
+        assert [problem.fitness(c) for c in population] == expected
+        # scored again from the remembered decisions
+        assert [problem.fitness(c) for c in population] == expected
+
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_empty_population_zero_genes_and_empty_sentence(self, semantics):
+        corpus = make_corpus([([], "positive"), (["good"], "positive"), (["not"], "negative")])
+        sd = Dictionary({"good": S(1.0)}, Kind.SENTIMENT)
+        ad = seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad, semantics)
+        assert len(index) == 0
+        context = ContextCorpus(corpus, problem.table)
+        assert fitness_population([], context, semantics).shape == (0,)
+        # the empty sentence scores 0 and is never correct
+        assert list(fitness_population([CagasaChromosome(())] * 3, context, semantics)) == [2] * 3
+        assert problem.fitness(CagasaChromosome(())) == 2
+        empty = make_corpus([([], "negative")])
+        problem = CagasaProblem(empty, build_unknown_index(empty, sd, ad), sd, ad, semantics)
+        assert problem.fitness(CagasaChromosome(())) == 0
+
+    def test_rule_reads_distinct_neighbours_of_each_occurrence(self):
+        # "w x x x y": for "y", the behind list {w} hits once in the distinct
+        # words {x, w} from look distance 4 on, which fires; counted with
+        # repeats, it would be 1 hit of 4 words
+        corpus = make_corpus([(["w", "x", "x", "x", "y"], "negative")])
+        sd, ad = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
+        index = build_unknown_index(corpus, sd, ad)
+
+        def genome(behind):
+            y = CagasaGene("y", rule(list_previous={"w", "q"}, number_behind=behind), S(1.0))
+            neutral = rule(context_pair=S(0.0))
+            return CagasaChromosome(
+                tuple(y if w == "y" else CagasaGene(w, neutral, S(0.0)) for w in index.words)
+            )
+
+        problem = CagasaProblem(corpus, index, sd, ad)
+        population = [genome(behind) for behind in range(6)]
+        assert [problem.fitness(c) for c in population] == [0, 0, 0, 0, 1, 1]
+        assert [problem.fitness(c) for c in population] == [
+            cagasa_fitness(c, corpus, index, sd, ad) for c in population
+        ]
+
+    def test_genes_freed_and_made_again_are_decided_again(self):
+        # A gene freed after scoring leaves its id free for the next one.
+        rng = random.Random(3)
+        lexicon = random_planted_lexicon(6, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 40, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        for _ in range(30):
+            genome = problem.random_genome(rng)
+            assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad)
+        assert len(problem._compiled._codes) == len(index)

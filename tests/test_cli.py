@@ -207,6 +207,9 @@ class TestPredict:
             ("cagasa", "cgene", 6, "0", "number_ahead 0 is outside 1..3"),
             ("cagasa", "cgene", 7, "-4", "number_behind -4 is outside 1..3"),
             ("gasa", "dict", None, "dict\tnot\tamplifier\t1.5", "duplicate amplifier word"),
+            ("gasa", None, None, "semantics\tprose", "repeated header record 'semantics'"),
+            ("gasa", None, None, "bogus_field\tx", "unknown header record 'bogus_field'"),
+            ("gasa", None, None, "seed\t5", "repeated header record 'seed'"),
         ],
     )
     def test_impossible_model_exits_1(
@@ -215,7 +218,7 @@ class TestPredict:
         path = tmp_path / "model.tsv"
         assert main(train_args(corpus_file, path, ["--algo", algo])) == 0
         lines = path.read_text().splitlines()
-        if field is None:  # a second record for a word already in the model
+        if field is None:  # a record appended to the model
             lines.append(text)
         else:
             lineno = next(i for i, line in enumerate(lines) if line.startswith(f"{tag}\t"))

@@ -1,12 +1,13 @@
-"""Golden GASA runs: fixed seeds must keep producing the same model bytes and
-best-fitness trajectory, so a change to the scoring kernel or the operators
-that alters any fitness value shows up here."""
+"""Golden GASA and CA-GASA runs: fixed seeds must keep producing the same
+model bytes and best-fitness trajectory, so a change to the scoring kernels
+or the operators that alters any fitness value shows up here."""
 
 import hashlib
 import random
 
 import pytest
 
+from evosent.cagasa import CagasaProblem
 from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
@@ -16,6 +17,7 @@ from evosent.lexicon import empty_sentiment_dictionary, seed_amplifier_dictionar
 from evosent.model import TrainedModel, save_model
 
 # sha256 of (saved model bytes, comma-joined trajectory) per (semantics, seed).
+# GASA: population 60, 30 generations.
 GOLDEN = {
     ("literal", 0): (
         "f985765ab544292033f3af8779db9ae6e8dfa70fd233862ac43f012719a9c527",
@@ -60,6 +62,51 @@ GOLDEN = {
 }
 
 
+# CA-GASA: population 40, 10 generations.
+GOLDEN_CAGASA = {
+    ("literal", 0): (
+        "0f28401c64ca6a0a9e8ac52428ab1324734f589ff5209bce8e85caae4d0f7f7f",
+        "bff0cbb4449e7b17fd93b0d89dd5c2050dce150715b350907dfaae7019563d0f",
+    ),
+    ("literal", 1): (
+        "fd48071bdbcdc345a5e4b93424378a4395de0f69e5c1cb4ff55b4d741f80a509",
+        "54a1e6fcd9f50e030683d9c8c971828eedf788b2e688e667115262b8d47c2536",
+    ),
+    ("literal", 2): (
+        "25bdd008c4553a7685879a2326ec52a2d403a8ad5cd8a9591dbc28160c6e9c62",
+        "262da7d2a72f3ee3a3863afdb1d76e36bc142131f5a54a2f20f5b0f2280682a8",
+    ),
+    ("literal", 3): (
+        "c5bea4ef1c64a2943034298921dff6867d7ff4d8ad6e726443913ec8d1dc6c1c",
+        "e5bf598203a3189684dbe8775d2d0ff2ec74fec08ca409afa1ac5ab4b243bd7c",
+    ),
+    ("literal", 4): (
+        "eab771019ba30b5529965e343c5b0384805ccd7e43ed70bafe2d8fae8a2428d3",
+        "2a3ebbbb4be9520c3c9f869ab13e379719f9577545a9c19acf9b568e60327d10",
+    ),
+    ("prose", 0): (
+        "0b4ee1a2a39e56df920d8512b6dbc3abac3660b998804842b53a40bb508ebf06",
+        "1174ec027d6ab26e532f16ddd84bf96ead83cd655516adc8d1b0a21bc8512d4d",
+    ),
+    ("prose", 1): (
+        "1a815be435afdfd24aa26afaed876263f16eb80b8872a4d6763a8c4f07d35dc9",
+        "bcd3a8232d5762db953fa3a49fdee804c115708656c89d411883645cc5b7a38a",
+    ),
+    ("prose", 2): (
+        "6a17c538f7358048ad48355c818720cdca2eb623332af3e84f7e144dcd944521",
+        "9c8144f4af97afdb22544c7f9f04649bec2dfba21fd475640538f12da9f450d7",
+    ),
+    ("prose", 3): (
+        "a57e9134b83aab741f121de66327e514175a98ac2e3cdf6372550f9127013629",
+        "52944ef5e7464512dea67245ac3e8cffad24800cbfad9bc02c1048246b702b00",
+    ),
+    ("prose", 4): (
+        "e8061c485a5828a99151b307407940b51493f955238dd30cec6115dafe8dc1fb",
+        "905b820f9ffdaf56714fd1be5b64b7b16be83d05bb21eafbc99acaacd4a7901b",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def corpus():
     """`evosent synth --instances 500 --seed 1`: 30 planted words, 10 fillers."""
@@ -72,18 +119,32 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("semantics, seed", sorted(GOLDEN))
-def test_gasa_run_is_unchanged(corpus, semantics, seed, tmp_path):
+def run_hashes(problem_class, algo, corpus, semantics, config, path):
+    """sha256 of the saved model bytes and of the best-fitness trajectory."""
     sd, ad = empty_sentiment_dictionary(), seed_amplifier_dictionary()
     index = build_unknown_index(corpus, sd, ad)
-    problem = GasaProblem(corpus, index, sd, ad, Semantics(semantics))
-    config = GAConfig(population_size=60, max_generations=30, seed=seed)
+    problem = problem_class(corpus, index, sd, ad, semantics)
     best, stats = run_ga(problem, config)
-    path = tmp_path / "model"
     save_model(
-        TrainedModel("gasa", Semantics(semantics), config, sd, ad, index,
+        TrainedModel(algo, semantics, config, sd, ad, index,
                      best.genome, best.fitness, len(corpus)),
         path,
     )
     trajectory = ",".join(map(str, stats.best_fitness_per_generation))
-    assert (sha256(path.read_bytes()), sha256(trajectory.encode())) == GOLDEN[semantics, seed]
+    return sha256(path.read_bytes()), sha256(trajectory.encode())
+
+
+@pytest.mark.parametrize("semantics, seed", sorted(GOLDEN))
+def test_gasa_run_is_unchanged(corpus, semantics, seed, tmp_path):
+    config = GAConfig(population_size=60, max_generations=30, seed=seed)
+    hashes = run_hashes(GasaProblem, "gasa", corpus, Semantics(semantics), config,
+                        tmp_path / "model")
+    assert hashes == GOLDEN[semantics, seed]
+
+
+@pytest.mark.parametrize("semantics, seed", sorted(GOLDEN_CAGASA))
+def test_cagasa_run_is_unchanged(corpus, semantics, seed, tmp_path):
+    config = GAConfig(population_size=40, max_generations=10, seed=seed)
+    hashes = run_hashes(CagasaProblem, "cagasa", corpus, Semantics(semantics), config,
+                        tmp_path / "model")
+    assert hashes == GOLDEN_CAGASA[semantics, seed]

@@ -250,6 +250,25 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=match):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "appended, match",
+        [
+            (["semantics\tprose"], "line 17: repeated header record 'semantics'"),
+            (["bogus_field\tx"], "line 17: unknown header record 'bogus_field'"),
+            (["seed\t5"], "line 17: repeated header record 'seed'"),
+            (["semantics\tprose", "bogus_field\tx"], "line 17: repeated header record"),
+        ],
+    )
+    def test_header_record_appended(self, appended, match, tmp_path):
+        def literal():
+            return dataclasses.replace(gasa_model(), semantics=Semantics.LITERAL)
+
+        path, lines = self._saved_lines(literal, tmp_path)
+        assert len(lines) == 16 and "semantics\tliteral" in lines
+        path.write_text("\n".join(lines + appended) + "\n")
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
     @settings(max_examples=300, deadline=None)
     @given(make=st.sampled_from([gasa_model, cagasa_model]), data=st.data())
     def test_any_single_field_corruption(self, make, data):
