@@ -23,6 +23,9 @@ import numpy as np
 from .corpus import Corpus, UnknownWordIndex
 from .evaluator import Semantics, SlotTable
 from .gasa import (
+    CODE_IS_AMP,
+    CODE_VALUES,
+    PAIR_CODES,
     GasaChromosome,
     WordGeneProblem,
     accumulate,
@@ -31,14 +34,11 @@ from .gasa import (
     forced_new_pair,
     random_gene,
 )
-from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair, Kind
+from .lexicon import ClassificationValuePair, Kind
 
 # Cap on context-list capacities and look-distances; bounds the search space.
 MAX_CONTEXT = 3
 
-_PAIR_CODES = {pair: code for code, pair in enumerate(EVOLVABLE_PAIRS)}
-_CODE_VALUES = np.array([p.value for p in EVOLVABLE_PAIRS])
-_CODE_IS_AMP = np.array([p.kind is Kind.AMPLIFIER for p in EVOLVABLE_PAIRS])
 # The id of a list word outside the corpus, and the pad of shorter lists:
 # it equals no neighbor id, which is a word id or -1.
 _NO_WORD = -2
@@ -241,8 +241,8 @@ def _encode_genes(genes: Sequence[CagasaGene], word_ids: dict) -> Tuple[np.ndarr
             [
                 rule.number_ahead,
                 rule.number_behind,
-                _PAIR_CODES[gene.context_free_pair],
-                _PAIR_CODES[rule.context_pair],
+                PAIR_CODES[gene.context_free_pair],
+                PAIR_CODES[rule.context_pair],
                 *list_next,
                 *[_NO_WORD] * (n_next - len(list_next)),
                 *list_previous,
@@ -368,8 +368,8 @@ class ContextCorpus:
         if missing:
             self._decide(missing, [chromosome.genes[position] for position in missing])
         codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
-        values = np.concatenate([_CODE_VALUES[codes], self.fixed_values])
-        is_amp = np.concatenate([_CODE_IS_AMP[codes], self.fixed_is_amp])
+        values = np.concatenate([CODE_VALUES[codes], self.fixed_values])
+        is_amp = np.concatenate([CODE_IS_AMP[codes], self.fixed_is_amp])
         scores = accumulate(self.compiled.slots, values[:, None], is_amp[:, None], semantics)
         return int(count_correct(scores, self.compiled.label_positive)[0])
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Sequence, Union
 
-from .corpus import Label, UnknownWordIndex
+from .corpus import UnknownWordIndex
 from .lexicon import NEUTRAL_PAIR, ClassificationValuePair, Dictionary, Kind, lookup
 
 # word -> its dictionary pair, or the position of its gene in a genome.
@@ -111,8 +111,3 @@ def classify_score(score: float) -> Verdict:
     if score < 0.0:
         return Verdict.NEGATIVE
     return Verdict.TIE
-
-
-def verdict_matches(verdict: Verdict, label: Label) -> bool:
-    """A tie never matches: the model failed to commit to a polarity."""
-    return verdict.value == label.value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -75,16 +75,6 @@ class RunStats:
     generations_executed: int = 0
     best_fitness_per_generation: List[int] = field(default_factory=list)
     terminated_early: bool = False
-
-
-class GAProblem(Protocol):
-    def random_genome(self, rng: random.Random) -> Any: ...
-
-    def fitness(self, genome: Any) -> int: ...
-
-    def mutate(self, genome: Any, rng: random.Random) -> Any: ...
-
-    def crossover(self, g1: Any, g2: Any, rng: random.Random) -> Tuple[Any, Any]: ...
 
 
 def tournament_select(

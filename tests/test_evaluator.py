@@ -15,7 +15,6 @@ from evosent.evaluator import (
     evaluate_sentence,
     predict,
     slot_table,
-    verdict_matches,
 )
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
@@ -25,6 +24,11 @@ from oracles import cagasa_verdict, gasa_verdict, reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
 modes = pytest.mark.parametrize("semantics", list(Semantics))
+
+
+def verdict_matches(verdict: Verdict, label: Label) -> bool:
+    """A tie never matches: the model failed to commit to a polarity."""
+    return verdict.value == label.value
 
 
 class TestLiteralSemantics:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from evosent.corpus import Corpus, Instance, Label, build_unknown_index
 from evosent.evaluator import Semantics, Verdict, predict, slot_table
+from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
+from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
     GasaChromosome,
     GasaProblem,
@@ -329,3 +331,79 @@ class TestBatchFitness:
             chrom = random_chromosome(len(index), rng)
             assert problem.fitness(chrom) == fitness(chrom, corpus, index, sd, ad)
         assert problem.max_fitness == 2
+
+
+class TestDeltaFitness:
+    """`GasaProblem.fitness_many` scores a child of its last batch from the
+    parent's correctness vector; every value must still equal the oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        semantics=st.sampled_from(list(Semantics)),
+        gene_words=st.integers(min_value=0, max_value=5),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_lineage_chains_match_oracle(self, data, semantics, gene_words, rnd):
+        vocab = ["good", "bad", "not", "oov"] + [f"w{k}" for k in range(gene_words)]
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(vocab), max_size=9),
+                    st.sampled_from(["positive", "negative"]),
+                ),
+                min_size=1,
+                max_size=10,
+            )
+        )
+        corpus = make_corpus(rows)
+        sd = Dictionary({"good": S(1.0), "bad": S(-1.0)}, Kind.SENTIMENT)
+        ad = seed_amplifier_dictionary()
+        # "oov" is out of the index, so it is neutral
+        known = make_corpus([([w for w in t if w != "oov"], label) for t, label in rows])
+        index = build_unknown_index(known, sd, ad)
+        problem = GasaProblem(corpus, index, sd, ad, semantics)
+        pool = [problem.random_genome(rnd) for _ in range(3)]  # scored or not
+        batch = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            pick = st.sampled_from(pool + batch)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+                op = data.draw(
+                    st.sampled_from(["mutate", "crossover", "self-cross", "again", "new"])
+                )
+                if op == "mutate":
+                    made = [problem.mutate(data.draw(pick), rnd)]
+                elif op == "crossover":
+                    made = list(problem.crossover(data.draw(pick), data.draw(pick), rnd))
+                elif op == "self-cross":  # swaps equal genes
+                    parent = data.draw(pick)
+                    made = list(problem.crossover(parent, parent, rnd))
+                elif op == "again":  # a genome already made or scored
+                    made = [data.draw(pick)]
+                else:
+                    made = [problem.random_genome(rnd)]
+                # an unscored child may become a parent within the batch
+                pool.extend(made)
+                made = made[: data.draw(st.integers(min_value=0, max_value=len(made)))]
+                batch.extend(made)
+            scores = problem.fitness_many(batch)
+            assert scores == [fitness(g, corpus, index, sd, ad, semantics) for g in batch]
+            pool, batch = batch or pool, []
+
+    def test_reused_problem_runs_like_a_fresh_one(self):
+        rng = random.Random(7)
+        corpus = generate_synthetic_corpus(
+            random_planted_lexicon(12, 4, rng), 120, (3, 8), Semantics.LITERAL, rng
+        )
+        sd, ad = empty_dicts()
+        index = build_unknown_index(corpus, sd, ad)
+        for semantics in Semantics:
+            reused = GasaProblem(corpus, index, sd, ad, semantics)
+            for seed in (3, 4, 3):
+                config = GAConfig(population_size=30, max_generations=15, seed=seed)
+                fresh = GasaProblem(corpus, index, sd, ad, semantics)
+                best, stats = run_ga(reused, config)
+                fresh_best, fresh_stats = run_ga(fresh, config)
+                assert best.genome == fresh_best.genome
+                assert best.fitness == fresh_best.fitness
+                assert stats == fresh_stats
