@@ -13,7 +13,6 @@ from evosent.corpus import word_frequencies
 from evosent.evaluator import Semantics
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon, train
 from evosent.ga_engine import GAConfig
-from evosent.gasa import extract_classifications
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 
 
@@ -35,13 +34,13 @@ def run_seed(seed: int, args) -> tuple:
         Semantics(args.semantics),
     )
     planted = sorted(lexicon.entries)
-    genes = extract_classifications(model.chromosome, planted, model.index)
+    genes = dict(zip(model.index.words, model.gene_pairs()))
     recovered = sum(
         1
-        for word, gene in zip(planted, genes)
-        if gene.kind is Kind.SENTIMENT
-        and gene.value != 0.0
-        and (gene.value > 0.0) == (lexicon.entries[word].value > 0.0)
+        for word in planted
+        if genes[word].kind is Kind.SENTIMENT
+        and genes[word].value != 0.0
+        and (genes[word].value > 0.0) == (lexicon.entries[word].value > 0.0)
     )
     min_freq = min(word_frequencies(corpus)[w] for w in planted)
     return (

@@ -16,25 +16,25 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .corpus import Corpus, UnknownWordIndex
 from .evaluator import Semantics, SlotTable
 from .gasa import (
-    CODE_IS_AMP,
-    CODE_VALUES,
     PAIR_CODES,
-    GasaChromosome,
     WordGeneProblem,
-    accumulate,
     compile_corpus,
-    count_correct,
-    forced_new_pair,
-    random_gene,
+    forced_new_code,
+    labelled_correctly,
+    random_code,
 )
-from .lexicon import ClassificationValuePair, Kind
+from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair
+
+# A word's (preceding, following) corpus neighbours, each sorted.
+Neighbors = Tuple[Tuple[str, ...], Tuple[str, ...]]
+NO_NEIGHBORS: Neighbors = ((), ())
 
 # Cap on context-list capacities and look-distances; bounds the search space.
 MAX_CONTEXT = 3
@@ -101,9 +101,9 @@ def resolve_word(
     return gene.context_free_pair
 
 
-def corpus_neighbors(corpus: Corpus) -> Dict[str, Tuple[Set[str], Set[str]]]:
-    """(preceding, following) adjacent-word sets for every corpus word."""
-    neighbors: Dict[str, Tuple[Set[str], Set[str]]] = {}
+def corpus_neighbors(corpus: Corpus) -> Dict[str, Neighbors]:
+    """The (preceding, following) adjacent words of every corpus word."""
+    neighbors: dict = {}
     for inst in corpus.instances:
         tokens = inst.tokens
         for i, word in enumerate(tokens):
@@ -112,21 +112,22 @@ def corpus_neighbors(corpus: Corpus) -> Dict[str, Tuple[Set[str], Set[str]]]:
                 prev_set.add(tokens[i - 1])
             if i + 1 < len(tokens):
                 next_set.add(tokens[i + 1])
-    return neighbors
+    return {w: (tuple(sorted(p)), tuple(sorted(n))) for w, (p, n) in neighbors.items()}
 
 
-def _sample_list(pool: Set[str], capacity: int, rng: random.Random) -> frozenset:
+def _sample_list(pool: Tuple[str, ...], capacity: int, rng: random.Random) -> frozenset:
     take = min(capacity, len(pool))
     if take == 0:
         return frozenset()
-    return frozenset(rng.sample(sorted(pool), take))
+    return frozenset(rng.sample(pool, take))
 
 
-def random_cagasa_gene(
-    word: str,
-    neighbors: Tuple[Set[str], Set[str]],
-    rng: random.Random,
-) -> CagasaGene:
+def _new_pair(pair: ClassificationValuePair, rng: random.Random) -> ClassificationValuePair:
+    """Uniform over the five evolvable pairs other than `pair`."""
+    return EVOLVABLE_PAIRS[forced_new_code(PAIR_CODES[pair], rng)]
+
+
+def random_cagasa_gene(word: str, neighbors: Neighbors, rng: random.Random) -> CagasaGene:
     preceding, following = neighbors
     next_size = rng.randint(1, MAX_CONTEXT)
     previous_size = rng.randint(1, MAX_CONTEXT)
@@ -137,46 +138,34 @@ def random_cagasa_gene(
         list_previous=_sample_list(preceding, previous_size, rng),
         number_ahead=rng.randint(1, MAX_CONTEXT),
         number_behind=rng.randint(1, MAX_CONTEXT),
-        context_pair=random_gene(rng),
+        context_pair=EVOLVABLE_PAIRS[random_code(rng)],
     )
-    return CagasaGene(word, rule, random_gene(rng))
+    return CagasaGene(word, rule, EVOLVABLE_PAIRS[random_code(rng)])
 
 
 def random_cagasa_chromosome(
-    index: UnknownWordIndex,
-    neighbors: Dict[str, Tuple[Set[str], Set[str]]],
-    rng: random.Random,
+    index: UnknownWordIndex, neighbors: Dict[str, Neighbors], rng: random.Random
 ) -> CagasaChromosome:
     genes = tuple(
-        random_cagasa_gene(word, neighbors.get(word, (set(), set())), rng)
-        for word in index.words
+        random_cagasa_gene(word, neighbors.get(word, NO_NEIGHBORS), rng) for word in index.words
     )
     return CagasaChromosome(genes)
 
 
-def to_context_free_gasa(chromosome: CagasaChromosome) -> GasaChromosome:
-    """The GASA chromosome formed from the context-free pairs."""
-    return GasaChromosome(tuple(g.context_free_pair for g in chromosome.genes))
-
-
-def _mutate_list(
-    gene: CagasaGene,
-    neighbors: Tuple[Set[str], Set[str]],
-    rng: random.Random,
-) -> CagasaGene:
+def _mutate_list(gene: CagasaGene, neighbors: Neighbors, rng: random.Random) -> CagasaGene:
     """Swap one stored context word for a fresh corpus neighbor; falls back
     to resampling the context-free pair when no fresh neighbor exists."""
     preceding, following = neighbors
     rule = gene.rule
     sides = []
-    fresh_next = sorted(following - rule.list_next)
-    fresh_prev = sorted(preceding - rule.list_previous)
+    fresh_next = [w for w in following if w not in rule.list_next]
+    fresh_prev = [w for w in preceding if w not in rule.list_previous]
     if fresh_next and rule.next_size > 0:
         sides.append((fresh_next, rule.next_size, "list_next"))
     if fresh_prev and rule.previous_size > 0:
         sides.append((fresh_prev, rule.previous_size, "list_previous"))
     if not sides:
-        return replace(gene, context_free_pair=forced_new_pair(gene.context_free_pair, rng))
+        return replace(gene, context_free_pair=_new_pair(gene.context_free_pair, rng))
     fresh_words, capacity, field = sides[rng.randrange(len(sides))]
     fresh = fresh_words[rng.randrange(len(fresh_words))]
     words = sorted(getattr(rule, field))
@@ -188,9 +177,7 @@ def _mutate_list(
 
 
 def mutate_cagasa(
-    parent: CagasaChromosome,
-    neighbors: Dict[str, Tuple[Set[str], Set[str]]],
-    rng: random.Random,
+    parent: CagasaChromosome, neighbors: Dict[str, Neighbors], rng: random.Random
 ) -> CagasaChromosome:
     """Pick one gene, then one of: resample the context-free pair, resample
     the context pair, or edit a context list with a fresh neighbor."""
@@ -201,16 +188,12 @@ def mutate_cagasa(
     gene = parent.genes[position]
     edit = rng.randrange(3)
     if edit == 0:
-        new_gene = replace(
-            gene, context_free_pair=forced_new_pair(gene.context_free_pair, rng)
-        )
+        new_gene = replace(gene, context_free_pair=_new_pair(gene.context_free_pair, rng))
     elif edit == 1:
-        new_rule = replace(
-            gene.rule, context_pair=forced_new_pair(gene.rule.context_pair, rng)
-        )
+        new_rule = replace(gene.rule, context_pair=_new_pair(gene.rule.context_pair, rng))
         new_gene = replace(gene, rule=new_rule)
     else:
-        new_gene = _mutate_list(gene, neighbors.get(gene.word, (set(), set())), rng)
+        new_gene = _mutate_list(gene, neighbors.get(gene.word, NO_NEIGHBORS), rng)
     genes = list(parent.genes)
     genes[position] = new_gene
     return CagasaChromosome(tuple(genes))
@@ -304,8 +287,6 @@ class ContextCorpus:
         self._start = self._end - lengths[rows]
         self._at = self._start + columns - (self.width - lengths[rows])
         self._ahead = self._behind = np.zeros((0, len(rows)), dtype=np.int32)
-        self.fixed_values = np.array([p.value for p in compiled.fixed_pairs], dtype=np.float64)
-        self.fixed_is_amp = np.array([p.kind is Kind.AMPLIFIER for p in compiled.fixed_pairs])
         remembered: dict = {}  # (position, id(gene)) -> _Decision
         self._codes = remembered
         self._forget = lambda decision: remembered.pop(decision.key, None)
@@ -368,19 +349,7 @@ class ContextCorpus:
         if missing:
             self._decide(missing, [chromosome.genes[position] for position in missing])
         codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
-        values = np.concatenate([CODE_VALUES[codes], self.fixed_values])
-        is_amp = np.concatenate([CODE_IS_AMP[codes], self.fixed_is_amp])
-        scores = accumulate(self.compiled.slots, values[:, None], is_amp[:, None], semantics)
-        return int(count_correct(scores, self.compiled.label_positive)[0])
-
-
-def fitness_population(
-    chromosomes: Sequence[CagasaChromosome],
-    context: ContextCorpus,
-    semantics: Semantics = Semantics.LITERAL,
-) -> np.ndarray:
-    """Correctly labelled instances per chromosome, scored one at a time."""
-    return np.array([context.fitness(c, semantics) for c in chromosomes], dtype=np.int64)
+        return int(labelled_correctly(self.compiled, codes[:, None], semantics).sum())
 
 
 class CagasaProblem(WordGeneProblem):
@@ -389,11 +358,13 @@ class CagasaProblem(WordGeneProblem):
     before costs one pass of the kernel."""
 
     _compile = ContextCorpus
-    _score = staticmethod(fitness_population)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.neighbors = corpus_neighbors(self.corpus)
+
+    def fitness(self, genome: CagasaChromosome) -> int:
+        return self._compiled.fitness(genome, self.semantics)
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)

@@ -59,9 +59,10 @@ class ValidationError(ValueError):
     """User input failed validation (exit code 1)."""
 
 
-# Malformed input files are input-validation errors too.
+# Malformed input files, text that is not UTF-8 among them, are
+# input-validation errors too.
 INPUT_ERRORS = (
-    ValidationError, ModelFormatError,
+    ValidationError, ModelFormatError, UnicodeDecodeError,
     CorpusParseError, LexiconParseError, ConflictingWordError,
 )
 
@@ -70,6 +71,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _require(valid: bool, message: str) -> None:
+    if not valid:
+        raise ValidationError(message)
 
 
 def _require_file(path, what: str) -> Path:
@@ -243,6 +249,7 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_holdout(args) -> int:
+    _require(0.0 < args.train_fraction < 1.0, "--train-fraction must be in (0, 1)")
     report = run_holdout_accuracy(
         *_training_inputs(args), Algo(args.algo), args.train_fraction
     )
@@ -251,6 +258,7 @@ def cmd_holdout(args) -> int:
 
 
 def cmd_word_cv(args) -> int:
+    _require(args.folds >= 2, "--folds must be at least 2")
     corpus, sentiment, amplifier, config, semantics = _training_inputs(args)
     report = args.run_protocol(
         corpus, sentiment, amplifier, args.freq_threshold, args.folds, config, semantics
@@ -260,12 +268,17 @@ def cmd_word_cv(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _require(args.instances > 0 and args.instances % 2 == 0, "--instances must be positive, even")
+    _require(1 <= args.min_length <= args.max_length, "--min-length must be in 1..--max-length")
+    _require(args.planted_words > 0, "--planted-words must be positive")
+    _require(args.filler_words >= 0, "--filler-words must be non-negative")
     semantics = Semantics(args.semantics)
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
     if args.lexicon is not None:
         entries = parse_lexicon(_require_file(args.lexicon, "planted lexicon"))
         planted = {w: p for w, p in entries.items() if p.value != 0.0}
+        _require(bool(planted), "planted lexicon has no word with a nonzero value")
         fillers = frozenset(w for w, p in entries.items() if p.value == 0.0)
         lexicon = PlantedLexicon(planted, fillers)
     else:

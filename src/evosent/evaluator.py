@@ -11,7 +11,7 @@ readings that differ in when the amplifier accumulator is consumed:
 
 Gene values are multiples of one half, and sums and products of such values
 are exact in double precision. Dictionaries accept any finite value, and
-then the arithmetic rounds. The batched GASA kernel (`gasa.score_population`)
+then the arithmetic rounds. The batched kernel (`gasa.labelled_correctly`)
 still gives the same scores as `evaluate_pairs`, because it performs the
 same operations in the same order; the padding it adds contributes only
 exact zeros.

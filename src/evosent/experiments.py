@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .evaluator import Semantics, Verdict, evaluate_sentence
 from .ga_engine import GAConfig, RunStats, config_records, run_ga
-from .gasa import GasaProblem, extract_classifications
+from .gasa import GasaProblem
 from .lexicon import (
     NEUTRAL_PAIR,
     ClassificationValuePair,
@@ -146,12 +146,8 @@ def _run_word_cv(
         fold_dict = sentiment_dict.without(test_words)
         fold_config = replace(config, seed=config.seed + fold_idx)
         model, _ = train(corpus, fold_dict, amplifier_dict, fold_config, semantics)
-        genes = extract_classifications(model.chromosome, test_words, model.index)
-        correct = sum(
-            1
-            for word, gene in zip(test_words, genes)
-            if word_correct(word, gene, sentiment_dict)
-        )
+        genes = dict(zip(model.index.words, model.gene_pairs()))
+        correct = sum(1 for word in test_words if word_correct(word, genes[word], sentiment_dict))
         fold_accuracies.append(correct / len(test_words))
         fold_word_counts.append(len(test_words))
     return ExperimentReport(

@@ -1,11 +1,13 @@
 """GASA: one classification-value gene per unknown word.
 
 The chromosome is an ordered gene sequence aligned to the unknown-word
-index. Fitness is the number of training instances whose evaluated polarity
-matches the true label. `CompiledCorpus`/`fitness_population` evaluate whole
-populations at once; the test suite asserts them equal to the plain
-reference implementation in `tests/oracles.py`. `accumulate`, the column
-loop over the slot matrix, is the scoring kernel of CA-GASA too.
+index. Each gene is a pair code: a byte that indexes `EVOLVABLE_PAIRS`, the
+six classification-value pairs a gene may hold. Fitness is the number of
+training instances whose evaluated polarity matches the true label; the
+test suite asserts it equal to the plain reference implementation in
+`tests/oracles.py`. `labelled_correctly` scores columns of pair codes
+through `accumulate`, the column loop over the slot matrix, and is the
+scoring kernel of CA-GASA too.
 
 Each GASA child differs from its parent in at most one gene: a mutation
 replaces one, a crossover swaps one position. `GasaProblem.fitness_many`
@@ -21,18 +23,16 @@ children of genomes not scored in the previous call get the full pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .corpus import Corpus, Label, UnknownWordIndex
 from .evaluator import Semantics, SlotTable, slot_table
 from .lexicon import (
-    AMPLIFIER_VALUES,
     EVOLVABLE_PAIRS,
-    SENTIMENT_VALUES,
     NEUTRAL_PAIR,
     ClassificationValuePair,
     Dictionary,
@@ -47,34 +47,35 @@ CODE_IS_AMP = np.array([p.kind is Kind.AMPLIFIER for p in EVOLVABLE_PAIRS])
 
 @dataclass(frozen=True)
 class GasaChromosome:
-    genes: tuple
+    codes: bytes  # one index into EVOLVABLE_PAIRS per gene
 
     def __len__(self) -> int:
-        return len(self.genes)
+        return len(self.codes)
+
+    @property
+    def genes(self) -> tuple:
+        """The genes' pairs, in gene order."""
+        return tuple(EVOLVABLE_PAIRS[code] for code in self.codes)
 
     def pair_at(self, gene: int, tokens, position: int) -> ClassificationValuePair:
-        return self.genes[gene]
+        return EVOLVABLE_PAIRS[self.codes[gene]]
 
 
-def random_gene(rng: random.Random) -> ClassificationValuePair:
+def random_code(rng: random.Random) -> int:
     """Uniform over the six evolvable pairs: kind first, then its value."""
-    kind = Kind.SENTIMENT if rng.randrange(2) == 0 else Kind.AMPLIFIER
-    values = SENTIMENT_VALUES if kind is Kind.SENTIMENT else AMPLIFIER_VALUES
-    return ClassificationValuePair(kind, values[rng.randrange(3)])
+    return 3 * rng.randrange(2) + rng.randrange(3)
+
+
+def forced_new_code(code: int, rng: random.Random) -> int:
+    """Uniform over the five pair codes other than `code`."""
+    r = rng.randrange(5)
+    return r + (r >= code)
 
 
 def random_chromosome(n: int, rng: random.Random) -> GasaChromosome:
     if n < 0:
         raise ValueError("chromosome length must be non-negative")
-    return GasaChromosome(tuple(random_gene(rng) for _ in range(n)))
-
-
-def forced_new_pair(
-    current: ClassificationValuePair, rng: random.Random
-) -> ClassificationValuePair:
-    """Uniform over the five evolvable pairs other than `current`."""
-    candidates = [p for p in EVOLVABLE_PAIRS if p != current]
-    return candidates[rng.randrange(len(candidates))]
+    return GasaChromosome(bytes([random_code(rng) for _ in range(n)]))
 
 
 def mutate(parent: GasaChromosome, rng: random.Random) -> GasaChromosome:
@@ -88,9 +89,9 @@ def mutate_at(parent: GasaChromosome, rng: random.Random) -> Tuple[GasaChromosom
     if n == 0:
         raise ValueError("cannot mutate an empty chromosome")
     position = rng.randrange(n)
-    genes = list(parent.genes)
-    genes[position] = forced_new_pair(genes[position], rng)
-    return GasaChromosome(tuple(genes)), position
+    codes = bytearray(parent.codes)
+    codes[position] = forced_new_code(codes[position], rng)
+    return GasaChromosome(bytes(codes)), position
 
 
 def crossover(p1, p2, rng: random.Random) -> Tuple:
@@ -100,37 +101,26 @@ def crossover(p1, p2, rng: random.Random) -> Tuple:
 
 
 def crossover_at(p1, p2, rng: random.Random) -> Tuple:
-    """`crossover`'s two children, and the position it swapped."""
+    """`crossover`'s two children, and the position it swapped. Either
+    chromosome type holds its genes in its one field, bytes or a tuple."""
     n = len(p1)
     if n != len(p2):
         raise ValueError(f"parent lengths differ: {n} vs {len(p2)}")
     if n == 0:
         raise ValueError("cannot cross over empty chromosomes")
     position = rng.randrange(n)
-    g1 = list(p1.genes)
-    g2 = list(p2.genes)
-    g1[position], g2[position] = g2[position], g1[position]
-    return type(p1)(tuple(g1)), type(p2)(tuple(g2)), position
-
-
-def extract_classifications(
-    chromosome: GasaChromosome,
-    query_words: Sequence[str],
-    index: UnknownWordIndex,
-) -> list:
-    pairs = []
-    for word in query_words:
-        position = index.position_of.get(word)
-        if position is None:
-            raise ValueError(f"word {word!r} is not in the unknown-word index")
-        pairs.append(chromosome.genes[position])
-    return pairs
+    a, b = (getattr(p, fields(p)[0].name) for p in (p1, p2))
+    end = position + 1
+    c1 = type(p1)(a[:position] + b[position:end] + a[end:])
+    c2 = type(p2)(b[:position] + a[position:end] + b[end:])
+    return c1, c2, position
 
 
 @dataclass(frozen=True)
 class CompiledCorpus:
     """A corpus as slots into each genome's value table: the genome's genes,
-    then `fixed_pairs`. Gene slots are gene positions; fixed slots count back
+    then the fixed pairs, the dictionary pairs the corpus uses followed by
+    the neutral pair. Gene slots are gene positions; fixed slots count back
     from the end of the table, so they do not depend on the genome's length.
 
     Sentences are padded on the left with the neutral pair, the last fixed
@@ -140,7 +130,8 @@ class CompiledCorpus:
     """
 
     slots: np.ndarray  # (instances, width) int32
-    fixed_pairs: tuple  # the dictionary pairs the corpus uses, then NEUTRAL_PAIR
+    fixed_values: np.ndarray  # (fixed pairs,) float64
+    fixed_is_amp: np.ndarray  # (fixed pairs,) bool
     label_positive: np.ndarray  # (instances,) bool
 
 
@@ -159,31 +150,31 @@ def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
         [-1] * (width - len(inst.tokens)) + [word_slots[w] for w in inst.tokens]
         for inst in instances
     ]
-    slots = np.array(rows, dtype=np.int32).reshape(len(instances), width)
-    label_positive = np.array([inst.label is Label.POSITIVE for inst in instances])
-    return CompiledCorpus(slots, fixed_pairs, label_positive)
+    return CompiledCorpus(
+        slots=np.array(rows, dtype=np.int32).reshape(len(instances), width),
+        fixed_values=np.array([p.value for p in fixed_pairs], dtype=np.float64),
+        fixed_is_amp=np.array([p.kind is Kind.AMPLIFIER for p in fixed_pairs]),
+        label_positive=np.array([inst.label is Label.POSITIVE for inst in instances]),
+    )
 
 
-def value_tables(chromosomes: Sequence, fixed_pairs: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """The value tables of `accumulate`, one column per chromosome: its
-    genes' pairs, then `fixed_pairs`."""
-    amplifier_kind = Kind.AMPLIFIER
-    pairs = [(*chrom.genes, *fixed_pairs) for chrom in chromosomes]
-    values = np.array([[p.value for p in row] for row in pairs], dtype=np.float64).T.copy()
-    is_amp = np.array([[p.kind is amplifier_kind for p in row] for row in pairs]).T.copy()
-    return values, is_amp
-
-
-def score_population(
-    chromosomes: Sequence[GasaChromosome],
-    compiled: CompiledCorpus,
-    semantics: Semantics = Semantics.LITERAL,
+def labelled_correctly(
+    compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics
 ) -> np.ndarray:
-    """Sentence scores for every (chromosome, instance), shape (pop, instances)."""
-    if not chromosomes:
-        return np.zeros((0, len(compiled.label_positive)))
-    values, is_amp = value_tables(chromosomes, compiled.fixed_pairs)
-    return accumulate(compiled.slots, values, is_amp, semantics)
+    """Per genome and instance, whether the genome's sentence score has the
+    sign of the label, shape (genomes, instances). `codes` holds one column
+    of pair codes per genome, a row per gene slot; the fixed slots after
+    them read `compiled`'s fixed pairs."""
+    codes = np.ascontiguousarray(codes)
+    fixed = (len(compiled.fixed_values), codes.shape[1])
+    values = np.concatenate(
+        [CODE_VALUES[codes], np.broadcast_to(compiled.fixed_values[:, None], fixed)]
+    )
+    is_amp = np.concatenate(
+        [CODE_IS_AMP[codes], np.broadcast_to(compiled.fixed_is_amp[:, None], fixed)]
+    )
+    scores = accumulate(compiled.slots, values, is_amp, semantics)
+    return np.where(compiled.label_positive, scores > 0.0, scores < 0.0)
 
 
 def accumulate(
@@ -192,8 +183,7 @@ def accumulate(
     """Sentence scores, shape (genomes, instances), of a left-padded slot
     matrix read through value tables with one row per slot and one column
     per genome (`values` and `is_amp`, the pair's value and whether it is an
-    amplifier). GASA and CA-GASA share this loop. Each sentence's score
-    depends on its own row alone."""
+    amplifier). Each sentence's score depends on its own row alone."""
     sentiment = np.zeros((len(slots), values.shape[1]))
     amplifier = np.zeros_like(sentiment)
     for column in slots.T:
@@ -211,31 +201,10 @@ def accumulate(
     return (sentiment + amplifier).T
 
 
-def labelled_correctly(scores: np.ndarray, label_positive: np.ndarray) -> np.ndarray:
-    """Per genome and instance, whether the score has the sign of the label."""
-    return np.where(label_positive, scores > 0.0, scores < 0.0)
-
-
-def count_correct(scores: np.ndarray, label_positive: np.ndarray) -> np.ndarray:
-    """Per genome, the instances whose score has the sign of their label."""
-    return labelled_correctly(scores, label_positive).sum(axis=1)
-
-
-def fitness_population(
-    chromosomes: Sequence[GasaChromosome],
-    compiled: CompiledCorpus,
-    semantics: Semantics = Semantics.LITERAL,
-) -> np.ndarray:
-    scores = score_population(chromosomes, compiled, semantics)
-    return count_correct(scores, compiled.label_positive)
-
-
-def pair_codes(values: np.ndarray, is_amp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(codes, encodable) of gene tables shaped (genomes, genes): each
-    gene's index into EVOLVABLE_PAIRS, and per genome whether every gene is
-    evolvable (the codes of one that is not are meaningless)."""
-    match = (values[..., None] == CODE_VALUES) & (is_amp[..., None] == CODE_IS_AMP)
-    return match.argmax(axis=2), match.any(axis=2).all(axis=1)
+def code_matrix(genomes) -> np.ndarray:
+    """The genomes' pair codes, one int8 row per genome."""
+    codes = np.frombuffer(b"".join([g.codes for g in genomes]), dtype=np.int8)
+    return codes.reshape(len(genomes), len(genomes[0]) if genomes else 0)
 
 
 def gene_rows(slots: np.ndarray, genes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -251,9 +220,7 @@ def gene_rows(slots: np.ndarray, genes: int) -> Tuple[np.ndarray, np.ndarray]:
 class WordGeneProblem:
     """What GASA and CA-GASA share as GA-engine problems: one gene per
     unknown word, resolved through one slot table. A subclass supplies
-    `_compile(corpus, table)`, which compiles the corpus, and
-    `_score(genomes, compiled, semantics)`, which counts each genome's
-    correctly labelled instances on it."""
+    `_compile(corpus, table)`, which compiles the corpus, and `fitness`."""
 
     def __init__(
         self,
@@ -276,9 +243,6 @@ class WordGeneProblem:
         """Built on first use, so that building the problem stays cheap."""
         return self._compile(self.corpus, self.table)
 
-    def fitness(self, genome) -> int:
-        return int(self._score([genome], self._compiled, self.semantics)[0])
-
     def mutate(self, genome, rng: random.Random):
         if len(genome) == 0:  # nothing to evolve on a fully covered corpus
             return genome
@@ -293,25 +257,23 @@ class WordGeneProblem:
 class GasaProblem(WordGeneProblem):
     """Adapter exposing GASA to the GA engine with batched delta fitness.
 
-    `fitness_many` keeps, for each genome of its last batch, the genome's
-    pair codes and which instances it labels correctly; each call replaces
-    them. `mutate` and `crossover` record each child's parent and the one
-    position they changed, until the next `fitness_many` call. A child of a
-    genome in the last batch starts from the parent's vector and re-scores
-    only the instances that hold its changed gene's word, if that gene
-    differs from the parent's; a genome of the last batch keeps its vector.
-    Every other genome is scored in full. Both are keyed by object identity
-    and hold their genomes, so an id is never reused while it is a key.
+    `fitness_many` keeps, for each genome of its last batch, which instances
+    it labels correctly; each call replaces them. `mutate` and `crossover`
+    record each child's parent and the one position they changed, until the
+    next `fitness_many` call. A child of a genome in the last batch starts
+    from the parent's vector and re-scores only the instances that hold its
+    changed gene's word, if its code there differs from the parent's; a
+    genome of the last batch keeps its vector. Every other genome is scored
+    in full. Both are keyed by object identity and hold their genomes, so an
+    id is never reused while it is a key.
     """
 
     _compile = staticmethod(compile_corpus)
-    _score = staticmethod(fitness_population)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lineage: dict = {}  # id(child) -> (child, parent, changed position)
-        self._rows: dict = {}  # id(genome) -> (genome, its row of the two below)
-        self._codes = np.zeros((0, len(self.index)), dtype=np.int8)
+        self._rows: dict = {}  # id(genome) -> (genome, its row of `_correct`)
         self._correct = np.zeros((0, self.max_fitness), dtype=bool)
 
     @cached_property
@@ -320,6 +282,11 @@ class GasaProblem(WordGeneProblem):
 
     def random_genome(self, rng: random.Random) -> GasaChromosome:
         return random_chromosome(len(self.index), rng)
+
+    def fitness(self, genome: GasaChromosome) -> int:
+        """One genome's fitness by a full pass; keeps no state."""
+        codes = code_matrix([genome]).T
+        return int(labelled_correctly(self._compiled, codes, self.semantics).sum())
 
     def mutate_genes(self, genome: GasaChromosome, rng: random.Random) -> GasaChromosome:
         child, position = mutate_at(genome, rng)
@@ -336,70 +303,53 @@ class GasaProblem(WordGeneProblem):
 
     def fitness_many(self, genomes) -> list:
         genomes = list(genomes)
-        compiled = self._compiled
         lineage, self._lineage = self._lineage, {}
-        # Per genome: the row of the last batch it starts from (-1: none),
-        # and for a child the position it changed there and its new code.
-        k = len(genomes)
-        source, changed, new_codes = [-1] * k, [-1] * k, [0] * k
+        # Genomes that copy a row of the last batch, the rows they copy, the
+        # children among them whose changed code differs from the parent's
+        # with the positions changed, and the genomes scored in full.
+        copies, sources, children, positions, full = [], [], [], [], []
         for j, genome in enumerate(genomes):
             kept = self._rows.get(id(genome))
-            if kept is not None:
-                source[j] = kept[1]
-                continue
-            link = lineage.get(id(genome))
-            if link is None:
-                continue
-            _, parent, position = link
-            kept = self._rows.get(id(parent))
-            code = PAIR_CODES.get(genome.genes[position])
-            if kept is not None and code is not None:
-                source[j], changed[j], new_codes[j] = kept[1], position, code
-        source, changed, new_codes = np.array([source, changed, new_codes], dtype=np.intp)
+            link = lineage.get(id(genome)) if kept is None else None
+            if link is not None:
+                _, parent, position = link
+                kept = self._rows.get(id(parent))
+                if kept is not None and genome.codes[position] != parent.codes[position]:
+                    children.append(j)
+                    positions.append(position)
+            if kept is None:
+                full.append(j)
+            else:
+                copies.append(j)
+                sources.append(kept[1])
 
-        codes = np.zeros((k, len(self.index)), dtype=np.int8)
-        correct = np.zeros((k, self.max_fitness), dtype=bool)
-        copied = np.flatnonzero(source >= 0)
-        codes[copied] = self._codes[source[copied]]
-        correct[copied] = self._correct[source[copied]]
-        children = copied[changed[copied] >= 0]
-        positions = changed[children]
-        differs = codes[children, positions] != new_codes[children]
-        children, positions = children[differs], positions[differs]
-        codes[children, positions] = new_codes[children]
-        if len(children):
-            owners, rows, row_correct = self._rescore(codes, children, positions)
-            correct[owners, rows] = row_correct
+        correct = np.zeros((len(genomes), self.max_fitness), dtype=bool)
+        correct[copies] = self._correct[sources]
+        if children:
+            owners, rows, row_correct = self._rescore([genomes[j] for j in children], positions)
+            correct[np.array(children)[owners], rows] = row_correct
+        if full:
+            codes = code_matrix([genomes[j] for j in full]).T
+            correct[full] = labelled_correctly(self._compiled, codes, self.semantics)
 
-        encodable = np.ones(k, dtype=bool)
-        full = np.flatnonzero(source < 0)
-        if len(full):
-            values, is_amp = value_tables([genomes[j] for j in full], compiled.fixed_pairs)
-            scores = accumulate(compiled.slots, values, is_amp, self.semantics)
-            correct[full] = labelled_correctly(scores, compiled.label_positive)
-            genes = len(self.index)
-            codes[full], encodable[full] = pair_codes(values[:genes].T, is_amp[:genes].T)
-
-        self._rows = {id(g): (g, j) for j, g in enumerate(genomes) if encodable[j]}
-        self._codes, self._correct = codes, correct
+        self._rows = {id(g): (g, j) for j, g in enumerate(genomes)}
+        self._correct = correct
         return correct.sum(axis=1).tolist()
 
-    def _rescore(self, codes: np.ndarray, children: np.ndarray, positions: np.ndarray):
+    def _rescore(self, children: list, positions: list):
         """(owners, rows, correct): every instance that holds a child's
-        changed gene, re-scored with the child's codes in one `accumulate`
-        call. The rows are stacked, and each child's genes are offset into
-        one flat value table that ends with the fixed pairs."""
+        changed gene, re-scored with the child's codes in one kernel call.
+        The rows are stacked, and each child's gene slots are offset into
+        one column of all the children's codes."""
         compiled = self._compiled
         starts, holding = self._gene_rows
+        positions = np.array(positions)
         counts = starts[positions + 1] - starts[positions]
         firsts = np.cumsum(counts) - counts  # of each child's rows in the stack
         owner = np.repeat(np.arange(len(children)), counts)
         rows = holding[np.arange(len(owner)) + np.repeat(starts[positions] - firsts, counts)]
         slots = compiled.slots[rows]
-        slots = np.where(slots >= 0, slots + (owner * codes.shape[1])[:, None], slots)
-        table = codes[children].ravel()
-        fixed = compiled.fixed_pairs
-        values = np.concatenate([CODE_VALUES[table], [p.value for p in fixed]])
-        is_amp = np.concatenate([CODE_IS_AMP[table], [p.kind is Kind.AMPLIFIER for p in fixed]])
-        scores = accumulate(slots, values[:, None], is_amp[:, None], self.semantics)[0]
-        return children[owner], rows, labelled_correctly(scores, compiled.label_positive[rows])
+        slots = np.where(slots >= 0, slots + (owner * len(self.index))[:, None], slots)
+        stacked = replace(compiled, slots=slots, label_positive=compiled.label_positive[rows])
+        codes = code_matrix(children).reshape(-1, 1)
+        return owner, rows, labelled_correctly(stacked, codes, self.semantics)[0]

@@ -17,7 +17,7 @@ from .cagasa import MAX_CONTEXT, CagasaChromosome, CagasaGene, ContextRule
 from .corpus import UnknownWordIndex
 from .evaluator import Semantics, SlotTable, Verdict, predict, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
-from .gasa import GasaChromosome
+from .gasa import PAIR_CODES, GasaChromosome
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair
 
 FORMAT_VERSION = "1"
@@ -127,7 +127,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
     sentiment_entries = {}
     amplifier_entries = {}
     gene_positions = {}
-    gasa_genes = []
+    gasa_codes = []
     cagasa_genes = []
     with open(source, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -150,7 +150,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                 elif tag == "gene":
                     if len(fields) != 4:
                         raise ValueError("bad gene record")
-                    gasa_genes.append(_evolvable(parse_pair(fields[2], fields[3])))
+                    gasa_codes.append(PAIR_CODES[_evolvable(parse_pair(fields[2], fields[3]))])
                 elif tag == "cgene":
                     if len(fields) != 12:
                         raise ValueError("bad cgene record")
@@ -186,7 +186,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
         raise ModelFormatError(f"unknown algo {algo!r}")
     if algo == "gasa" and cagasa_genes:
         raise ModelFormatError("gasa model contains context genes")
-    if algo == "cagasa" and gasa_genes:
+    if algo == "cagasa" and gasa_codes:
         raise ModelFormatError("cagasa model contains plain genes")
     try:
         config = GAConfig(
@@ -207,7 +207,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
             raise ModelFormatError(f"gene word {word!r} is also a dictionary word")
     index = UnknownWordIndex(tuple(gene_positions), gene_positions)
     chromosome = (
-        GasaChromosome(tuple(gasa_genes))
+        GasaChromosome(bytes(gasa_codes))
         if algo == "gasa"
         else CagasaChromosome(tuple(cagasa_genes))
     )

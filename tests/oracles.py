@@ -4,7 +4,40 @@ import itertools
 
 from evosent.evaluator import Semantics
 from evosent.gasa import GasaChromosome
-from evosent.lexicon import EVOLVABLE_PAIRS, NEUTRAL_PAIR, Kind
+from evosent.lexicon import (
+    AMPLIFIER_VALUES,
+    EVOLVABLE_PAIRS,
+    NEUTRAL_PAIR,
+    SENTIMENT_VALUES,
+    ClassificationValuePair,
+    Kind,
+)
+
+
+def gasa_chromosome(pairs) -> GasaChromosome:
+    """The GASA chromosome whose genes are `pairs`, evolvable pairs all."""
+    return GasaChromosome(bytes(EVOLVABLE_PAIRS.index(p) for p in pairs))
+
+
+def to_context_free_gasa(chromosome) -> GasaChromosome:
+    """The GASA chromosome formed from a CA-GASA chromosome's context-free
+    pairs."""
+    return gasa_chromosome(g.context_free_pair for g in chromosome.genes)
+
+
+def reference_random_pair(rng) -> ClassificationValuePair:
+    """A random gene as pairs were drawn before genes became pair codes:
+    kind first, then its value."""
+    kind = Kind.SENTIMENT if rng.randrange(2) == 0 else Kind.AMPLIFIER
+    values = SENTIMENT_VALUES if kind is Kind.SENTIMENT else AMPLIFIER_VALUES
+    return ClassificationValuePair(kind, values[rng.randrange(3)])
+
+
+def reference_forced_new_pair(current, rng) -> ClassificationValuePair:
+    """Uniform over the five evolvable pairs other than `current`, drawn as
+    before genes became pair codes."""
+    candidates = [p for p in EVOLVABLE_PAIRS if p != current]
+    return candidates[rng.randrange(len(candidates))]
 
 
 def reference_sentence_score(pairs, prose: bool) -> float:
@@ -109,7 +142,7 @@ def exhaustive_best_fitness(corpus, index, sentiment_dict, amplifier_dict, seman
     """Maximal fitness over every possible chromosome (6^n candidates)."""
     return max(
         gasa_fitness(
-            GasaChromosome(genes), corpus, index, sentiment_dict, amplifier_dict, semantics
+            GasaChromosome(bytes(codes)), corpus, index, sentiment_dict, amplifier_dict, semantics
         )
-        for genes in itertools.product(EVOLVABLE_PAIRS, repeat=len(index))
+        for codes in itertools.product(range(len(EVOLVABLE_PAIRS)), repeat=len(index))
     )

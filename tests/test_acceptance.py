@@ -17,7 +17,6 @@ from evosent.cagasa import (
     corpus_neighbors,
     random_cagasa_chromosome,
     resolve_word,
-    to_context_free_gasa,
 )
 from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index, concat_corpora, word_frequencies
@@ -26,13 +25,12 @@ from evosent.experiments import (
     generate_synthetic_corpus,
     random_planted_lexicon,
     run_sent_vs_amp_cv,
+    train,
 )
 from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_select
 from evosent.gasa import (
-    GasaChromosome,
     GasaProblem,
     crossover,
-    extract_classifications,
     mutate,
     random_chromosome,
 )
@@ -47,8 +45,10 @@ from conftest import A, S, make_corpus
 from oracles import (
     cagasa_fitness,
     exhaustive_best_fitness,
+    gasa_chromosome,
     gasa_fitness,
     reference_sentence_score,
+    to_context_free_gasa,
 )
 
 
@@ -123,7 +123,7 @@ def test_02_worked_examples_exact(capsys):
         sd = Dictionary({}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        assert gasa_fitness(GasaChromosome((S(-1.0),)), corpus, index, sd, ad) == 1
+        assert gasa_fitness(gasa_chromosome((S(-1.0),)), corpus, index, sd, ad) == 1
 
         # mutation trace: second gene amplifier:0.5 -> sentiment:1.0
         class ScriptedMutation(random.Random):
@@ -134,7 +134,7 @@ def test_02_worked_examples_exact(capsys):
             def randrange(self, n):
                 return next(self.script) % n
 
-        parent = GasaChromosome((S(1.0), A(0.5), S(0.0)))
+        parent = gasa_chromosome((S(1.0), A(0.5), S(0.0)))
         assert mutate(parent, ScriptedMutation()).genes == (S(1.0), S(1.0), S(0.0))
 
         # crossover trace: first gene swapped between the parents
@@ -142,8 +142,8 @@ def test_02_worked_examples_exact(capsys):
             def randrange(self, n):
                 return 0
 
-        p1 = GasaChromosome((A(0.5), S(1.0)))
-        p2 = GasaChromosome((S(-1.0), S(1.0)))
+        p1 = gasa_chromosome((A(0.5), S(1.0)))
+        p2 = gasa_chromosome((S(-1.0), S(1.0)))
         c1, c2 = crossover(p1, p2, PositionZero())
         assert c1.genes == (S(-1.0), S(1.0))
         assert c2.genes == (A(0.5), S(1.0))
@@ -300,12 +300,11 @@ def test_06_planted_lexicon_recovery(capsys):
             assert all(freqs[w] >= 20 for w in lexicon.entries)
             sd = Dictionary({}, Kind.SENTIMENT)
             ad = seed_amplifier_dictionary()
-            index = build_unknown_index(corpus, sd, ad)
-            problem = GasaProblem(corpus, index, sd, ad)
-            best, _stats = run_ga(problem, GAConfig(seed=seed))
-            train_accuracy = best.fitness / len(corpus)
+            model, _stats = train(corpus, sd, ad, GAConfig(seed=seed))
+            train_accuracy = model.best_fitness / len(corpus)
             planted_words = sorted(lexicon.entries)
-            genes = extract_classifications(best.genome, planted_words, index)
+            pairs = dict(zip(model.index.words, model.gene_pairs()))
+            genes = [pairs[w] for w in planted_words]
             recovered = sum(
                 1
                 for word, gene in zip(planted_words, genes)

@@ -12,12 +12,10 @@ from evosent.cagasa import (
     ContextCorpus,
     ContextRule,
     corpus_neighbors,
-    fitness_population,
     mutate_cagasa,
     random_cagasa_chromosome,
     random_cagasa_gene,
     resolve_word,
-    to_context_free_gasa,
 )
 from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, predict, slot_table
@@ -26,7 +24,7 @@ from evosent.gasa import crossover
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, make_corpus
-from oracles import cagasa_fitness, gasa_fitness
+from oracles import cagasa_fitness, gasa_fitness, to_context_free_gasa
 
 
 def rule(
@@ -157,18 +155,24 @@ class TestCorpusNeighbors:
     def test_adjacency(self):
         corpus = make_corpus([(["a", "b", "c"], "positive")])
         neighbors = corpus_neighbors(corpus)
-        assert neighbors["b"] == ({"a"}, {"c"})
-        assert neighbors["a"] == (set(), {"b"})
-        assert neighbors["c"] == ({"b"}, set())
+        assert neighbors["b"] == (("a",), ("c",))
+        assert neighbors["a"] == ((), ("b",))
+        assert neighbors["c"] == (("b",), ())
+
+    def test_sorted_distinct_words(self):
+        corpus = make_corpus(
+            [(["d", "w", "b"], "positive"), (["c", "w", "b", "w", "a"], "negative")]
+        )
+        assert corpus_neighbors(corpus)["w"] == (("b", "c", "d"), ("a", "b"))
 
 
 class TestRandomGene:
     def test_no_preceding_neighbors(self, rng):
-        gene = random_cagasa_gene("w", (set(), {"x"}), rng)
+        gene = random_cagasa_gene("w", ((), ("x",)), rng)
         assert gene.rule.list_previous == frozenset()
 
     def test_field_ranges(self, rng):
-        neighbors = ({"a", "b", "c", "d"}, {"e", "f", "g", "h"})
+        neighbors = (("a", "b", "c", "d"), ("e", "f", "g", "h"))
         for _ in range(10_000):
             gene = random_cagasa_gene("w", neighbors, rng)
             r = gene.rule
@@ -178,12 +182,12 @@ class TestRandomGene:
             assert 1 <= r.number_behind <= MAX_CONTEXT
             assert len(r.list_next) <= r.next_size
             assert len(r.list_previous) <= r.previous_size
-            assert r.list_next <= neighbors[1]
-            assert r.list_previous <= neighbors[0]
+            assert r.list_next <= set(neighbors[1])
+            assert r.list_previous <= set(neighbors[0])
 
     def test_pairs_evolvable(self, rng):
         for _ in range(1000):
-            gene = random_cagasa_gene("w", ({"a"}, {"b"}), rng)
+            gene = random_cagasa_gene("w", (("a",), ("b",)), rng)
             assert gene.rule.context_pair.is_evolvable()
             assert gene.context_free_pair.is_evolvable()
 
@@ -406,9 +410,8 @@ class TestKernelFitness:
         problem = CagasaProblem(corpus, index, sd, ad, semantics)
         assert len(index) == 0
         context = ContextCorpus(corpus, problem.table)
-        assert fitness_population([], context, semantics).shape == (0,)
         # the empty sentence scores 0 and is never correct
-        assert list(fitness_population([CagasaChromosome(())] * 3, context, semantics)) == [2] * 3
+        assert [context.fitness(CagasaChromosome(()), semantics) for _ in range(3)] == [2] * 3
         assert problem.fitness(CagasaChromosome(())) == 2
         empty = make_corpus([([], "negative")])
         problem = CagasaProblem(empty, build_unknown_index(empty, sd, ad), sd, ad, semantics)

@@ -242,19 +242,66 @@ class TestPredict:
         ("--sentiment-dict", "good\tsentiment\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1.0\n", "twice"),
         ("--amplifier-dict", "not\tamplifier\tnan\n", "non-finite"),
+        # files that are not UTF-8
+        ("--corpus", b"positive\tgood \xff\n", "utf-8"),
+        ("--sentiment-dict", b"good\tsentiment\t1.0\n\xff\n", "utf-8"),
+        ("--positive-words", b"good\n\xff\n", "utf-8"),
+        ("--model", b"model\t1\n\xff\n", "utf-8"),
+        ("--input", b"zorp\n\xfe\xff\n", "utf-8"),
     ],
 )
 def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
-    bad.write_text(content)
-    args = train_args(corpus_file, tmp_path / "model")
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    model = tmp_path / "model"
+    args = train_args(corpus_file, model)
     if flag == "--corpus":
         args[2] = str(bad)
+    elif flag == "--positive-words":
+        args += [flag, str(bad), "--negative-words", str(corpus_file)]
+    elif flag == "--model":
+        args = ["predict", "--model", str(bad), "--text", "zorp"]
+    elif flag == "--input":
+        assert main(args) == 0
+        capsys.readouterr()
+        args = ["predict", "--model", str(model), "--input", str(bad)]
     else:
         args += [flag, str(bad)]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    if flag == "--input":
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--instances", "7"], "--instances"),
+        (["synth", "--instances", "-2"], "--instances"),
+        (["synth", "--instances", "0"], "--instances"),
+        (["synth", "--min-length", "0"], "--min-length"),
+        (["synth", "--min-length", "5", "--max-length", "2"], "--min-length"),
+        (["synth", "--planted-words", "0"], "--planted-words"),
+        (["synth", "--filler-words", "-1"], "--filler-words"),
+        (["holdout", "--train-fraction", "1.5"], "--train-fraction"),
+        (["holdout", "--train-fraction", "0"], "--train-fraction"),
+        (["cv-sentamp", "--folds", "1"], "--folds"),
+    ],
+)
+def test_invalid_flag_value_exits_1(argv, message, corpus_file, tmp_path, capsys):
+    out = tmp_path / "out.tsv"
+    if argv[0] == "synth":
+        argv = [*argv, "--out", str(out)]
+    else:
+        argv = [*argv, "--corpus", str(corpus_file), "--report-out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 class TestSynth:
@@ -312,6 +359,15 @@ class TestSynth:
             for tok in line.split("\t")[1].split()
         }
         assert tokens <= {"up", "down", "meh"}
+
+
+    def test_planted_lexicon_without_sentiment_exits_1(self, tmp_path, capsys):
+        lex = tmp_path / "planted.tsv"
+        lex.write_text("meh\tsentiment\t0.0\n")
+        out = tmp_path / "c.tsv"
+        assert main(["synth", "--out", str(out), "--lexicon", str(lex)]) == 1
+        assert "nonzero" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReports:

@@ -16,11 +16,10 @@ from evosent.evaluator import (
     predict,
     slot_table,
 )
-from evosent.gasa import GasaChromosome
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
 
 from conftest import A, S
-from oracles import cagasa_verdict, gasa_verdict, reference_sentence_score
+from oracles import cagasa_verdict, gasa_chromosome, gasa_verdict, reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
 modes = pytest.mark.parametrize("semantics", list(Semantics))
@@ -171,9 +170,7 @@ class TestSharedPredict:
         sd, ad = dicts
         index = unknown_index(gene_words)
         table = slot_table(index, sd, ad)
-        gasa = GasaChromosome(
-            tuple(data.draw(st.sampled_from(EVOLVABLE_PAIRS)) for _ in gene_words)
-        )
+        gasa = gasa_chromosome(data.draw(st.sampled_from(EVOLVABLE_PAIRS)) for _ in gene_words)
         cagasa = CagasaChromosome(tuple(data.draw(context_genes(w)) for w in gene_words))
         for tokens in sentences:
             got = predict(gasa, tokens, table, semantics).value

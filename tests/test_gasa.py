@@ -12,13 +12,14 @@ from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
     GasaChromosome,
     GasaProblem,
+    code_matrix,
     compile_corpus,
     crossover,
-    extract_classifications,
-    fitness_population,
+    forced_new_code,
+    labelled_correctly,
     mutate,
     random_chromosome,
-    random_gene,
+    random_code,
 )
 from evosent.lexicon import (
     AMPLIFIER_VALUES,
@@ -30,11 +31,15 @@ from evosent.lexicon import (
 )
 
 from conftest import A, S, make_corpus
+from oracles import gasa_chromosome, reference_forced_new_pair, reference_random_pair
 from oracles import gasa_fitness as fitness
 
-chromosomes = st.lists(st.sampled_from(EVOLVABLE_PAIRS), min_size=1, max_size=30).map(
-    lambda genes: GasaChromosome(tuple(genes))
-)
+pairs = st.sampled_from(EVOLVABLE_PAIRS)
+chromosomes = st.lists(pairs, min_size=1, max_size=30).map(gasa_chromosome)
+
+
+def batch_fitness(chroms, compiled, semantics=Semantics.LITERAL):
+    return labelled_correctly(compiled, code_matrix(chroms).T, semantics).sum(axis=1)
 
 
 def empty_dicts():
@@ -44,14 +49,14 @@ def empty_dicts():
 class TestRandomGene:
     def test_kind_value_consistency(self, rng):
         for _ in range(2000):
-            gene = random_gene(rng)
+            gene = EVOLVABLE_PAIRS[random_code(rng)]
             values = SENTIMENT_VALUES if gene.kind is Kind.SENTIMENT else AMPLIFIER_VALUES
             assert gene.value in values
 
     def test_uniform_over_six_pairs(self, rng):
         from scipy.stats import chisquare
 
-        counts = Counter(random_gene(rng) for _ in range(60_000))
+        counts = Counter(EVOLVABLE_PAIRS[random_code(rng)] for _ in range(60_000))
         observed = [counts[p] for p in EVOLVABLE_PAIRS]
         assert all(9_500 <= c <= 10_500 for c in observed)
         _stat, p = chisquare(observed)
@@ -70,6 +75,44 @@ class TestRandomChromosome:
         assert all(g.is_evolvable() for g in chrom.genes)
 
 
+codes = st.lists(st.integers(0, len(EVOLVABLE_PAIRS) - 1), max_size=30).map(bytes)
+
+
+class TestCodeGenome:
+    @given(codes)
+    def test_genes_pair_at_and_codes_agree(self, gene_codes):
+        chrom = GasaChromosome(gene_codes)
+        assert len(chrom) == len(chrom.genes) == len(gene_codes)
+        assert chrom.genes == tuple(EVOLVABLE_PAIRS[c] for c in gene_codes)
+        for k, pair in enumerate(chrom.genes):
+            assert chrom.pair_at(k, (), 0) == pair
+        assert gasa_chromosome(chrom.genes) == chrom
+        assert list(code_matrix([chrom, chrom])[1]) == list(gene_codes)
+
+    def test_random_code_draws_as_pairs_were_drawn(self):
+        for seed in range(300):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert EVOLVABLE_PAIRS[random_code(rng)] == reference_random_pair(reference)
+            assert rng.getstate() == reference.getstate()
+
+    def test_forced_new_code_draws_as_pairs_were_drawn(self):
+        for seed in range(300):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                code = random_code(rng)
+                pair = reference_random_pair(reference)
+                new = EVOLVABLE_PAIRS[forced_new_code(code, rng)]
+                assert new == reference_forced_new_pair(pair, reference) != pair
+            assert rng.getstate() == reference.getstate()
+
+    def test_random_chromosome_draws_as_pairs_were_drawn(self):
+        for seed in range(50):
+            reference = random.Random(seed)
+            chrom = random_chromosome(40, random.Random(seed))
+            assert chrom.genes == tuple(reference_random_pair(reference) for _ in range(40))
+
+
 class TestFitness:
     def test_worked_three_sentence_example(self):
         # labels positive/negative/positive; the chromosome makes every
@@ -79,28 +122,28 @@ class TestFitness:
         )
         sd, ad = empty_dicts()
         index = build_unknown_index(corpus, sd, ad)
-        chrom = GasaChromosome((S(-1.0),))
+        chrom = gasa_chromosome((S(-1.0),))
         assert fitness(chrom, corpus, index, sd, ad) == 1
 
     def test_empty_corpus(self):
         sd, ad = empty_dicts()
         corpus = Corpus(())
         index = build_unknown_index(corpus, sd, ad)
-        assert fitness(GasaChromosome(()), corpus, index, sd, ad) == 0
+        assert fitness(GasaChromosome(b""), corpus, index, sd, ad) == 0
 
     def test_dictionary_only_corpus_ignores_genes(self):
         corpus = make_corpus([(["good"], "positive"), (["bad"], "negative")])
         sd = Dictionary({"good": S(1.0), "bad": S(-1.0)}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        assert fitness(GasaChromosome(()), corpus, index, sd, ad) == 2
+        assert fitness(GasaChromosome(b""), corpus, index, sd, ad) == 2
 
     def test_length_mismatch(self):
         corpus = make_corpus([(["zorp"], "positive")])
         sd, ad = empty_dicts()
         index = build_unknown_index(corpus, sd, ad)
         with pytest.raises(ValueError, match="length"):
-            fitness(GasaChromosome(()), corpus, index, sd, ad)
+            fitness(GasaChromosome(b""), corpus, index, sd, ad)
 
     def test_bounded_by_corpus_size(self, rng):
         corpus = make_corpus([(["a", "b"], "positive")] * 5)
@@ -119,7 +162,7 @@ class TestPredict:
         index = build_unknown_index(corpus, sd, ad)
         inst = Instance(("good",), Label.POSITIVE)
         table = slot_table(index, sd, ad)
-        verdict = predict(GasaChromosome(()), inst.tokens, table, Semantics.LITERAL)
+        verdict = predict(GasaChromosome(b""), inst.tokens, table, Semantics.LITERAL)
         assert verdict is Verdict.POSITIVE
 
     def test_oov_word_is_neutral(self):
@@ -128,13 +171,13 @@ class TestPredict:
         index = build_unknown_index(corpus, sd, ad)
         inst = Instance(("neverseen",), Label.POSITIVE)
         table = slot_table(index, sd, ad)
-        verdict = predict(GasaChromosome((S(1.0),)), inst.tokens, table, Semantics.LITERAL)
+        verdict = predict(gasa_chromosome((S(1.0),)), inst.tokens, table, Semantics.LITERAL)
         assert verdict is Verdict.TIE
 
 
 class TestMutate:
     def test_worked_trace(self):
-        parent = GasaChromosome((S(1.0), A(0.5), S(0.0)))
+        parent = gasa_chromosome((S(1.0), A(0.5), S(0.0)))
 
         class Scripted(random.Random):
             def __init__(self):
@@ -151,11 +194,11 @@ class TestMutate:
 
     def test_empty_chromosome_rejected(self, rng):
         with pytest.raises(ValueError):
-            mutate(GasaChromosome(()), rng)
+            mutate(GasaChromosome(b""), rng)
 
     def test_length_one_forces_change(self, rng):
         for _ in range(100):
-            parent = GasaChromosome((random_gene(rng),))
+            parent = GasaChromosome(bytes([random_code(rng)]))
             child = mutate(parent, rng)
             assert child.genes[0] != parent.genes[0]
 
@@ -171,8 +214,8 @@ class TestMutate:
 
 class TestCrossover:
     def test_worked_trace(self):
-        p1 = GasaChromosome((A(0.5), S(1.0)))
-        p2 = GasaChromosome((S(-1.0), S(1.0)))
+        p1 = gasa_chromosome((A(0.5), S(1.0)))
+        p2 = gasa_chromosome((S(-1.0), S(1.0)))
 
         class PositionZero(random.Random):
             def randrange(self, n):
@@ -183,13 +226,13 @@ class TestCrossover:
         assert c2.genes == (A(0.5), S(1.0))
 
     def test_identical_parents(self, rng):
-        p = GasaChromosome((S(1.0), A(1.5)))
+        p = gasa_chromosome((S(1.0), A(1.5)))
         c1, c2 = crossover(p, p, rng)
         assert c1 == p and c2 == p
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
-            crossover(GasaChromosome((S(1.0),)), GasaChromosome((S(1.0), S(1.0))), rng)
+            crossover(gasa_chromosome((S(1.0),)), gasa_chromosome((S(1.0), S(1.0))), rng)
 
     @settings(max_examples=1000)
     @given(
@@ -201,8 +244,8 @@ class TestCrossover:
         st.randoms(use_true_random=False),
     )
     def test_swaps_exactly_position_p(self, gene_pairs, rnd):
-        p1 = GasaChromosome(tuple(a for a, _ in gene_pairs))
-        p2 = GasaChromosome(tuple(b for _, b in gene_pairs))
+        p1 = gasa_chromosome(a for a, _ in gene_pairs)
+        p2 = gasa_chromosome(b for _, b in gene_pairs)
         c1, c2 = crossover(p1, p2, rnd)
         assert len(c1) == len(c2) == len(p1)
         swapped = [
@@ -216,32 +259,6 @@ class TestCrossover:
             assert (c1.genes[i], c2.genes[i]) == (p2.genes[i], p1.genes[i])
         # parents untouched
         assert p1.genes == tuple(a for a, _ in gene_pairs)
-
-
-class TestExtractClassifications:
-    def _setup(self):
-        corpus = make_corpus([(["zorp", "blick"], "positive")])
-        sd, ad = empty_dicts()
-        index = build_unknown_index(corpus, sd, ad)
-        chrom = GasaChromosome((S(-1.0), A(0.5)))
-        return chrom, index
-
-    def test_direct_read(self):
-        chrom, index = self._setup()
-        assert extract_classifications(chrom, ["zorp"], index) == [S(-1.0)]
-
-    def test_empty_query(self):
-        chrom, index = self._setup()
-        assert extract_classifications(chrom, [], index) == []
-
-    def test_query_order(self):
-        chrom, index = self._setup()
-        assert extract_classifications(chrom, ["blick", "zorp"], index) == [A(0.5), S(-1.0)]
-
-    def test_absent_word(self):
-        chrom, index = self._setup()
-        with pytest.raises(ValueError, match="missing"):
-            extract_classifications(chrom, ["missing"], index)
 
 
 class TestBatchFitness:
@@ -270,7 +287,7 @@ class TestBatchFitness:
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         rnd = random.Random(seed)
         chroms = [random_chromosome(len(index), rnd) for _ in range(5)]
-        batch = fitness_population(chroms, compiled, semantics)
+        batch = batch_fitness(chroms, compiled, semantics)
         scalar = [fitness(c, corpus, index, sd, ad, semantics) for c in chroms]
         assert list(batch) == scalar
 
@@ -304,7 +321,7 @@ class TestBatchFitness:
         compiled = compile_corpus(corpus, slot_table(index, sd, ad))
         rnd = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
         chroms = [random_chromosome(len(index), rnd) for _ in range(5)]
-        batch = fitness_population(chroms, compiled, semantics)
+        batch = batch_fitness(chroms, compiled, semantics)
         scalar = [fitness(c, corpus, index, sd, ad, semantics) for c in chroms]
         assert list(batch) == scalar
 
@@ -315,9 +332,9 @@ class TestBatchFitness:
         index = build_unknown_index(corpus, sd, ad)
         compiled = compile_corpus(corpus, slot_table(index, sd, ad))
         assert len(index) == 0
-        assert fitness_population([], compiled).shape == (0,)
+        assert batch_fitness([], compiled).shape == (0,)
         # the empty sentence scores 0 and is never correct
-        assert list(fitness_population([GasaChromosome(())], compiled)) == [2]
+        assert list(batch_fitness([GasaChromosome(b"")], compiled)) == [2]
 
     def test_problem_adapter_consistency(self, rng):
         corpus = make_corpus(

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from evosent.cagasa import corpus_neighbors, random_cagasa_chromosome
 from evosent.cli import main
-from evosent.corpus import build_unknown_index
+from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, predict, slot_table
 from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
-from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
+from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
 from conftest import A, S, make_corpus
+from oracles import gasa_chromosome
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
 
@@ -46,7 +47,7 @@ def gasa_model():
         sentiment_dict=sd,
         amplifier_dict=ad,
         index=index,
-        chromosome=GasaChromosome((S(-1.0), A(0.5))),
+        chromosome=gasa_chromosome((S(-1.0), A(0.5))),
         best_fitness=1,
         train_instances=1,
     )
@@ -141,6 +142,21 @@ class TestRoundTrip:
             assert model.predict(tokens) == predict(
                 model.chromosome, tokens, table, model.semantics
             )
+
+    @given(st.lists(st.integers(0, len(EVOLVABLE_PAIRS) - 1), max_size=12).map(bytes))
+    def test_code_genome_round_trip(self, codes):
+        words = tuple(f"w{k}" for k in range(len(codes)))
+        model = dataclasses.replace(
+            gasa_model(),
+            index=UnknownWordIndex(words, {w: k for k, w in enumerate(words)}),
+            chromosome=GasaChromosome(codes),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m")
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded.chromosome == model.chromosome
+        assert loaded.gene_pairs() == [EVOLVABLE_PAIRS[c] for c in codes]
 
     def test_gene_pairs_context_free(self):
         model = cagasa_model()
