@@ -14,9 +14,10 @@ from evosent.corpus import concat_corpora
 from evosent.evaluator import Semantics
 from evosent.experiments import (
     PlantedLexicon,
+    Protocol,
     generate_synthetic_corpus,
     random_planted_lexicon,
-    run_sent_vs_amp_cv,
+    run_word_cv,
 )
 from evosent.ga_engine import GAConfig
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
@@ -52,11 +53,12 @@ def main() -> None:
         config = GAConfig(
             population_size=60, tournament_size=7, max_generations=60, seed=seed
         )
-        r0 = run_sent_vs_amp_cv(
-            corpus, sentiment_dict, amplifier_dict, 0, args.folds, config
-        )
-        rt = run_sent_vs_amp_cv(
-            corpus, sentiment_dict, amplifier_dict, args.threshold, args.folds, config
+        r0, rt = (
+            run_word_cv(
+                Protocol.SENT_VS_AMP, corpus, sentiment_dict, amplifier_dict,
+                threshold, args.folds, config,
+            )
+            for threshold in (0, args.threshold)
         )
         base.append(r0.mean_accuracy)
         filtered.append(rt.mean_accuracy)

@@ -275,17 +275,13 @@ class ContextCorpus:
         own_slots[rows, columns] = np.arange(len(rows))
         self.compiled = replace(compiled, slots=own_slots)
         self.occurrence_gene = slots[rows, columns]  # ascending
-        self.width = slots.shape[1]
+        self._rows, self._columns = rows, columns
         tokens = [inst.tokens for inst in corpus.instances]
         self.word_ids = {w: k for k, w in enumerate(dict.fromkeys(w for t in tokens for w in t))}
-        # Each occurrence as a position into the corpus's concatenated word
-        # ids, with the bounds of its sentence there.
-        self._ids = np.array([self.word_ids[w] for t in tokens for w in t], dtype=np.int32)
-        lengths = np.array([len(t) for t in tokens], dtype=np.int64)
-        ends = np.cumsum(lengths)
-        self._end = ends[rows]
-        self._start = self._end - lengths[rows]
-        self._at = self._start + columns - (self.width - lengths[rows])
+        # the word ids laid out like the slots, left-padded with -1
+        width = slots.shape[1]
+        words = [[-1] * (width - len(t)) + [self.word_ids[w] for w in t] for t in tokens]
+        self._words = np.array(words, dtype=np.int32).reshape(slots.shape)
         self._ahead = self._behind = np.zeros((0, len(rows)), dtype=np.int32)
         remembered: dict = {}  # (position, id(gene)) -> _Decision
         self._codes = remembered
@@ -297,15 +293,15 @@ class ContextCorpus:
         or before the occurrence, or -1 where that position is outside the
         sentence or repeats a nearer word on the same side. The distinct
         words within look distance d are then exactly the valid ids in rows
-        0..d-1. `depth` must be below the longest sentence's length; the
-        rows are built when first asked for, at least MAX_CONTEXT of them."""
+        0..d-1. The rows are built when first asked for, at least
+        MAX_CONTEXT of them."""
         if depth > len(self._ahead):
-            depth = min(max(depth, MAX_CONTEXT), self.width - 1)
+            depth = max(depth, MAX_CONTEXT)
+            padded = np.pad(self._words, ((0, 0), (depth, depth)), constant_values=-1)
+            at = self._columns + depth
             offsets = np.arange(1, depth + 1)[:, None]
-            after, before = self._at + offsets, self._at - offsets
-            last = max(len(self._ids) - 1, 0)
-            ahead = np.where(after < self._end, self._ids[np.minimum(after, last)], -1)
-            behind = np.where(before >= self._start, self._ids[np.maximum(before, 0)], -1)
+            ahead = padded[self._rows, at + offsets]
+            behind = padded[self._rows, at - offsets]
             self._ahead, self._behind = _first_sightings(ahead), _first_sightings(behind)
         return self._ahead, self._behind
 
@@ -318,9 +314,8 @@ class ContextCorpus:
         cells = np.concatenate([np.arange(f, f + c) for f, c in zip(first, counts)])
         at = np.repeat(fields, counts, axis=0).T  # one column per cell
         ahead_distance, behind_distance, free_code, context_code = at[:4]
-        # offsets past the longest distance among the genes or the widest
-        # sentence hold no neighbor
-        depth = max(0, min(int(fields[:, :2].max(initial=0)), self.width - 1))
+        # offsets past the longest distance among the genes hold no neighbor
+        depth = int(fields[:, :2].max(initial=0))
         offsets = np.arange(1, depth + 1)[:, None]
         ahead, behind = self.neighbor_ids(depth)
         size = hits = 0

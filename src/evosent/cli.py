@@ -26,12 +26,13 @@ from .evaluator import Semantics, Verdict
 from .experiments import (
     Algo,
     PlantedLexicon,
+    Protocol,
+    WordSplitError,
     format_report,
     generate_synthetic_corpus,
     random_planted_lexicon,
     run_holdout_accuracy,
-    run_polarity_value_cv,
-    run_sent_vs_amp_cv,
+    run_word_cv,
     train,
     write_report,
 )
@@ -40,6 +41,7 @@ from .lexicon import (
     ConflictingWordError,
     Kind,
     LexiconParseError,
+    TextDecodeError,
     check_disjoint,
     empty_sentiment_dictionary,
     export_lexicon,
@@ -47,6 +49,7 @@ from .lexicon import (
     load_polarity_lists,
     parse_lexicon,
     seed_amplifier_dictionary,
+    text_lines,
 )
 from .model import ModelFormatError, load_model, save_model
 
@@ -59,11 +62,11 @@ class ValidationError(ValueError):
     """User input failed validation (exit code 1)."""
 
 
-# Malformed input files, text that is not UTF-8 among them, are
-# input-validation errors too.
+# Malformed input files, text that is not UTF-8 among them, and too few
+# dictionary words for the folds are input-validation errors too.
 INPUT_ERRORS = (
-    ValidationError, ModelFormatError, UnicodeDecodeError,
-    CorpusParseError, LexiconParseError, ConflictingWordError,
+    ValidationError, ModelFormatError, TextDecodeError,
+    CorpusParseError, LexiconParseError, ConflictingWordError, WordSplitError,
 )
 
 
@@ -221,8 +224,7 @@ def cmd_predict(args) -> int:
     if args.text is not None:
         lines = [args.text]
     else:
-        with open(_require_file(args.input, "input file"), "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
+        lines = list(text_lines(_require_file(args.input, "input file")))
     tie_label = args.tie_policy
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -259,9 +261,11 @@ def cmd_holdout(args) -> int:
 
 def cmd_word_cv(args) -> int:
     _require(args.folds >= 2, "--folds must be at least 2")
+    _require(args.freq_threshold >= 0, "--freq-threshold must be non-negative")
     corpus, sentiment, amplifier, config, semantics = _training_inputs(args)
-    report = args.run_protocol(
-        corpus, sentiment, amplifier, args.freq_threshold, args.folds, config, semantics
+    report = run_word_cv(
+        args.protocol, corpus, sentiment, amplifier, args.freq_threshold, args.folds,
+        config, semantics,
     )
     _emit_report(report, args)
     return EXIT_OK
@@ -336,16 +340,16 @@ def build_parser() -> _Parser:
     p_holdout.add_argument("--report-out", default=None)
     p_holdout.set_defaults(func=cmd_holdout)
 
-    for name, run_protocol, help_text in (
-        ("cv-sentamp", run_sent_vs_amp_cv, "sentiment-vs-amplifier word CV"),
-        ("cv-polarity", run_polarity_value_cv, "polarity-value word CV"),
+    for name, protocol, help_text in (
+        ("cv-sentamp", Protocol.SENT_VS_AMP, "sentiment-vs-amplifier word CV"),
+        ("cv-polarity", Protocol.POLARITY_VALUE, "polarity-value word CV"),
     ):
         p_cv = sub.add_parser(name, help=help_text)
         _add_training_flags(p_cv)
         p_cv.add_argument("--freq-threshold", type=int, default=0)
         p_cv.add_argument("--folds", type=int, default=10)
         p_cv.add_argument("--report-out", default=None)
-        p_cv.set_defaults(func=cmd_word_cv, run_protocol=run_protocol)
+        p_cv.set_defaults(func=cmd_word_cv, protocol=protocol)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     _add_common_flags(p_synth)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-from .lexicon import Dictionary
+from .lexicon import Dictionary, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -66,26 +66,22 @@ def load_corpus(source: Union[str, Path]) -> Corpus:
     skipped with a warning."""
     instances = []
     skipped = 0
-    with open(source, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise CorpusParseError(f"line {lineno}: expected `label<TAB>text`")
-            label_text, text = parts
-            try:
-                label = Label(label_text.strip().lower())
-            except ValueError:
-                raise CorpusParseError(
-                    f"line {lineno}: unknown label {label_text!r}"
-                ) from None
-            tokens = tokenize(text)
-            if not tokens:
-                skipped += 1
-                continue
-            instances.append(Instance(tuple(tokens), label))
+    for lineno, line in enumerate(text_lines(source), start=1):
+        if not line:
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusParseError(f"line {lineno}: expected `label<TAB>text`")
+        label_text, text = parts
+        try:
+            label = Label(label_text.strip().lower())
+        except ValueError:
+            raise CorpusParseError(f"line {lineno}: unknown label {label_text!r}") from None
+        tokens = tokenize(text)
+        if not tokens:
+            skipped += 1
+            continue
+        instances.append(Instance(tuple(tokens), label))
     if skipped:
         name = os.path.basename(source)
         logger.warning("%s: skipped %d instance(s) with no tokens", name, skipped)
@@ -128,23 +124,19 @@ def word_frequencies(corpus: Corpus) -> Counter:
     return counts
 
 
-def _as_rng(seed) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
-def make_folds(items: Sequence, k: int, seed) -> list:
+def make_folds(items: Sequence, k: int, seed: int) -> list:
     """Shuffle and partition into k folds whose sizes differ by at most one."""
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if len(items) < k:
         raise ValueError(f"cannot split {len(items)} items into {k} folds")
-    rng = _as_rng(seed)
+    rng = random.Random(seed)
     shuffled = list(items)
     rng.shuffle(shuffled)
     return [shuffled[i::k] for i in range(k)]
 
 
-def split_holdout(corpus: Corpus, train_fraction: float, seed) -> tuple:
+def split_holdout(corpus: Corpus, train_fraction: float, seed: int) -> tuple:
     """Label-stratified holdout split; classes are shuffled and split
     independently, then interleaved."""
     if not 0.0 < train_fraction < 1.0:
@@ -155,7 +147,7 @@ def split_holdout(corpus: Corpus, train_fraction: float, seed) -> tuple:
     for label, group in by_label.items():
         if not group:
             raise ValueError(f"corpus has no {label.value} instances")
-    rng = _as_rng(seed)
+    rng = random.Random(seed)
     train_parts, test_parts = [], []
     for label in (Label.POSITIVE, Label.NEGATIVE):
         group = list(by_label[label])

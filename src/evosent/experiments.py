@@ -1,6 +1,7 @@
 """Experiment protocols: word-level cross-validation, holdout accuracy,
 instance-level cross-validation and the synthetic planted-lexicon generator
-used as the verifiable oracle for the whole pipeline.
+used as the verifiable oracle for the whole pipeline. Both word-level
+protocols run through `run_word_cv` and differ only in their `WORD_CHECKS`.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class GenerationError(RuntimeError):
     """The synthetic generator exhausted its retry budget."""
 
 
+class WordSplitError(ValueError):
+    """Too few dictionary words pass the frequency threshold for the folds."""
+
+
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -122,7 +127,28 @@ def _filtered_dictionary_words(
     return sorted(w for w in sentiment_dict.entries if freqs.get(w, 0) >= minimum)
 
 
-def _run_word_cv(
+def _learned_as_sentiment(gene, truth) -> bool:
+    """Every sentiment-dictionary word is a sentiment word."""
+    return gene.kind is Kind.SENTIMENT
+
+
+def _learned_with_sign(gene, truth) -> bool:
+    """A sentiment pair whose sign matches the dictionary polarity; amplifier
+    or zero-valued genes are errors."""
+    if gene.kind is not Kind.SENTIMENT or gene.value == 0.0:
+        return False
+    return (gene.value > 0.0) == (truth.value > 0.0)
+
+
+# The word-CV protocols: whether a held-out word's learned gene (a pair) is
+# correct, given the word's dictionary pair.
+WORD_CHECKS = {
+    Protocol.SENT_VS_AMP: _learned_as_sentiment,
+    Protocol.POLARITY_VALUE: _learned_with_sign,
+}
+
+
+def run_word_cv(
     protocol: Protocol,
     corpus: Corpus,
     sentiment_dict: Dictionary,
@@ -130,26 +156,30 @@ def _run_word_cv(
     freq_threshold: int,
     k: int,
     config: GAConfig,
-    semantics: Semantics,
-    word_correct,
+    semantics: Semantics = Semantics.LITERAL,
 ) -> ExperimentReport:
+    """k-fold cross-validation over the dictionary words that pass the
+    frequency threshold: each fold trains without its words, then checks
+    their genes. Fewer words than folds raise WordSplitError up front."""
+    word_correct = WORD_CHECKS.get(protocol)
+    if word_correct is None:
+        raise ValueError(f"{protocol.value} is not a word-CV protocol")
     check_disjoint(sentiment_dict, amplifier_dict)
     words = _filtered_dictionary_words(corpus, sentiment_dict, freq_threshold)
-    if not words:
-        raise ValueError(
-            f"no dictionary words pass the frequency threshold {freq_threshold}"
+    if len(words) < k:
+        raise WordSplitError(
+            f"cannot split the {len(words)} dictionary words that pass the "
+            f"frequency threshold {freq_threshold} into {k} folds"
         )
     folds = make_folds(words, k, config.seed)
     fold_accuracies = []
-    fold_word_counts = []
     for fold_idx, test_words in enumerate(folds):
         fold_dict = sentiment_dict.without(test_words)
         fold_config = replace(config, seed=config.seed + fold_idx)
         model, _ = train(corpus, fold_dict, amplifier_dict, fold_config, semantics)
         genes = dict(zip(model.index.words, model.gene_pairs()))
-        correct = sum(1 for word in test_words if word_correct(word, genes[word], sentiment_dict))
+        correct = sum(word_correct(genes[w], sentiment_dict.get(w)) for w in test_words)
         fold_accuracies.append(correct / len(test_words))
-        fold_word_counts.append(len(test_words))
     return ExperimentReport(
         protocol=protocol,
         fold_accuracies=tuple(fold_accuracies),
@@ -158,67 +188,7 @@ def _run_word_cv(
         semantics=semantics,
         freq_threshold=freq_threshold,
         words_considered=len(words),
-        fold_word_counts=tuple(fold_word_counts),
-    )
-
-
-def run_sent_vs_amp_cv(
-    corpus: Corpus,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    freq_threshold: int,
-    k: int,
-    config: GAConfig,
-    semantics: Semantics = Semantics.LITERAL,
-) -> ExperimentReport:
-    """Held-out dictionary words are correct when their learned gene has the
-    sentiment kind (every sentiment-dictionary word is a sentiment word)."""
-
-    def correct(word, gene, _dictionary):
-        return gene.kind is Kind.SENTIMENT
-
-    return _run_word_cv(
-        Protocol.SENT_VS_AMP,
-        corpus,
-        sentiment_dict,
-        amplifier_dict,
-        freq_threshold,
-        k,
-        config,
-        semantics,
-        correct,
-    )
-
-
-def run_polarity_value_cv(
-    corpus: Corpus,
-    sentiment_dict: Dictionary,
-    amplifier_dict: Dictionary,
-    freq_threshold: int,
-    k: int,
-    config: GAConfig,
-    semantics: Semantics = Semantics.LITERAL,
-) -> ExperimentReport:
-    """Held-out words are correct when the gene is a sentiment pair whose
-    sign matches the dictionary polarity; amplifier or zero-valued genes
-    count as errors."""
-
-    def correct(word, gene, dictionary):
-        if gene.kind is not Kind.SENTIMENT or gene.value == 0.0:
-            return False
-        truth = dictionary.get(word)
-        return (gene.value > 0.0) == (truth.value > 0.0)
-
-    return _run_word_cv(
-        Protocol.POLARITY_VALUE,
-        corpus,
-        sentiment_dict,
-        amplifier_dict,
-        freq_threshold,
-        k,
-        config,
-        semantics,
-        correct,
+        fold_word_counts=tuple(len(test_words) for test_words in folds),
     )
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
+
+from .lexicon import record_lines
 
 
 @dataclass
@@ -100,12 +103,7 @@ def _evaluate(problem, genomes) -> list:
     return [problem.fitness(g) for g in genomes]
 
 
-def _best(population: Sequence[EvaluatedIndividual]) -> EvaluatedIndividual:
-    best = population[0]
-    for ind in population[1:]:
-        if ind.fitness > best.fitness:
-            best = ind
-    return best
+_fitness = attrgetter("fitness")
 
 
 def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
@@ -117,7 +115,7 @@ def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
     population = [
         EvaluatedIndividual(g, f) for g, f in zip(genomes, _evaluate(problem, genomes))
     ]
-    best = _best(population)
+    best = max(population, key=_fitness)  # the first of tied maxima
     stats = RunStats(best_fitness_per_generation=[best.fitness])
 
     if max_fitness is not None and best.fitness >= max_fitness:
@@ -141,7 +139,7 @@ def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
             EvaluatedIndividual(g, f)
             for g, f in zip(offspring, _evaluate(problem, offspring))
         ]
-        generation_best = _best(population)
+        generation_best = max(population, key=_fitness)
         if generation_best.fitness > best.fitness:
             best = generation_best
         stats.generations_executed += 1
@@ -155,17 +153,13 @@ def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
 def parse_config_file(source) -> dict:
     """Parse a line-oriented `key=value` GA config file into keyword overrides."""
     overrides = {}
-    with open(source, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            try:
-                overrides[key] = parse_config_field(key, value.strip())
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+    for lineno, line in record_lines(source):
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        try:
+            overrides[key] = parse_config_field(key, value.strip())
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return overrides

@@ -78,13 +78,9 @@ def random_chromosome(n: int, rng: random.Random) -> GasaChromosome:
     return GasaChromosome(bytes([random_code(rng) for _ in range(n)]))
 
 
-def mutate(parent: GasaChromosome, rng: random.Random) -> GasaChromosome:
-    """Replace one uniformly chosen gene with a different pair."""
-    return mutate_at(parent, rng)[0]
-
-
 def mutate_at(parent: GasaChromosome, rng: random.Random) -> Tuple[GasaChromosome, int]:
-    """`mutate`, and the position it changed."""
+    """The child with one uniformly chosen gene replaced by a different
+    pair, and that gene's position."""
     n = len(parent)
     if n == 0:
         raise ValueError("cannot mutate an empty chromosome")
@@ -94,15 +90,10 @@ def mutate_at(parent: GasaChromosome, rng: random.Random) -> Tuple[GasaChromosom
     return GasaChromosome(bytes(codes)), position
 
 
-def crossover(p1, p2, rng: random.Random) -> Tuple:
-    """Swap the genes at one uniformly chosen position; the children have
-    the parents' chromosome type (GASA or CA-GASA)."""
-    return crossover_at(p1, p2, rng)[:2]
-
-
 def crossover_at(p1, p2, rng: random.Random) -> Tuple:
-    """`crossover`'s two children, and the position it swapped. Either
-    chromosome type holds its genes in its one field, bytes or a tuple."""
+    """The two children that swap the parents' genes at one uniformly chosen
+    position, and that position. The children have the parents' chromosome
+    type; either type holds its genes in its one field, bytes or a tuple."""
     n = len(p1)
     if n != len(p2):
         raise ValueError(f"parent lengths differ: {n} vs {len(p2)}")
@@ -251,7 +242,7 @@ class WordGeneProblem:
     def crossover(self, g1, g2, rng: random.Random):
         if len(g1) == 0:
             return g1, g2
-        return crossover(g1, g2, rng)
+        return crossover_at(g1, g2, rng)[:2]
 
 
 class GasaProblem(WordGeneProblem):

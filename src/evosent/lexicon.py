@@ -11,9 +11,10 @@ from __future__ import annotations
 import enum
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Tuple, Union
 
 
 class Kind(enum.Enum):
@@ -53,6 +54,10 @@ class LexiconParseError(ValueError):
 
 class ConflictingWordError(ValueError):
     """A word was assigned two incompatible classifications."""
+
+
+class TextDecodeError(ValueError):
+    """An input text file is not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -97,28 +102,31 @@ def seed_amplifier_dictionary() -> Dictionary:
     return Dictionary({"not": negate, "never": negate}, Kind.AMPLIFIER)
 
 
-def _word_lines(source: Union[str, Path, TextIO]):
-    """Yield (line_number, stripped_line) skipping blanks and # comments."""
-    if isinstance(source, (str, Path, os.PathLike)):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-        close = False
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+def text_lines(source: Union[str, Path, TextIO]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, or of an open text stream, without
+    their newlines. Text that is not UTF-8 raises TextDecodeError, which
+    names the file."""
+    path = isinstance(source, (str, os.PathLike))
+    with open(source, "r", encoding="utf-8") if path else nullcontext(source) as fh:
+        try:
+            for line in fh:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise TextDecodeError(f"{source}: {exc}") from None
+
+
+def record_lines(source: Union[str, Path, TextIO]) -> Iterator[Tuple[int, str]]:
+    """(line number, stripped line) for each line of `text_lines` that is
+    neither blank nor a # comment."""
+    for lineno, line in enumerate(text_lines(source), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
             yield lineno, line
-    finally:
-        if close:
-            fh.close()
 
 
 def _read_word_list(source) -> list:
     words = []
-    for lineno, line in _word_lines(source):
+    for lineno, line in record_lines(source):
         word = line.lower()
         if "\t" in word or " " in word:
             raise LexiconParseError(f"line {lineno}: expected a single word, got {line!r}")
@@ -160,7 +168,7 @@ def parse_pair(kind_text: str, value_text: str) -> ClassificationValuePair:
 def parse_lexicon(source) -> dict:
     """Parse `word<TAB>kind<TAB>value` records into a word -> pair mapping."""
     entries = {}
-    for lineno, line in _word_lines(source):
+    for lineno, line in record_lines(source):
         fields = line.split("\t")
         if len(fields) != 3:
             raise LexiconParseError(f"line {lineno}: expected 3 tab-separated fields")

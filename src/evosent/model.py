@@ -18,7 +18,7 @@ from .corpus import UnknownWordIndex
 from .evaluator import Semantics, SlotTable, Verdict, predict, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
 from .gasa import PAIR_CODES, GasaChromosome
-from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair
+from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair, text_lines
 
 FORMAT_VERSION = "1"
 # The two-field records `save_model` writes, each exactly once.
@@ -95,12 +95,10 @@ def save_model(model: TrainedModel, sink: Union[str, Path]) -> None:
             fh.write(f"dict\t{word}\t{format_pair(pair)}\n")
         for word, pair in model.amplifier_dict.entries.items():
             fh.write(f"dict\t{word}\t{format_pair(pair)}\n")
-        if model.algo == "gasa":
-            for word, gene in zip(model.index.words, model.chromosome.genes):
-                fh.write(_gene_line(word, gene) + "\n")
-        else:
-            for gene in model.chromosome.genes:
-                fh.write(_gene_line(gene.word, gene) + "\n")
+        # a CA-GASA gene's word is its index word: training and `load_model`
+        # build them aligned
+        for word, gene in zip(model.index.words, model.chromosome.genes):
+            fh.write(_gene_line(word, gene) + "\n")
 
 
 def _split_words(text: str) -> frozenset:
@@ -129,56 +127,54 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
     gene_positions = {}
     gasa_codes = []
     cagasa_genes = []
-    with open(source, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            tag = fields[0]
-            try:
-                if tag == "dict":
-                    if len(fields) != 4:
-                        raise ValueError("bad dict record")
-                    pair = parse_pair(fields[2], fields[3])
-                    target = (
-                        sentiment_entries if pair.kind is Kind.SENTIMENT else amplifier_entries
-                    )
-                    if fields[1] in target:
-                        raise ValueError(f"duplicate {pair.kind.value} word {fields[1]!r}")
-                    target[fields[1]] = pair
-                elif tag == "gene":
-                    if len(fields) != 4:
-                        raise ValueError("bad gene record")
-                    gasa_codes.append(PAIR_CODES[_evolvable(parse_pair(fields[2], fields[3]))])
-                elif tag == "cgene":
-                    if len(fields) != 12:
-                        raise ValueError("bad cgene record")
-                    rule = ContextRule(
-                        next_size=_context_int(fields[2], "next_size"),
-                        previous_size=_context_int(fields[3], "previous_size"),
-                        list_next=_split_words(fields[4]),
-                        list_previous=_split_words(fields[5]),
-                        number_ahead=_context_int(fields[6], "number_ahead"),
-                        number_behind=_context_int(fields[7], "number_behind"),
-                        context_pair=_evolvable(parse_pair(fields[8], fields[9])),
-                    )
-                    context_free_pair = _evolvable(parse_pair(fields[10], fields[11]))
-                    cagasa_genes.append(CagasaGene(fields[1], rule, context_free_pair))
-                elif len(fields) == 2:
-                    if tag not in HEADER_KEYS:
-                        raise ValueError(f"unknown header record {tag!r}")
-                    if tag in header:
-                        raise ValueError(f"repeated header record {tag!r}")
-                    header[tag] = fields[1]
-                else:
-                    raise ValueError(f"unrecognized record {tag!r}")
-                if tag in ("gene", "cgene"):
-                    if fields[1] in gene_positions:
-                        raise ValueError(f"duplicate gene word {fields[1]!r}")
-                    gene_positions[fields[1]] = len(gene_positions)
-            except ValueError as exc:
-                raise ModelFormatError(f"line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(text_lines(source), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        tag = fields[0]
+        try:
+            if tag == "dict":
+                if len(fields) != 4:
+                    raise ValueError("bad dict record")
+                pair = parse_pair(fields[2], fields[3])
+                target = (
+                    sentiment_entries if pair.kind is Kind.SENTIMENT else amplifier_entries
+                )
+                if fields[1] in target:
+                    raise ValueError(f"duplicate {pair.kind.value} word {fields[1]!r}")
+                target[fields[1]] = pair
+            elif tag == "gene":
+                if len(fields) != 4:
+                    raise ValueError("bad gene record")
+                gasa_codes.append(PAIR_CODES[_evolvable(parse_pair(fields[2], fields[3]))])
+            elif tag == "cgene":
+                if len(fields) != 12:
+                    raise ValueError("bad cgene record")
+                rule = ContextRule(
+                    next_size=_context_int(fields[2], "next_size"),
+                    previous_size=_context_int(fields[3], "previous_size"),
+                    list_next=_split_words(fields[4]),
+                    list_previous=_split_words(fields[5]),
+                    number_ahead=_context_int(fields[6], "number_ahead"),
+                    number_behind=_context_int(fields[7], "number_behind"),
+                    context_pair=_evolvable(parse_pair(fields[8], fields[9])),
+                )
+                context_free_pair = _evolvable(parse_pair(fields[10], fields[11]))
+                cagasa_genes.append(CagasaGene(fields[1], rule, context_free_pair))
+            elif len(fields) == 2:
+                if tag not in HEADER_KEYS:
+                    raise ValueError(f"unknown header record {tag!r}")
+                if tag in header:
+                    raise ValueError(f"repeated header record {tag!r}")
+                header[tag] = fields[1]
+            else:
+                raise ValueError(f"unrecognized record {tag!r}")
+            if tag in ("gene", "cgene"):
+                if fields[1] in gene_positions:
+                    raise ValueError(f"duplicate gene word {fields[1]!r}")
+                gene_positions[fields[1]] = len(gene_positions)
+        except ValueError as exc:
+            raise ModelFormatError(f"line {lineno}: {exc}") from exc
     if header.get("model") != FORMAT_VERSION:
         raise ModelFormatError("missing or unsupported model version header")
     algo = header.get("algo")

@@ -22,16 +22,17 @@ from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index, concat_corpora, word_frequencies
 from evosent.evaluator import Semantics, evaluate_sentence, predict, slot_table
 from evosent.experiments import (
+    Protocol,
     generate_synthetic_corpus,
     random_planted_lexicon,
-    run_sent_vs_amp_cv,
+    run_word_cv,
     train,
 )
 from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_select
 from evosent.gasa import (
     GasaProblem,
-    crossover,
-    mutate,
+    crossover_at,
+    mutate_at,
     random_chromosome,
 )
 from evosent.lexicon import (
@@ -135,7 +136,8 @@ def test_02_worked_examples_exact(capsys):
                 return next(self.script) % n
 
         parent = gasa_chromosome((S(1.0), A(0.5), S(0.0)))
-        assert mutate(parent, ScriptedMutation()).genes == (S(1.0), S(1.0), S(0.0))
+        child, position = mutate_at(parent, ScriptedMutation())
+        assert (child.genes, position) == ((S(1.0), S(1.0), S(0.0)), 1)
 
         # crossover trace: first gene swapped between the parents
         class PositionZero(random.Random):
@@ -144,7 +146,7 @@ def test_02_worked_examples_exact(capsys):
 
         p1 = gasa_chromosome((A(0.5), S(1.0)))
         p2 = gasa_chromosome((S(-1.0), S(1.0)))
-        c1, c2 = crossover(p1, p2, PositionZero())
+        c1, c2, _ = crossover_at(p1, p2, PositionZero())
         assert c1.genes == (S(-1.0), S(1.0))
         assert c2.genes == (A(0.5), S(1.0))
 
@@ -187,23 +189,23 @@ def test_03_operator_invariants(capsys):
         for _ in range(1000):
             n = rng.randrange(1, 31)
             parent = random_chromosome(n, rng)
-            child = mutate(parent, rng)
+            child, position = mutate_at(parent, rng)
             assert len(child) == n
             diffs = [i for i in range(n) if parent.genes[i] != child.genes[i]]
-            assert len(diffs) == 1
+            assert diffs == [position]
             assert child.genes[diffs[0]] in EVOLVABLE_PAIRS
         for _ in range(1000):
             n = rng.randrange(1, 31)
             p1 = random_chromosome(n, rng)
             p2 = random_chromosome(n, rng)
-            c1, c2 = crossover(p1, p2, rng)
+            c1, c2, position = crossover_at(p1, p2, rng)
             assert len(c1) == len(c2) == n
             changed = [
                 i
                 for i in range(n)
                 if (c1.genes[i], c2.genes[i]) != (p1.genes[i], p2.genes[i])
             ]
-            assert len(changed) <= 1
+            assert changed in ([], [position])
             for i in changed:
                 assert (c1.genes[i], c2.genes[i]) == (p2.genes[i], p1.genes[i])
             assert all(g in EVOLVABLE_PAIRS for g in c1.genes + c2.genes)
@@ -352,8 +354,8 @@ def test_07_frequency_trend(capsys):
             config = GAConfig(
                 population_size=60, tournament_size=7, max_generations=60, seed=seed
             )
-            r0 = run_sent_vs_amp_cv(corpus, sd, ad, 0, 5, config)
-            r20 = run_sent_vs_amp_cv(corpus, sd, ad, 20, 5, config)
+            r0 = run_word_cv(Protocol.SENT_VS_AMP, corpus, sd, ad, 0, 5, config)
+            r20 = run_word_cv(Protocol.SENT_VS_AMP, corpus, sd, ad, 20, 5, config)
             acc_unfiltered.append(r0.mean_accuracy)
             acc_frequent.append(r20.mean_accuracy)
         mean0 = sum(acc_unfiltered) / 10

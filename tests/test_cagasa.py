@@ -20,7 +20,7 @@ from evosent.cagasa import (
 from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, predict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
-from evosent.gasa import crossover
+from evosent.gasa import crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, make_corpus
@@ -215,7 +215,7 @@ class TestOperators:
             def randrange(self, n):
                 return 0
 
-        o1, o2 = crossover(c1, c2, PositionZero())
+        o1, o2, _ = crossover_at(c1, c2, PositionZero())
         assert o1.genes[0] == c2.genes[0] and o2.genes[0] == c1.genes[0]
         assert o1.genes[1:] == c1.genes[1:] and o2.genes[1:] == c2.genes[1:]
 
@@ -255,12 +255,12 @@ class TestOperators:
         with pytest.raises(ValueError):
             mutate_cagasa(CagasaChromosome(()), {}, rng)
         with pytest.raises(ValueError):
-            crossover(CagasaChromosome(()), CagasaChromosome(()), rng)
+            crossover_at(CagasaChromosome(()), CagasaChromosome(()), rng)
 
     def test_length_mismatch(self, rng):
         c1, _ = self._random_chromosome(rng)
         with pytest.raises(ValueError):
-            crossover(c1, CagasaChromosome(c1.genes[:1]), rng)
+            crossover_at(c1, CagasaChromosome(c1.genes[:1]), rng)
 
 
 def neutralized(chromosome):
@@ -438,6 +438,23 @@ class TestKernelFitness:
         assert [problem.fitness(c) for c in population] == [
             cagasa_fitness(c, corpus, index, sd, ad) for c in population
         ]
+
+    def test_look_distance_past_the_widest_sentence(self):
+        # Every sentence is one word, so look distance 3 reads only padding:
+        # no occurrence has a neighbour, and the context pair never fires.
+        corpus = make_corpus([(["u"], "positive"), (["v"], "negative"), (["u"], "positive")])
+        sd, ad = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        ahead, behind = problem._compiled.neighbor_ids(3)
+        assert ahead.shape == behind.shape == (3, 3)
+        assert (ahead == -1).all() and (behind == -1).all()
+        both = rule(list_next={"u", "v"}, list_previous={"u", "v"}, number_ahead=3, number_behind=3)
+        genome = CagasaChromosome(
+            (CagasaGene("u", both, S(1.0)), CagasaGene("v", both, S(-1.0)))
+        )
+        assert index.words == ("u", "v")
+        assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad) == 3
 
     def test_genes_freed_and_made_again_are_decided_again(self):
         # A gene freed after scoring leaves its id free for the next one.

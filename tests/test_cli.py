@@ -1,5 +1,6 @@
 import pytest
 
+from evosent import experiments
 from evosent.cli import main
 from evosent.model import load_model
 
@@ -248,6 +249,7 @@ class TestPredict:
         ("--positive-words", b"good\n\xff\n", "utf-8"),
         ("--model", b"model\t1\n\xff\n", "utf-8"),
         ("--input", b"zorp\n\xfe\xff\n", "utf-8"),
+        ("--config", b"seed=1\n\xff\n", "utf-8"),
     ],
 )
 def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_path, capsys):
@@ -273,6 +275,8 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
+    if isinstance(content, bytes):  # a decode error names the file
+        assert f"error: {bad}: " in captured.err
     if flag == "--input":
         assert captured.out == ""
 
@@ -427,28 +431,34 @@ class TestReports:
         assert code == 0
         assert "protocol" in capsys.readouterr().out
 
-    def test_cv_polarity_threshold_too_high_exits_2(self, corpus_file, tmp_path, capsys):
-        pos = tmp_path / "pos.txt"
-        neg = tmp_path / "neg.txt"
-        pos.write_text("zorp\n")
-        neg.write_text("flern\n")
-        code = main(
-            [
-                "cv-polarity",
-                "--corpus",
-                str(corpus_file),
-                "--positive-words",
-                str(pos),
-                "--negative-words",
-                str(neg),
-                "--freq-threshold",
-                "100",
-                "--folds",
-                "2",
-            ]
-        )
-        assert code == 2  # runtime failure: no words pass the filter
-        assert "threshold" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cv-sentamp", "--sentiment-dict", "LEX", "--folds", "4"],
+             "the 3 dictionary words that pass the frequency threshold 0 into 4 folds"),
+            (["cv-polarity", "--sentiment-dict", "LEX", "--freq-threshold", "100", "--folds", "2"],
+             "threshold 100"),
+            (["cv-polarity", "--sentiment-dict", "LEX", "--freq-threshold", "-3"],
+             "--freq-threshold must be non-negative"),
+            (["cv-sentamp", "--folds", "2"], "the 0 dictionary words"),  # default dictionary
+        ],
+        ids=["more-folds-than-words", "threshold-too-high", "negative-threshold", "empty-dict"],
+    )
+    def test_word_cv_bad_input_exits_1_before_training(
+        self, argv, message, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on bad input")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("".join(f"{w}\tsentiment\t1.0\n" for w in ("zorp", "blick", "quux")))
+        report = tmp_path / "report.tsv"
+        argv = [str(lexicon) if a == "LEX" else a for a in argv]
+        assert main([*argv, "--corpus", str(corpus_file), "--report-out", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not report.exists()
+        assert captured.err.startswith("error:") and message in captured.err
 
 
 class TestExportLexicon:

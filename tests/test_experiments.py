@@ -11,6 +11,7 @@ from evosent.experiments import (
     GenerationError,
     PlantedLexicon,
     Protocol,
+    WordSplitError,
     _filtered_dictionary_words,
     format_report,
     generate_synthetic_corpus,
@@ -18,8 +19,7 @@ from evosent.experiments import (
     report_records,
     run_holdout_accuracy,
     run_instance_cv,
-    run_polarity_value_cv,
-    run_sent_vs_amp_cv,
+    run_word_cv,
     write_report,
 )
 from evosent.ga_engine import GAConfig
@@ -119,11 +119,17 @@ def training_setup(seed=0, n=200):
     return lexicon, corpus, sd, seed_amplifier_dictionary()
 
 
+word_protocols = pytest.mark.parametrize(
+    "protocol", [Protocol.SENT_VS_AMP, Protocol.POLARITY_VALUE], ids=lambda p: p.value
+)
+
+
 class TestWordCV:
-    def test_sent_vs_amp_report_shape(self):
+    @word_protocols
+    def test_report_shape(self, protocol):
         _, corpus, sd, ad = training_setup()
-        report = run_sent_vs_amp_cv(corpus, sd, ad, 0, 5, SMALL)
-        assert report.protocol is Protocol.SENT_VS_AMP
+        report = run_word_cv(protocol, corpus, sd, ad, 0, 5, SMALL)
+        assert report.protocol is protocol
         assert len(report.fold_accuracies) == 5
         assert sum(report.fold_word_counts) == report.words_considered == 10
         assert report.mean_accuracy == pytest.approx(
@@ -133,27 +139,43 @@ class TestWordCV:
 
     def test_sent_vs_amp_learns_planted_words(self):
         _, corpus, sd, ad = training_setup()
-        report = run_sent_vs_amp_cv(corpus, sd, ad, 0, 5, SMALL)
+        report = run_word_cv(Protocol.SENT_VS_AMP, corpus, sd, ad, 0, 5, SMALL)
         # planted sentiment words should mostly be rediscovered as sentiment
         assert report.mean_accuracy >= 0.6
 
     def test_polarity_value_stricter_than_kind(self):
         _, corpus, sd, ad = training_setup()
-        kind_report = run_sent_vs_amp_cv(corpus, sd, ad, 0, 5, SMALL)
-        polarity_report = run_polarity_value_cv(corpus, sd, ad, 0, 5, SMALL)
+        kind_report = run_word_cv(Protocol.SENT_VS_AMP, corpus, sd, ad, 0, 5, SMALL)
+        polarity_report = run_word_cv(Protocol.POLARITY_VALUE, corpus, sd, ad, 0, 5, SMALL)
         assert polarity_report.mean_accuracy <= kind_report.mean_accuracy
 
     def test_no_words_pass_threshold(self):
         corpus = make_corpus([(["x"], "positive"), (["y"], "negative")])
         sd = Dictionary({"good": S(1.0)}, Kind.SENTIMENT)
-        with pytest.raises(ValueError, match="threshold"):
-            run_sent_vs_amp_cv(corpus, sd, seed_amplifier_dictionary(), 0, 2, SMALL)
+        with pytest.raises(WordSplitError, match="threshold"):
+            run_word_cv(
+                Protocol.SENT_VS_AMP, corpus, sd, seed_amplifier_dictionary(), 0, 2, SMALL
+            )
 
-    def test_deterministic(self):
+    def test_fewer_words_than_folds(self):
         _, corpus, sd, ad = training_setup()
-        r1 = run_polarity_value_cv(corpus, sd, ad, 0, 5, SMALL)
-        r2 = run_polarity_value_cv(corpus, sd, ad, 0, 5, SMALL)
-        assert r1.fold_accuracies == r2.fold_accuracies
+        with pytest.raises(WordSplitError, match="10 dictionary words .* into 11 folds"):
+            run_word_cv(Protocol.POLARITY_VALUE, corpus, sd, ad, 0, 11, SMALL)
+
+    @pytest.mark.parametrize(
+        "protocol", [Protocol.HOLDOUT_ACCURACY, Protocol.GASA_VS_CAGASA], ids=lambda p: p.value
+    )
+    def test_rejects_other_protocols(self, protocol):
+        _, corpus, sd, ad = training_setup()
+        with pytest.raises(ValueError, match="not a word-CV protocol"):
+            run_word_cv(protocol, corpus, sd, ad, 0, 5, SMALL)
+
+    @word_protocols
+    def test_deterministic(self, protocol):
+        _, corpus, sd, ad = training_setup()
+        r1 = run_word_cv(protocol, corpus, sd, ad, 0, 5, SMALL)
+        r2 = run_word_cv(protocol, corpus, sd, ad, 0, 5, SMALL)
+        assert r1 == r2
 
 
 class TestHoldout:

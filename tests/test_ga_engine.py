@@ -195,6 +195,26 @@ class TestRunGA:
         run_ga(Counting(), self.small(max_generations=5))
         assert evaluated_batches == [30] * 6  # initial population + 5 generations
 
+    @pytest.mark.parametrize("generations", [0, 1])
+    def test_ties_return_the_first_fittest(self, generations):
+        class Tied(OneMax):
+            """The second and fourth genomes of each batch tie for the best,
+            and each batch beats the one before."""
+
+            max_fitness = None
+
+            def __init__(self):
+                self.batches = []
+
+            def fitness_many(self, genomes):
+                self.batches.append(genomes)
+                return [[1, 5, 2, 5], [6, 9, 3, 9]][len(self.batches) - 1]
+
+        problem = Tied()
+        best, stats = run_ga(problem, self.small(population_size=4, max_generations=generations))
+        assert best.genome is problem.batches[generations][1]
+        assert stats.best_fitness_per_generation == [5, 9][: generations + 1]
+
     def test_onemax_solved_in_at_least_95_of_100_seeds(self):
         # calibrated over these fixed seeds: currently 100/100
         config = dict(population_size=50, tournament_size=7, max_generations=200)

@@ -14,10 +14,10 @@ from evosent.gasa import (
     GasaProblem,
     code_matrix,
     compile_corpus,
-    crossover,
+    crossover_at,
     forced_new_code,
     labelled_correctly,
-    mutate,
+    mutate_at,
     random_chromosome,
     random_code,
 )
@@ -189,25 +189,25 @@ class TestMutate:
             def randrange(self, n):
                 return next(self.script) % n
 
-        child = mutate(parent, Scripted())
-        assert child.genes == (S(1.0), S(1.0), S(0.0))
+        child, position = mutate_at(parent, Scripted())
+        assert (child.genes, position) == ((S(1.0), S(1.0), S(0.0)), 1)
 
     def test_empty_chromosome_rejected(self, rng):
         with pytest.raises(ValueError):
-            mutate(GasaChromosome(b""), rng)
+            mutate_at(GasaChromosome(b""), rng)
 
     def test_length_one_forces_change(self, rng):
         for _ in range(100):
             parent = GasaChromosome(bytes([random_code(rng)]))
-            child = mutate(parent, rng)
+            child, _ = mutate_at(parent, rng)
             assert child.genes[0] != parent.genes[0]
 
     @settings(max_examples=1000)
     @given(chromosomes, st.randoms(use_true_random=False))
     def test_changes_exactly_one_gene(self, parent, rnd):
-        child = mutate(parent, rnd)
+        child, position = mutate_at(parent, rnd)
         diffs = [i for i in range(len(parent)) if parent.genes[i] != child.genes[i]]
-        assert len(diffs) == 1
+        assert diffs == [position]
         assert child.genes[diffs[0]].is_evolvable()
         assert len(child) == len(parent)
 
@@ -221,18 +221,18 @@ class TestCrossover:
             def randrange(self, n):
                 return 0
 
-        c1, c2 = crossover(p1, p2, PositionZero())
+        c1, c2, _ = crossover_at(p1, p2, PositionZero())
         assert c1.genes == (S(-1.0), S(1.0))
         assert c2.genes == (A(0.5), S(1.0))
 
     def test_identical_parents(self, rng):
         p = gasa_chromosome((S(1.0), A(1.5)))
-        c1, c2 = crossover(p, p, rng)
+        c1, c2, _ = crossover_at(p, p, rng)
         assert c1 == p and c2 == p
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
-            crossover(gasa_chromosome((S(1.0),)), gasa_chromosome((S(1.0), S(1.0))), rng)
+            crossover_at(gasa_chromosome((S(1.0),)), gasa_chromosome((S(1.0), S(1.0))), rng)
 
     @settings(max_examples=1000)
     @given(
@@ -246,7 +246,7 @@ class TestCrossover:
     def test_swaps_exactly_position_p(self, gene_pairs, rnd):
         p1 = gasa_chromosome(a for a, _ in gene_pairs)
         p2 = gasa_chromosome(b for _, b in gene_pairs)
-        c1, c2 = crossover(p1, p2, rnd)
+        c1, c2, position = crossover_at(p1, p2, rnd)
         assert len(c1) == len(c2) == len(p1)
         swapped = [
             i
@@ -254,7 +254,7 @@ class TestCrossover:
             if (c1.genes[i], c2.genes[i]) != (p1.genes[i], p2.genes[i])
         ]
         # at most one position changes; where it does, the genes are swapped
-        assert len(swapped) <= 1
+        assert swapped in ([], [position])
         for i in swapped:
             assert (c1.genes[i], c2.genes[i]) == (p2.genes[i], p1.genes[i])
         # parents untouched
