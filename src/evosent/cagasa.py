@@ -4,10 +4,10 @@ Each gene carries two classification-value pairs. The context pair fires
 when at least half of the word's observed neighborhood overlaps the gene's
 stored context lists; otherwise the context-free pair applies.
 
-`resolve_word` is the rule for one word, which prediction uses.
-`ContextCorpus` applies it to every occurrence of a genome's gene words,
-deciding each gene once in numpy, and scores the genome on the GASA kernel;
-the test suite asserts it equal to the plain reference implementation in
+`resolve_word` is the rule for one word. `ContextCorpus` applies it to
+every occurrence of a genome's gene words, deciding each gene once in numpy,
+for training and for prediction alike, and scores on the GASA kernel; the
+test suite asserts it equal to the plain reference implementation in
 `tests/oracles.py`.
 """
 
@@ -24,6 +24,8 @@ from .corpus import Corpus, UnknownWordIndex
 from .evaluator import Semantics, SlotTable
 from .gasa import (
     PAIR_CODES,
+    SLICE_CELLS,
+    CompiledCorpus,
     WordGeneProblem,
     compile_corpus,
     forced_new_code,
@@ -200,26 +202,35 @@ def mutate_cagasa(
 
 
 def _first_sightings(words: np.ndarray) -> np.ndarray:
-    """`words` (offsets, occurrences) with -1 wherever a word repeats one at
-    a nearer offset."""
-    out = words.copy()
+    """`words` (offsets, occurrences), set to -1 in place wherever a word
+    repeats one at a nearer offset. Each word's nearest sighting stays, so
+    comparing with the rows already cleared finds every repeat."""
     for k in range(1, len(words)):
-        out[k][(words[:k] == words[k]).any(axis=0)] = -1
-    return out
+        words[k][(words[:k] == words[k]).any(axis=0)] = -1
+    return words
 
 
-def _encode_genes(genes: Sequence[CagasaGene], word_ids: dict) -> Tuple[np.ndarray, int]:
-    """(fields, next list length). `fields` has one int32 row per gene: its
-    two look distances, its context-free and context pair codes, then its
-    next list and its previous list as word ids, each padded to the longest
-    list among `genes` with _NO_WORD."""
+@dataclass(frozen=True)
+class EncodedGenes:
+    """Genes as int32 `fields`, one row per gene: its two look distances,
+    its context-free and context pair codes, then its next list and its
+    previous list as indices into `list_words`, each padded with -1 to the
+    longest list among the genes. They do not depend on the corpus."""
+
+    fields: np.ndarray
+    n_next: int
+    list_words: tuple
+
+
+def encode_genes(genes: Sequence[CagasaGene]) -> EncodedGenes:
     n_next = max((len(g.rule.list_next) for g in genes), default=0)
     n_previous = max((len(g.rule.list_previous) for g in genes), default=0)
+    list_index: dict = {}
     rows = []
     for gene in genes:
         rule = gene.rule
-        list_next = [word_ids.get(w, _NO_WORD) for w in rule.list_next]
-        list_previous = [word_ids.get(w, _NO_WORD) for w in rule.list_previous]
+        list_next = [list_index.setdefault(w, len(list_index)) for w in rule.list_next]
+        list_previous = [list_index.setdefault(w, len(list_index)) for w in rule.list_previous]
         rows.append(
             [
                 rule.number_ahead,
@@ -227,13 +238,13 @@ def _encode_genes(genes: Sequence[CagasaGene], word_ids: dict) -> Tuple[np.ndarr
                 PAIR_CODES[gene.context_free_pair],
                 PAIR_CODES[rule.context_pair],
                 *list_next,
-                *[_NO_WORD] * (n_next - len(list_next)),
+                *[-1] * (n_next - len(list_next)),
                 *list_previous,
-                *[_NO_WORD] * (n_previous - len(list_previous)),
+                *[-1] * (n_previous - len(list_previous)),
             ]
         )
     fields = np.array(rows, dtype=np.int32).reshape(len(genes), 4 + n_next + n_previous)
-    return fields, n_next
+    return EncodedGenes(fields, n_next, tuple(list_index))
 
 
 class _Decision(weakref.ref):
@@ -254,35 +265,30 @@ class _Decision(weakref.ref):
 
 
 class ContextCorpus:
-    """A corpus compiled for scoring CA-GASA genomes on the GASA kernel.
+    """Compiled text prepared for scoring CA-GASA genomes on the GASA kernel.
 
     `compiled` is the GASA slot matrix in which every gene-word occurrence
     has a slot of its own, its occurrence number, so that a genome's value
     table holds the pair each occurrence resolves to. Occurrences are
     numbered gene position by gene position. Which pair an occurrence
-    resolves to depends only on the gene at its position, so the pair codes
-    of each (position, gene object) are decided once and remembered for as
-    long as the gene lives.
+    resolves to depends only on the gene at its position, so `fitness`
+    decides the pair codes of each (position, gene object) once and
+    remembers them for as long as the gene lives. `decide` remembers
+    nothing; prediction calls it once per slice of text.
     """
 
-    def __init__(self, corpus: Corpus, table: SlotTable):
-        compiled = compile_corpus(corpus, table)
+    def __init__(self, compiled: CompiledCorpus):
         slots = compiled.slots
-        rows, columns = np.nonzero(slots >= 0)
-        order = np.argsort(slots[rows, columns], kind="stable")
-        rows, columns = rows[order], columns[order]
+        cells = np.flatnonzero(slots >= 0)
+        genes = slots.ravel()[cells]
+        order = np.argsort(genes, kind="stable")
+        self._cells = cells[order]  # each occurrence's flat index into `slots`
+        self.occurrence_gene = genes[order]  # ascending
+        del cells, genes, order  # before the copy, which long sentences make large
         own_slots = slots.copy()
-        own_slots[rows, columns] = np.arange(len(rows))
+        np.put(own_slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
         self.compiled = replace(compiled, slots=own_slots)
-        self.occurrence_gene = slots[rows, columns]  # ascending
-        self._rows, self._columns = rows, columns
-        tokens = [inst.tokens for inst in corpus.instances]
-        self.word_ids = {w: k for k, w in enumerate(dict.fromkeys(w for t in tokens for w in t))}
-        # the word ids laid out like the slots, left-padded with -1
-        width = slots.shape[1]
-        words = [[-1] * (width - len(t)) + [self.word_ids[w] for w in t] for t in tokens]
-        self._words = np.array(words, dtype=np.int32).reshape(slots.shape)
-        self._ahead = self._behind = np.zeros((0, len(rows)), dtype=np.int32)
+        self._ahead = self._behind = np.zeros((0, len(self._cells)), dtype=np.int32)
         remembered: dict = {}  # (position, id(gene)) -> _Decision
         self._codes = remembered
         self._forget = lambda decision: remembered.pop(decision.key, None)
@@ -297,52 +303,82 @@ class ContextCorpus:
         MAX_CONTEXT of them."""
         if depth > len(self._ahead):
             depth = max(depth, MAX_CONTEXT)
-            padded = np.pad(self._words, ((0, 0), (depth, depth)), constant_values=-1)
-            at = self._columns + depth
-            offsets = np.arange(1, depth + 1)[:, None]
-            ahead = padded[self._rows, at + offsets]
-            behind = padded[self._rows, at - offsets]
-            self._ahead, self._behind = _first_sightings(ahead), _first_sightings(behind)
+            words = self.compiled.words
+            padded = np.pad(words, ((0, 0), (depth, depth)), constant_values=-1)
+            ahead, behind = np.empty((2, depth, len(self._cells)), dtype=np.int32)
+            for start in range(0, len(self._cells), SLICE_CELLS):
+                cells = self._cells[start : start + SLICE_CELLS]
+                # the flat index into `padded`: row r gains 2 * depth cells
+                # before it and depth cells before its first column
+                at = cells + (2 * (cells // words.shape[1]) + 1) * depth
+                for ids, sign in ((ahead, 1), (behind, -1)):
+                    part = ids[:, start : start + len(cells)]
+                    for k in range(depth):
+                        part[k] = padded.take(at + sign * (k + 1))
+                    _first_sightings(part)
+            self._ahead, self._behind = ahead, behind
         return self._ahead, self._behind
 
-    def _decide(self, positions: list, genes: list) -> None:
-        """Remember the pair codes each gene resolves to at the occurrences
-        of its position, deciding all of them in one pass."""
-        fields, n_next = _encode_genes(genes, self.word_ids)
+    def decide(
+        self, positions: Sequence[int], encoded: EncodedGenes
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(codes, counts): the pair codes that the encoded genes, one for
+        each of `positions`, resolve to at the occurrences of their
+        positions, int8, position by position; and each position's number of
+        occurrences. Decided in slices whose widest temporary holds at most
+        about SLICE_CELLS elements."""
+        vocabulary = self.compiled.vocabulary
+        # list word ids, and _NO_WORD for a list word outside the corpus and
+        # for the pad, index -1
+        ids = [vocabulary.get(w, _NO_WORD) for w in encoded.list_words] + [_NO_WORD]
+        fields = encoded.fields
+        lists = np.array(ids, dtype=np.int32)[fields[:, 4:]]
         first = np.searchsorted(self.occurrence_gene, positions, side="left")
         counts = np.searchsorted(self.occurrence_gene, positions, side="right") - first
-        cells = np.concatenate([np.arange(f, f + c) for f, c in zip(first, counts)])
-        at = np.repeat(fields, counts, axis=0).T  # one column per cell
-        ahead_distance, behind_distance, free_code, context_code = at[:4]
+        ends = np.cumsum(counts)
+        shift = first - (ends - counts)  # occurrence number minus index in the output
         # offsets past the longest distance among the genes hold no neighbor
         depth = int(fields[:, :2].max(initial=0))
         offsets = np.arange(1, depth + 1)[:, None]
         ahead, behind = self.neighbor_ids(depth)
-        size = hits = 0
-        sides = (
-            (ahead_distance, ahead, at[4 : 4 + n_next]),
-            (behind_distance, behind, at[4 + n_next :]),
-        )
-        for distance, neighbors, lists in sides:
-            words = neighbors[:depth].take(cells, axis=1)  # (offsets, cells)
-            seen = (words >= 0) & (offsets <= distance)
-            size = size + seen.sum(axis=0)
-            hits = hits + (seen & (lists[:, None] == words).any(axis=0)).sum(axis=0)
-        codes = np.where((size > 0) & (2 * hits >= size), context_code, free_code)
-        codes = codes.astype(np.int8).tobytes()
-        ends = np.cumsum(counts)
-        for position, gene, end, count in zip(positions, genes, ends.tolist(), counts.tolist()):
-            key = position, id(gene)
-            self._codes[key] = _Decision(gene, self._forget, key, codes[end - count : end])
+        codes = np.empty(int(counts.sum()), dtype=np.int8)
+        # the widest temporary compares (list words, offsets, cells)
+        n_lists = max(encoded.n_next, fields.shape[1] - 4 - encoded.n_next, 1)
+        step = max(SLICE_CELLS // (n_lists * max(depth, 1)), 1)
+        for start in range(0, len(codes), step):
+            index = np.arange(start, min(start + step, len(codes)))
+            part = np.searchsorted(ends, index, side="right")  # each one's row of `fields`
+            cells = index + shift[part]
+            ahead_distance, behind_distance, free_code, context_code = fields[part, :4].T
+            at_lists = lists[part].T
+            size = hits = 0
+            sides = (
+                (ahead_distance, ahead, at_lists[: encoded.n_next]),
+                (behind_distance, behind, at_lists[encoded.n_next :]),
+            )
+            for distance, neighbors, side_lists in sides:
+                words = neighbors[:depth].take(cells, axis=1)  # (offsets, cells)
+                seen = (words >= 0) & (offsets <= distance)
+                size = size + seen.sum(axis=0)
+                hits = hits + (seen & (side_lists[:, None] == words).any(axis=0)).sum(axis=0)
+            fire = (size > 0) & (2 * hits >= size)
+            codes[index] = np.where(fire, context_code, free_code)
+        return codes, counts
 
     def fitness(self, chromosome: CagasaChromosome, semantics: Semantics) -> int:
-        """Correctly labelled instances. Every gene pair must be evolvable,
-        as those of random, mutated and loaded genes are."""
+        """Correctly labelled instances, deciding each (position, gene) not
+        remembered. Every gene pair must be evolvable, as those of random,
+        mutated and loaded genes are."""
         remembered = self._codes
-        keys = [(position, id(gene)) for position, gene in enumerate(chromosome.genes)]
+        genes = chromosome.genes
+        keys = [(position, id(gene)) for position, gene in enumerate(genes)]
         missing = [position for position, key in enumerate(keys) if key not in remembered]
         if missing:
-            self._decide(missing, [chromosome.genes[position] for position in missing])
+            decided, counts = self.decide(missing, encode_genes([genes[p] for p in missing]))
+            decided, ends = decided.tobytes(), np.cumsum(counts).tolist()
+            for position, start, end in zip(missing, [0, *ends], ends):
+                key = keys[position]
+                remembered[key] = _Decision(genes[position], self._forget, key, decided[start:end])
         codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
         return int(labelled_correctly(self.compiled, codes[:, None], semantics).sum())
 
@@ -352,7 +388,9 @@ class CagasaProblem(WordGeneProblem):
     time, with no `fitness_many`: a genome whose genes were all decided
     before costs one pass of the kernel."""
 
-    _compile = ContextCorpus
+    @staticmethod
+    def _compile(corpus: Corpus, table: SlotTable) -> ContextCorpus:
+        return ContextCorpus(compile_corpus(corpus, table))
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -225,18 +225,15 @@ def cmd_predict(args) -> int:
         lines = [args.text]
     else:
         lines = list(text_lines(_require_file(args.input, "input file")))
-    tie_label = args.tie_policy
+    text = {}
+    for verdict in Verdict:
+        tie = verdict is Verdict.TIE
+        annotation = ("\ttie" if tie else "\t-") if args.show_ties else ""
+        text[verdict] = f"{args.tie_policy if tie else verdict.value}{annotation}\n"
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for line in lines:
-            verdict = model.predict(tokenize(line))
-            if verdict is Verdict.TIE:
-                label = tie_label
-                annotation = "\ttie" if args.show_ties else ""
-            else:
-                label = verdict.value
-                annotation = "\t-" if args.show_ties else ""
-            out.write(f"{label}{annotation}\n")
+        # tokenized block by block, as `predict_many` reads them
+        out.writelines(map(text.__getitem__, model.predict_many(map(tokenize, lines))))
     finally:
         if out is not sys.stdout:
             out.close()

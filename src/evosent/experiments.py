@@ -203,8 +203,8 @@ def _test_accuracy(
         "ties": 0,
     }
     correct = 0
-    for inst in test_corpus.instances:
-        verdict = model.predict(inst.tokens)
+    instances = test_corpus.instances
+    for inst, verdict in zip(instances, model.predict_many(i.tokens for i in instances)):
         if verdict is Verdict.TIE:
             counts["ties"] += 1
         elif verdict.value == inst.label.value:

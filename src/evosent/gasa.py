@@ -5,9 +5,10 @@ index. Each gene is a pair code: a byte that indexes `EVOLVABLE_PAIRS`, the
 six classification-value pairs a gene may hold. Fitness is the number of
 training instances whose evaluated polarity matches the true label; the
 test suite asserts it equal to the plain reference implementation in
-`tests/oracles.py`. `labelled_correctly` scores columns of pair codes
-through `accumulate`, the column loop over the slot matrix, and is the
-scoring kernel of CA-GASA too.
+`tests/oracles.py`. `compile_tokens` turns token sequences into a slot
+matrix, and `scores` scores columns of pair codes on it through
+`accumulate`, the column loop over the slot matrix. `labelled_correctly`
+wraps `scores` for training; both algorithms train and predict on them.
 
 Each GASA child differs from its parent in at most one gene: a mutation
 replaces one, a crossover swaps one position. `GasaProblem.fitness_many`
@@ -25,7 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Tuple
+from itertools import chain
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,53 +109,75 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
     return c1, c2, position
 
 
+# The most slot-matrix elements one kernel call takes at once (a longer
+# sentence takes a call of its own), and about the most elements the widest
+# temporary of a CA-GASA context decision holds. It bounds the memory their
+# temporaries hold, whatever the input's size.
+SLICE_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class CompiledCorpus:
-    """A corpus as slots into each genome's value table: the genome's genes,
-    then the fixed pairs, the dictionary pairs the corpus uses followed by
-    the neutral pair. Gene slots are gene positions; fixed slots count back
-    from the end of the table, so they do not depend on the genome's length.
+    """Token sequences as slots into each genome's value table: the genome's
+    genes, then the fixed pairs, the dictionary pairs the text uses followed
+    by the neutral pair. Gene slots are gene positions; fixed slots count
+    back from the end of the table, so they do not depend on the genome's
+    length. `words` holds each token's id in `vocabulary` in the same layout.
 
     Sentences are padded on the left with the neutral pair, the last fixed
-    pair. A leading neutral sentiment word adds nothing to the sentiment and
-    leaves the amplifier accumulator at zero under both semantics, so the
-    padding changes no score and every sentence ends in the last column.
+    pair, and with word id -1. A leading neutral sentiment word adds nothing
+    to the sentiment and leaves the amplifier accumulator at zero under both
+    semantics, so the padding changes no score and every sentence ends in
+    the last column.
     """
 
     slots: np.ndarray  # (instances, width) int32
+    words: np.ndarray  # (instances, width) int32
+    vocabulary: dict  # word -> id, in order of first occurrence
     fixed_values: np.ndarray  # (fixed pairs,) float64
     fixed_is_amp: np.ndarray  # (fixed pairs,) bool
-    label_positive: np.ndarray  # (instances,) bool
+    label_positive: Optional[np.ndarray] = None  # (instances,) bool; None for unlabelled text
 
 
-def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
-    """A word missing from the table is neutral, as in `evaluator.resolve`."""
-    instances = corpus.instances
-    word_slots = {
-        word: table.get(word, NEUTRAL_PAIR) for inst in instances for word in inst.tokens
-    }
-    dictionary_pairs = dict.fromkeys(s for s in word_slots.values() if not isinstance(s, int))
+def compile_tokens(token_lists: Sequence[Sequence[str]], table: SlotTable) -> CompiledCorpus:
+    """The unlabelled `CompiledCorpus` of `token_lists`. A word missing from
+    the table is neutral, as in `evaluator.resolve`."""
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    vocabulary = dict.fromkeys(chain.from_iterable(token_lists))
+    vocabulary = {word: k for k, word in enumerate(vocabulary)}
+    entries = [table.get(word, NEUTRAL_PAIR) for word in vocabulary]
+    dictionary_pairs = dict.fromkeys(e for e in entries if not isinstance(e, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
     fixed_slot = {pair: k - len(fixed_pairs) for k, pair in enumerate(dictionary_pairs)}
-    word_slots = {w: s if isinstance(s, int) else fixed_slot[s] for w, s in word_slots.items()}
-    width = max((len(inst.tokens) for inst in instances), default=0)
-    rows = [
-        [-1] * (width - len(inst.tokens)) + [word_slots[w] for w in inst.tokens]
-        for inst in instances
-    ]
+    # one slot per word id, and the pad's slot -1 last, where id -1 reads it
+    word_slots = np.array(
+        [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
+    )
+    width = int(lengths.max(initial=0))
+    words = np.full((len(lengths), width), -1, dtype=np.int32)
+    # a row's tokens fill its last `length` columns; the mask's cells run row
+    # by row, left to right, the order of the tokens
+    tokens = chain.from_iterable(token_lists)
+    words[np.arange(width) >= width - lengths[:, None]] = np.fromiter(
+        map(vocabulary.__getitem__, tokens), dtype=np.int32, count=int(lengths.sum())
+    )
     return CompiledCorpus(
-        slots=np.array(rows, dtype=np.int32).reshape(len(instances), width),
+        slots=word_slots[words],
+        words=words,
+        vocabulary=vocabulary,
         fixed_values=np.array([p.value for p in fixed_pairs], dtype=np.float64),
         fixed_is_amp=np.array([p.kind is Kind.AMPLIFIER for p in fixed_pairs]),
-        label_positive=np.array([inst.label is Label.POSITIVE for inst in instances]),
     )
 
 
-def labelled_correctly(
-    compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics
-) -> np.ndarray:
-    """Per genome and instance, whether the genome's sentence score has the
-    sign of the label, shape (genomes, instances). `codes` holds one column
+def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
+    compiled = compile_tokens([inst.tokens for inst in corpus.instances], table)
+    labels = [inst.label is Label.POSITIVE for inst in corpus.instances]
+    return replace(compiled, label_positive=np.array(labels, dtype=bool))
+
+
+def scores(compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics) -> np.ndarray:
+    """Sentence scores, shape (genomes, instances). `codes` holds one column
     of pair codes per genome, a row per gene slot; the fixed slots after
     them read `compiled`'s fixed pairs."""
     codes = np.ascontiguousarray(codes)
@@ -164,8 +188,16 @@ def labelled_correctly(
     is_amp = np.concatenate(
         [CODE_IS_AMP[codes], np.broadcast_to(compiled.fixed_is_amp[:, None], fixed)]
     )
-    scores = accumulate(compiled.slots, values, is_amp, semantics)
-    return np.where(compiled.label_positive, scores > 0.0, scores < 0.0)
+    return accumulate(compiled.slots, values, is_amp, semantics)
+
+
+def labelled_correctly(
+    compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics
+) -> np.ndarray:
+    """Per genome and instance, whether the genome's sentence score has the
+    sign of the label, shape (genomes, instances); `codes` as for `scores`."""
+    score = scores(compiled, codes, semantics)
+    return np.where(compiled.label_positive, score > 0.0, score < 0.0)
 
 
 def accumulate(

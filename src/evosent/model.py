@@ -10,17 +10,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .cagasa import MAX_CONTEXT, CagasaChromosome, CagasaGene, ContextRule
+import numpy as np
+
+from .cagasa import (
+    MAX_CONTEXT,
+    CagasaChromosome,
+    CagasaGene,
+    ContextCorpus,
+    ContextRule,
+    EncodedGenes,
+    encode_genes,
+)
 from .corpus import UnknownWordIndex
-from .evaluator import Semantics, SlotTable, Verdict, predict, slot_table
+from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
-from .gasa import PAIR_CODES, GasaChromosome
+from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_tokens, scores
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair, text_lines
 
 FORMAT_VERSION = "1"
+# Token sequences `TrainedModel.predict_many` holds and scores together. It
+# bounds the memory prediction holds, whatever the input's size.
+PREDICT_BLOCK_LINES = 1024
 # The two-field records `save_model` writes, each exactly once.
 HEADER_KEYS = ("model", "algo", "semantics", *CONFIG_FIELDS, "best_fitness", "train_instances")
 
@@ -49,9 +63,47 @@ class TrainedModel:
         """Built on first use, from the dictionaries and index of that time."""
         return slot_table(self.index, self.sentiment_dict, self.amplifier_dict)
 
+    @cached_property
+    def _encoded_genes(self) -> EncodedGenes:
+        """A CA-GASA model's genes, encoded on first use."""
+        return encode_genes(self.chromosome.genes)
+
     def predict(self, tokens: Sequence[str]) -> Verdict:
         """The polarity the model gives a token sequence."""
-        return predict(self.chromosome, tokens, self.table, self.semantics)
+        return next(self.predict_many([tokens]))
+
+    def predict_many(self, token_lists: Iterable[Sequence[str]]) -> Iterator[Verdict]:
+        """The polarity the model gives each token sequence, in order. The
+        sequences are read PREDICT_BLOCK_LINES at a time; within a block
+        they are sorted by length and scored in slices of at most
+        SLICE_CELLS slot-matrix elements, so that short sentences are not
+        padded to the width of long ones."""
+        token_lists = iter(token_lists)
+        while block := list(islice(token_lists, PREDICT_BLOCK_LINES)):
+            lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+            order = np.argsort(lengths, kind="stable")
+            lengths = lengths[order]
+            block_scores = np.empty(len(block))
+            start = 0
+            while start < len(block):
+                # the longest prefix whose rows times its width fits, at least one row
+                elements = np.arange(1, len(block) - start + 1) * lengths[start:]
+                end = start + max(1, int(np.searchsorted(elements, SLICE_CELLS, side="right")))
+                rows = order[start:end]
+                block_scores[rows] = self._scores([block[k] for k in rows.tolist()])
+                start = end
+            yield from map(classify_score, block_scores.tolist())
+
+    def _scores(self, token_lists: list) -> np.ndarray:
+        """Each token sequence's sentence score, on the training kernel."""
+        compiled = compile_tokens(token_lists, self.table)
+        if self.algo == "gasa":
+            codes = np.frombuffer(self.chromosome.codes, dtype=np.int8)
+        else:
+            context = ContextCorpus(compiled)
+            compiled = context.compiled
+            codes = context.decide(range(len(self.index)), self._encoded_genes)[0]
+        return scores(compiled, codes[:, None], self.semantics)[0]
 
 
 class ModelFormatError(ValueError):

@@ -20,7 +20,7 @@ from evosent.cagasa import (
 from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, predict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
-from evosent.gasa import crossover_at
+from evosent.gasa import compile_corpus, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, make_corpus
@@ -409,7 +409,7 @@ class TestKernelFitness:
         index = build_unknown_index(corpus, sd, ad)
         problem = CagasaProblem(corpus, index, sd, ad, semantics)
         assert len(index) == 0
-        context = ContextCorpus(corpus, problem.table)
+        context = ContextCorpus(compile_corpus(corpus, problem.table))
         # the empty sentence scores 0 and is never correct
         assert [context.fitness(CagasaChromosome(()), semantics) for _ in range(3)] == [2] * 3
         assert problem.fitness(CagasaChromosome(())) == 2

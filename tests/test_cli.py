@@ -279,6 +279,11 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
         assert f"error: {bad}: " in captured.err
     if flag == "--input":
         assert captured.out == ""
+        # nor is an existing --out file touched
+        out = tmp_path / "labels.txt"
+        out.write_bytes(b"positive\n")
+        assert main([*args, "--out", str(out)]) == 1
+        assert out.read_bytes() == b"positive\n"
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosent.cagasa import corpus_neighbors, random_cagasa_chromosome
+import evosent.cagasa
+import evosent.model
+from evosent.cagasa import (
+    MAX_CONTEXT,
+    CagasaChromosome,
+    CagasaGene,
+    ContextRule,
+    corpus_neighbors,
+    random_cagasa_chromosome,
+)
 from evosent.cli import main
-from evosent.corpus import UnknownWordIndex, build_unknown_index
+from evosent.corpus import UnknownWordIndex, build_unknown_index, tokenize
 from evosent.evaluator import Semantics, predict, slot_table
 from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
@@ -20,7 +29,7 @@ from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_di
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
 from conftest import A, S, make_corpus
-from oracles import gasa_chromosome
+from oracles import cagasa_verdict, gasa_chromosome, gasa_verdict
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
 
@@ -307,3 +316,76 @@ class TestFormatErrors:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code == (1 if rejected else 0)
+
+
+# Gene words, dictionary words, a word missing from the model, and
+# punctuation, which tokenizes to nothing.
+GENE_WORDS = ("g0", "g1", "g2")
+LINE_WORDS = [*GENE_WORDS, "good", "bad", "not", "very", "oov"]
+line_word = st.sampled_from(LINE_WORDS)
+line_texts = st.one_of(
+    st.lists(line_word | st.sampled_from(["!", "...", ", --"]), max_size=9).map(" ".join),
+    # repeated neighbours: w x x x y
+    st.builds(
+        lambda w, x, n, y: " ".join([w] + [x] * n + [y]),
+        line_word, line_word, st.integers(1, 4), line_word,
+    ),
+)
+
+
+@st.composite
+def context_genes(draw, word):
+    """A gene as training or a model file makes it, whose lists may name
+    words that no line holds."""
+    list_words = st.sampled_from(LINE_WORDS + ["absent"])
+    sizes = st.integers(1, MAX_CONTEXT)
+    next_size, previous_size = draw(sizes), draw(sizes)
+    rule = ContextRule(
+        next_size=next_size,
+        previous_size=previous_size,
+        list_next=frozenset(draw(st.lists(list_words, max_size=next_size))),
+        list_previous=frozenset(draw(st.lists(list_words, max_size=previous_size))),
+        number_ahead=draw(sizes),
+        number_behind=draw(sizes),
+        context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
+    )
+    return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
+
+
+class TestPredictMany:
+    """The batched path against the per-token oracles, with blocks and
+    slices small enough that lines cross both, and one line longer than a
+    slice."""
+
+    # Huge values overflow to inf and nan in both paths alike; numpy warns.
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        algo=st.sampled_from(["gasa", "cagasa"]),
+        semantics=st.sampled_from(list(Semantics)),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        lines=st.lists(line_texts, max_size=12),
+        long_line=st.lists(line_word, min_size=7, max_size=12).map(" ".join),
+    )
+    def test_matches_oracle_line_by_line(self, data, algo, semantics, values, lines, long_line):
+        good, bad, negator, very = values
+        sd = Dictionary({"good": S(good), "bad": S(bad)}, Kind.SENTIMENT)
+        ad = Dictionary({"not": A(negator), "very": A(very)}, Kind.AMPLIFIER)
+        index = UnknownWordIndex(GENE_WORDS, {w: k for k, w in enumerate(GENE_WORDS)})
+        if algo == "gasa":
+            codes = st.lists(st.integers(0, len(EVOLVABLE_PAIRS) - 1), min_size=3, max_size=3)
+            chromosome, verdict = GasaChromosome(bytes(data.draw(codes))), gasa_verdict
+        else:
+            genes = tuple(data.draw(context_genes(w)) for w in GENE_WORDS)
+            chromosome, verdict = CagasaChromosome(genes), cagasa_verdict
+        model = TrainedModel(algo, semantics, GAConfig(), sd, ad, index, chromosome, 0, 0)
+        lines.insert(data.draw(st.integers(0, len(lines))), long_line)
+        token_lists = [tokenize(line) for line in lines]
+        expected = [verdict(chromosome, t, index, sd, ad, semantics) for t in token_lists]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evosent.model, "PREDICT_BLOCK_LINES", 3)
+            for module in (evosent.model, evosent.cagasa):
+                patch.setattr(module, "SLICE_CELLS", 6)
+            got = [v.value for v in model.predict_many(iter(token_lists))]
+        assert got == expected
