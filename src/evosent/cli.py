@@ -20,7 +20,7 @@ from .corpus import (
     concat_corpora,
     load_corpus,
     save_corpus,
-    tokenize,
+    tokenize_lines,
 )
 from .evaluator import Semantics, Verdict
 from .experiments import (
@@ -232,8 +232,7 @@ def cmd_predict(args) -> int:
         text[verdict] = f"{args.tie_policy if tie else verdict.value}{annotation}\n"
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        # tokenized block by block, as `predict_many` reads them
-        out.writelines(map(text.__getitem__, model.predict_many(map(tokenize, lines))))
+        out.writelines(map(text.__getitem__, model.predict_many(tokenize_lines(lines))))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -10,7 +10,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .lexicon import Dictionary, text_lines
 
@@ -54,34 +54,74 @@ class CorpusParseError(ValueError):
 
 # A token is a maximal run of letters, digits or apostrophes; everything
 # else (including underscore) splits. No stop-word filtering.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+", re.UNICODE)
+_TOKEN_CHAR = re.compile(r"[^\W_]|'")
+
+
+class _Separators(dict):
+    """The `str.translate` table behind tokenizing: it keeps token characters
+    and "\n", turns every other code point into a space, and fills itself in.
+    It holds one entry per distinct code point ever tokenized, for the life of
+    the process: about 80 MB once text has held every code point."""
+
+    def __missing__(self, code: int) -> int:
+        self[code] = kept = code if code == 10 or _TOKEN_CHAR.match(chr(code)) else 32
+        return kept
+
+
+_SEPARATORS = _Separators()
+# The characters `tokenize_lines` joins before it lowercases and translates
+# them at once; one call per line costs more than the work it does.
+TOKENIZE_BLOCK_CHARS = 1 << 16
 
 
 def tokenize(text: str) -> list:
-    return _TOKEN_RE.findall(text.lower())
+    return text.lower().translate(_SEPARATORS).split()
+
+
+def tokenize_lines(texts: Iterable[str]) -> Iterator[list]:
+    """`tokenize` of each text, in order, read in blocks of at least
+    TOKENIZE_BLOCK_CHARS characters."""
+    block, chars = [], 0
+    for text in texts:
+        block.append(text)
+        chars += len(text)
+        if chars >= TOKENIZE_BLOCK_CHARS:
+            yield from _tokenize_block(block)
+            block, chars = [], 0
+    yield from _tokenize_block(block)
+
+
+def _tokenize_block(texts: list) -> Iterator[list]:
+    joined = "\n".join(texts)
+    # `str.lower` and `str.translate` are fast on ASCII strings only, so a
+    # block that holds another character is tokenized text by text, as is
+    # one whose texts hold "\n"
+    rows = joined.lower().translate(_SEPARATORS).split("\n") if joined.isascii() else ()
+    return map(str.split, rows) if len(rows) == len(texts) else map(tokenize, texts)
 
 
 def load_corpus(source: Union[str, Path]) -> Corpus:
     """Load a `label<TAB>text` file; instances that tokenize to nothing are
-    skipped with a warning."""
-    instances = []
-    skipped = 0
-    for lineno, line in enumerate(text_lines(source), start=1):
-        if not line:
-            continue
-        parts = line.split("\t", 1)
-        if len(parts) != 2:
-            raise CorpusParseError(f"line {lineno}: expected `label<TAB>text`")
-        label_text, text = parts
-        try:
-            label = Label(label_text.strip().lower())
-        except ValueError:
-            raise CorpusParseError(f"line {lineno}: unknown label {label_text!r}") from None
-        tokens = tokenize(text)
-        if not tokens:
-            skipped += 1
-            continue
-        instances.append(Instance(tuple(tokens), label))
+    skipped with a warning. The file is read and tokenized as a stream."""
+    labels = []
+
+    def texts():
+        for lineno, line in enumerate(text_lines(source), start=1):
+            if not line:
+                continue
+            parts = line.split("\t", 1)
+            if len(parts) != 2:
+                raise CorpusParseError(f"line {lineno}: expected `label<TAB>text`")
+            label_text, text = parts
+            try:
+                labels.append(Label(label_text.strip().lower()))
+            except ValueError:
+                raise CorpusParseError(f"line {lineno}: unknown label {label_text!r}") from None
+            yield text
+
+    tokens = tokenize_lines(texts())
+    instances = [Instance(tuple(t), labels[i]) for i, t in enumerate(tokens) if t]
+    skipped = len(labels) - len(instances)
     if skipped:
         name = os.path.basename(source)
         logger.warning("%s: skipped %d instance(s) with no tokens", name, skipped)

@@ -1,6 +1,7 @@
 """Independent reference implementations used only as test oracles."""
 
 import itertools
+import re
 
 from evosent.evaluator import Semantics
 from evosent.gasa import GasaChromosome
@@ -12,6 +13,14 @@ from evosent.lexicon import (
     ClassificationValuePair,
     Kind,
 )
+
+# A token is a maximal run of letters, digits or apostrophes, found by a
+# regex here and by a `str.translate` table in `evosent.corpus`.
+_TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
+
+
+def tokenize(text: str) -> list:
+    return _TOKEN_RE.findall(text.lower())
 
 
 def gasa_chromosome(pairs) -> GasaChromosome:

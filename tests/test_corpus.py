@@ -1,10 +1,14 @@
+import logging
 import random
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
+from evosent import corpus
 from evosent.corpus import (
     Corpus,
     CorpusParseError,
@@ -16,11 +20,27 @@ from evosent.corpus import (
     save_corpus,
     split_holdout,
     tokenize,
+    tokenize_lines,
     word_frequencies,
 )
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import S, make_corpus
+
+# Every code point a `str` can hold in UTF-8 text.
+CODE_POINTS = [chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF]
+# Text with line breaks, separators that are not whitespace, final and
+# medial sigmas, a lowercase that grows, and characters beyond the BMP.
+TEXTS = st.lists(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from(
+            ["\n", "\r", "\r\n", "_", "'", "\u2019", "\xa0", "\u2028", "\x85", "\u0130",
+             "ΑΣ", "aΣ", "Σ\u0301", "ς", "Σa", "don't", "Word", "\U0001d538", "\U0001f600"]
+        ),
+    ),
+    max_size=12,
+).map("".join)
 
 
 class TestTokenize:
@@ -41,6 +61,33 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Some, fairly! long TEXT with   mixed-up punctuation?"
         assert tokenize(text) == tokenize(text)
+
+    @pytest.mark.parametrize("sep", [" ", "_", "'"])
+    def test_every_code_point_matches_oracle(self, sep, monkeypatch):
+        # a table of its own, so that its million entries go with the test
+        monkeypatch.setattr(corpus, "_SEPARATORS", corpus._Separators())
+        text = sep.join(CODE_POINTS)
+        assert tokenize(text) == oracles.tokenize(text)
+
+    @pytest.mark.parametrize("block_chars", [1, 7])
+    @given(st.lists(TEXTS, max_size=10))
+    @example([])
+    @example(["", "", ""])
+    @example(["AΣ", "Σ", "a\nΣ", "İ"])
+    def test_lines_match_oracle(self, block_chars, texts):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "TOKENIZE_BLOCK_CHARS", block_chars)
+            assert list(tokenize_lines(texts)) == [oracles.tokenize(t) for t in texts]
+
+    def test_lines_fall_back_for_newlines_and_non_ascii(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corpus, "tokenize", lambda t: calls.append(t) or oracles.tokenize(t))
+        assert list(tokenize_lines(["A b", "", "c_d"])) == [["a", "b"], [], ["c", "d"]]
+        assert calls == []
+        assert list(tokenize_lines(["a\nb", "c"])) == [["a", "b"], ["c"]]
+        assert calls == ["a\nb", "c"]
+        assert list(tokenize_lines(["d", "Café"])) == [["d"], ["café"]]
+        assert calls == ["a\nb", "c", "d", "Café"]
 
 
 class TestLoadCorpus:
@@ -75,6 +122,37 @@ class TestLoadCorpus:
         path.write_text("positive great phone\n", encoding="utf-8")
         with pytest.raises(CorpusParseError, match="line 1"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [("neutral\tmeh", "line 7: unknown label"), ("positive meh", "line 7: expected")],
+    )
+    def test_parse_error_past_first_block(self, tmp_path, monkeypatch, bad, message):
+        monkeypatch.setattr(corpus, "TOKENIZE_BLOCK_CHARS", 4)
+        path = tmp_path / "c.tsv"
+        lines = ["positive\tgood phone"] * 3 + ["", "negative\tbad", "negative\t..."]
+        path.write_text("\n".join([*lines, bad, "positive\tok"]) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusParseError, match=message):
+            load_corpus(path)
+
+    def test_tokenless_count_across_blocks(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(corpus, "TOKENIZE_BLOCK_CHARS", 4)
+        path = tmp_path / "c.tsv"
+        rows = ["positive\t...", "negative\tbad", "negative\t_ -", "positive\tgood", "positive\t!"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="evosent.corpus"):
+            loaded = load_corpus(path)
+        assert [i.tokens for i in loaded.instances] == [("bad",), ("good",)]
+        assert "c.tsv: skipped 3 instance(s) with no tokens" in caplog.text
+
+    def test_crlf_matches_lf(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "TOKENIZE_BLOCK_CHARS", 4)
+        rows = ["positive\tGood phone", "negative\tbad ΑΣ", "positive\t...", "negative\tno"]
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes("\n".join(rows).encode() + b"\n")
+        crlf.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+        assert load_corpus(crlf).instances == load_corpus(lf).instances
+        assert len(load_corpus(lf)) == 3
 
     def test_save_round_trip(self, tmp_path):
         corpus = make_corpus([(["a", "b"], "positive"), (["c"], "negative")])
