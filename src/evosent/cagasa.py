@@ -1,14 +1,17 @@
 """CA-GASA: context-aware genes with an intersection-ratio dispatch rule.
 
-Each gene carries two classification-value pairs. The context pair fires
-when at least half of the word's observed neighborhood overlaps the gene's
-stored context lists; otherwise the context-free pair applies.
+Each gene carries two classification-value pairs. At each occurrence of
+its word, the neighborhood is the distinct words up to `number_ahead` after
+and `number_behind` before it, cut at the sentence boundaries. The context
+pair fires when at least half of the neighborhood is in the gene's lists
+(`list_next` ahead, `list_previous` behind); otherwise, and always for an
+empty neighborhood, the context-free pair applies.
 
-`resolve_word` is the rule for one word. `ContextCorpus` applies it to
-every occurrence of a genome's gene words, deciding each gene once in numpy,
-for training and for prediction alike, and scores on the GASA kernel; the
-test suite asserts it equal to the plain reference implementation in
-`tests/oracles.py`.
+`ContextCorpus.decide` applies the rule to every occurrence of a genome's
+gene words at once in numpy, for training and for prediction alike, and
+`ContextCorpus` scores on the GASA kernel. The rule for one word at a time
+lives only in `tests/oracles.py` (`cagasa_verdict`), the plain reference the
+test suite asserts this code equal to.
 """
 
 from __future__ import annotations
@@ -78,29 +81,6 @@ class CagasaChromosome:
 
     def __len__(self) -> int:
         return len(self.genes)
-
-    def pair_at(self, gene: int, tokens, position: int) -> ClassificationValuePair:
-        return resolve_word(self.genes[gene], tokens, position)
-
-
-def resolve_word(
-    gene: CagasaGene, tokens: Sequence[str], position: int
-) -> ClassificationValuePair:
-    """The context pair when at least half of the word's neighborhood, the
-    distinct words up to `number_ahead` after and `number_behind` before the
-    position (cut at the sentence boundaries), is in the rule's lists; the
-    context-free pair otherwise. An empty neighborhood never fires."""
-    if not 0 <= position < len(tokens):
-        raise ValueError(f"position {position} out of range")
-    rule = gene.rule
-    ahead = set(tokens[position + 1 : position + 1 + rule.number_ahead])
-    behind = set(tokens[max(0, position - rule.number_behind) : position])
-    size = len(ahead) + len(behind)
-    hits = len(ahead & rule.list_next) + len(behind & rule.list_previous)
-    # (a + b) / size >= 0.5, in exact integer arithmetic
-    if size and 2 * hits >= size:
-        return rule.context_pair
-    return gene.context_free_pair
 
 
 def corpus_neighbors(corpus: Corpus) -> Dict[str, Neighbors]:

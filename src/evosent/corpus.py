@@ -59,12 +59,14 @@ _TOKEN_CHAR = re.compile(r"[^\W_]|'")
 
 class _Separators(dict):
     """The `str.translate` table behind tokenizing: it keeps token characters
-    and "\n", turns every other code point into a space, and fills itself in.
-    It holds one entry per distinct code point ever tokenized, for the life of
-    the process: about 80 MB once text has held every code point."""
+    and "\n" and turns every other code point into a space. It remembers the
+    code points below 0x10000 it has mapped, at most 0x10000 entries (about
+    5 MB), and maps a higher one again each time it is seen."""
 
     def __missing__(self, code: int) -> int:
-        self[code] = kept = code if code == 10 or _TOKEN_CHAR.match(chr(code)) else 32
+        kept = code if code == 10 or _TOKEN_CHAR.match(chr(code)) else 32
+        if code < 0x10000:
+            self[code] = kept
         return kept
 
 

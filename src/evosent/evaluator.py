@@ -23,7 +23,7 @@ import enum
 from typing import Callable, Dict, Sequence, Union
 
 from .corpus import UnknownWordIndex
-from .lexicon import NEUTRAL_PAIR, ClassificationValuePair, Dictionary, Kind, lookup
+from .lexicon import ClassificationValuePair, Dictionary, Kind, lookup
 
 # word -> its dictionary pair, or the position of its gene in a genome.
 SlotTable = Dict[str, Union[ClassificationValuePair, int]]
@@ -84,25 +84,6 @@ def slot_table(
         pair = lookup(word, sentiment_dict, amplifier_dict)
         table[word] = index.position_of[word] if pair is None else pair
     return table
-
-
-def resolve(genome, tokens: Sequence[str], table: SlotTable) -> list:
-    """One pair per token: a gene slot is answered by `genome.pair_at`, and a
-    word missing from the table is neutral."""
-    pairs = []
-    for position, word in enumerate(tokens):
-        slot = table.get(word, NEUTRAL_PAIR)
-        if isinstance(slot, int):
-            slot = genome.pair_at(slot, tokens, position)
-        pairs.append(slot)
-    return pairs
-
-
-def predict(
-    genome, tokens: Sequence[str], table: SlotTable, semantics: Semantics
-) -> Verdict:
-    """The polarity a genome gives a token sequence."""
-    return classify_score(evaluate_pairs(resolve(genome, tokens, table), semantics))
 
 
 def classify_score(score: float) -> Verdict:

@@ -33,13 +33,7 @@ import numpy as np
 
 from .corpus import Corpus, Label, UnknownWordIndex
 from .evaluator import Semantics, SlotTable, slot_table
-from .lexicon import (
-    EVOLVABLE_PAIRS,
-    NEUTRAL_PAIR,
-    ClassificationValuePair,
-    Dictionary,
-    Kind,
-)
+from .lexicon import EVOLVABLE_PAIRS, NEUTRAL_PAIR, Dictionary, Kind
 
 # Pair codes: the index of a gene's pair in EVOLVABLE_PAIRS.
 PAIR_CODES = {pair: code for code, pair in enumerate(EVOLVABLE_PAIRS)}
@@ -58,9 +52,6 @@ class GasaChromosome:
     def genes(self) -> tuple:
         """The genes' pairs, in gene order."""
         return tuple(EVOLVABLE_PAIRS[code] for code in self.codes)
-
-    def pair_at(self, gene: int, tokens, position: int) -> ClassificationValuePair:
-        return EVOLVABLE_PAIRS[self.codes[gene]]
 
 
 def random_code(rng: random.Random) -> int:
@@ -141,7 +132,7 @@ class CompiledCorpus:
 
 def compile_tokens(token_lists: Sequence[Sequence[str]], table: SlotTable) -> CompiledCorpus:
     """The unlabelled `CompiledCorpus` of `token_lists`. A word missing from
-    the table is neutral, as in `evaluator.resolve`."""
+    the table is neutral."""
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
     vocabulary = dict.fromkeys(chain.from_iterable(token_lists))
     vocabulary = {word: k for k, word in enumerate(vocabulary)}

@@ -227,13 +227,7 @@ def export_lexicon(
         raise ValueError(
             f"length mismatch: {len(words)} words vs {len(pairs)} pairs"
         )
-    if isinstance(sink, (str, Path, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            _write_records(words, pairs, fh)
-    else:
-        _write_records(words, pairs, sink)
-
-
-def _write_records(words, pairs, fh) -> None:
-    for word, pair in zip(words, pairs):
-        fh.write(f"{word}\t{format_pair(pair)}\n")
+    path = isinstance(sink, (str, os.PathLike))
+    with open(sink, "w", encoding="utf-8") if path else nullcontext(sink) as fh:
+        for word, pair in zip(words, pairs):
+            fh.write(f"{word}\t{format_pair(pair)}\n")

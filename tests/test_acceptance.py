@@ -10,17 +10,18 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
+
 from evosent.cagasa import (
     CagasaChromosome,
     CagasaGene,
     ContextRule,
     corpus_neighbors,
     random_cagasa_chromosome,
-    resolve_word,
 )
 from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index, concat_corpora, word_frequencies
-from evosent.evaluator import Semantics, evaluate_sentence, predict, slot_table
+from evosent.evaluator import Semantics, evaluate_sentence
 from evosent.experiments import (
     Protocol,
     generate_synthetic_corpus,
@@ -30,10 +31,13 @@ from evosent.experiments import (
 )
 from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_select
 from evosent.gasa import (
+    PAIR_CODES,
     GasaProblem,
+    compile_tokens,
     crossover_at,
     mutate_at,
     random_chromosome,
+    scores,
 )
 from evosent.lexicon import (
     EVOLVABLE_PAIRS,
@@ -42,12 +46,13 @@ from evosent.lexicon import (
     seed_amplifier_dictionary,
 )
 
-from conftest import A, S, make_corpus
+from conftest import A, S, fires, make_corpus, trained_model
 from oracles import (
     cagasa_fitness,
     exhaustive_best_fitness,
     gasa_chromosome,
     gasa_fitness,
+    gasa_verdict,
     reference_sentence_score,
     to_context_free_gasa,
 )
@@ -66,8 +71,9 @@ def criterion(capsys, number, name):
 
 
 def test_01_evaluator_oracle_equivalence(capsys):
-    """evaluate_sentence equals the straight-line oracle on every sentence of
-    length <= 6 over a 4-word vocabulary under every resolver assignment.
+    """evaluate_sentence and the scoring kernel (`gasa.scores`) equal the
+    straight-line oracle on every sentence of length <= 6 over a 4-word
+    vocabulary under every resolver assignment.
 
     The evaluator resolves each token independently, so a (sentence,
     assignment) case is fully determined by its induced pair sequence.  Over a
@@ -80,7 +86,9 @@ def test_01_evaluator_oracle_equivalence(capsys):
     """
     with criterion(capsys, 1, "evaluator oracle equivalence"):
         start = time.monotonic()
-        checked = 0
+        # Sentence i on the kernel reads gene slots of its own, the words
+        # s{i}w{k}; `codes` holds their pair codes, one column for all.
+        sequences, token_lists, table, codes = [], [], {}, []
         for length in range(7):
             for seq in itertools.product(EVOLVABLE_PAIRS, repeat=length):
                 distinct = []
@@ -97,8 +105,18 @@ def test_01_evaluator_oracle_equivalence(capsys):
                         list(seq), semantics is Semantics.PROSE
                     )
                     assert got == want, (seq, semantics)
-                checked += 1
-        assert checked > 40_000
+                prefix = f"s{len(sequences)}"
+                for word, pair in assignment.items():
+                    table[prefix + word] = len(codes)
+                    codes.append(PAIR_CODES[pair])
+                token_lists.append([prefix + word for word in tokens])
+                sequences.append(seq)
+        assert len(sequences) == 43_747
+        compiled = compile_tokens(token_lists, table)
+        for semantics in Semantics:
+            got = scores(compiled, np.array(codes, dtype=np.int8)[:, None], semantics)[0]
+            prose = semantics is Semantics.PROSE
+            assert got.tolist() == [reference_sentence_score(list(s), prose) for s in sequences]
         # raw-form spot check: explicit sentences and resolver assignments
         rng = random.Random(1)
         vocab = ["w0", "w1", "w2", "w3"]
@@ -165,22 +183,21 @@ def test_02_worked_examples_exact(capsys):
             S(1.0),
         )
         tokens = ["the", "ship", "sunk"]
-        assert resolve_word(gene, tokens, 2) == S(-1.0)
+        assert fires(gene.rule, tokens, 2)
 
         # the neighborhood is exactly {ship, the}, both behind: one hit fires
         # (so at most two words), "the" alone hits too, and neither is ahead
         def with_lists(list_next, list_previous):
-            rule = replace(
+            return replace(
                 gene.rule,
                 next_size=2,
                 previous_size=2,
                 list_next=frozenset(list_next),
                 list_previous=frozenset(list_previous),
             )
-            return resolve_word(replace(gene, rule=rule), tokens, 2)
 
-        assert with_lists((), {"the"}) == S(-1.0)
-        assert with_lists({"ship", "the"}, ()) == S(1.0)
+        assert fires(with_lists((), {"the"}), tokens, 2)
+        assert not fires(with_lists({"ship", "the"}, ()), tokens, 2)
 
 
 def test_03_operator_invariants(capsys):
@@ -398,11 +415,11 @@ def test_08_cagasa_reduction(capsys):
             assert cagasa_fitness(
                 stripped, corpus, index, sd, ad, semantics
             ) == gasa_fitness(plain, corpus, index, sd, ad, semantics)
-            table = slot_table(index, sd, ad)
-            for inst in corpus.instances:
-                assert predict(stripped, inst.tokens, table, semantics) == predict(
-                    plain, inst.tokens, table, semantics
-                )
+            token_lists = [inst.tokens for inst in corpus.instances]
+            expected = [gasa_verdict(plain, t, index, sd, ad, semantics) for t in token_lists]
+            for genome in (stripped, plain):
+                model = trained_model(genome, index, sd, ad, semantics)
+                assert [v.value for v in model.predict_many(token_lists)] == expected
 
 
 def test_09_determinism_every_subcommand(capsys, tmp_path):

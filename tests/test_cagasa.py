@@ -15,16 +15,15 @@ from evosent.cagasa import (
     mutate_cagasa,
     random_cagasa_chromosome,
     random_cagasa_gene,
-    resolve_word,
 )
 from evosent.corpus import UnknownWordIndex, build_unknown_index
-from evosent.evaluator import Semantics, predict, slot_table
+from evosent.evaluator import Semantics
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.gasa import compile_corpus, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
-from conftest import A, S, make_corpus
-from oracles import cagasa_fitness, gasa_fitness, to_context_free_gasa
+from conftest import A, S, fires, make_corpus, trained_model
+from oracles import cagasa_fitness, gasa_fitness, gasa_verdict, to_context_free_gasa
 
 
 def rule(
@@ -47,15 +46,8 @@ def rule(
     )
 
 
-def fires(rule, tokens, position):
-    """Whether `resolve_word` picks the context pair (S(-1)) over the
-    context-free pair (S(1)) at `tokens[position]`."""
-    assert rule.context_pair == S(-1.0)
-    return resolve_word(CagasaGene("w", rule, S(1.0)), tokens, position) == S(-1.0)
-
-
 class TestGatherContext:
-    """The neighborhood `resolve_word` reads: distinct words within the look
+    """The neighborhood a CA-GASA model reads: distinct words within the look
     distances, cut at the sentence boundaries."""
 
     def test_ship_sunk_neighborhood(self):
@@ -86,10 +78,6 @@ class TestGatherContext:
         # "x" three times would make it one of four
         r = rule(list_next={"y"}, number_ahead=4, number_behind=0)
         assert fires(r, ["w", "x", "x", "x", "y"], 0)
-
-    def test_bad_position(self):
-        with pytest.raises(ValueError):
-            resolve_word(CagasaGene("w", rule(), S(1.0)), ["a"], 1)
 
 
 class TestContextApplies:
@@ -130,25 +118,16 @@ class TestContextApplies:
 
 
 class TestResolveWord:
+    SUNK = rule(list_next={"book"}, list_previous={"ship"}, number_ahead=1, number_behind=2)
+
     def test_context_hit(self):
-        gene = CagasaGene(
-            "sunk",
-            rule(list_next={"book"}, list_previous={"ship"}, number_ahead=1, number_behind=2),
-            S(1.0),
-        )
-        assert resolve_word(gene, ["the", "ship", "sunk"], 2) == S(-1.0)
+        assert fires(self.SUNK, ["the", "ship", "sunk"], 2)
 
     def test_context_miss_uses_context_free(self):
-        gene = CagasaGene(
-            "sunk",
-            rule(list_next={"book"}, list_previous={"ship"}, number_ahead=1, number_behind=2),
-            S(1.0),
-        )
-        assert resolve_word(gene, ["it", "just", "sunk"], 2) == S(1.0)
+        assert not fires(self.SUNK, ["it", "just", "sunk"], 2)
 
     def test_one_word_sentence_is_context_free(self):
-        gene = CagasaGene("sunk", rule(list_previous={"ship"}), S(1.0))
-        assert resolve_word(gene, ["sunk"], 0) == S(1.0)
+        assert not fires(rule(list_previous={"ship"}), ["sunk"], 0)
 
 
 class TestCorpusNeighbors:
@@ -296,11 +275,13 @@ class TestGasaReduction:
         assert cagasa_fitness(
             chromosome, corpus, index, sd, ad, semantics
         ) == gasa_fitness(gasa_chromosome, corpus, index, sd, ad, semantics)
-        table = slot_table(index, sd, ad)
-        for inst in corpus.instances:
-            assert predict(chromosome, inst.tokens, table, semantics) == predict(
-                gasa_chromosome, inst.tokens, table, semantics
-            )
+        token_lists = [inst.tokens for inst in corpus.instances]
+        expected = [
+            gasa_verdict(gasa_chromosome, t, index, sd, ad, semantics) for t in token_lists
+        ]
+        for genome in (chromosome, gasa_chromosome):
+            model = trained_model(genome, index, sd, ad, semantics)
+            assert [v.value for v in model.predict_many(token_lists)] == expected
 
 
 class TestProblemAdapter:

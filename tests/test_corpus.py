@@ -64,10 +64,19 @@ class TestTokenize:
 
     @pytest.mark.parametrize("sep", [" ", "_", "'"])
     def test_every_code_point_matches_oracle(self, sep, monkeypatch):
-        # a table of its own, so that its million entries go with the test
+        # a table of its own, so that every code point is mapped afresh
         monkeypatch.setattr(corpus, "_SEPARATORS", corpus._Separators())
         text = sep.join(CODE_POINTS)
         assert tokenize(text) == oracles.tokenize(text)
+
+    def test_table_keeps_the_bmp_only(self, monkeypatch):
+        # code points past the BMP are mapped again each time, and alike
+        monkeypatch.setattr(corpus, "_SEPARATORS", corpus._Separators())
+        text = " ".join(CODE_POINTS)
+        first = tokenize(text)
+        assert len(corpus._SEPARATORS) <= 0x10000
+        assert max(corpus._SEPARATORS) < 0x10000
+        assert tokenize(text) == first
 
     @pytest.mark.parametrize("block_chars", [1, 7])
     @given(st.lists(TEXTS, max_size=10))

@@ -13,12 +13,11 @@ from evosent.evaluator import (
     classify_score,
     evaluate_pairs,
     evaluate_sentence,
-    predict,
     slot_table,
 )
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
 
-from conftest import A, S
+from conftest import A, S, trained_model
 from oracles import cagasa_verdict, gasa_chromosome, gasa_verdict, reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
@@ -158,7 +157,9 @@ def context_genes(draw, word):
 
 
 class TestSharedPredict:
-    @settings(max_examples=300)
+    """Both algorithms' models against the per-token oracles."""
+
+    @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
         dicts=dictionaries(),
@@ -169,14 +170,12 @@ class TestSharedPredict:
     def test_matches_oracle(self, data, dicts, gene_words, sentences, semantics):
         sd, ad = dicts
         index = unknown_index(gene_words)
-        table = slot_table(index, sd, ad)
         gasa = gasa_chromosome(data.draw(st.sampled_from(EVOLVABLE_PAIRS)) for _ in gene_words)
         cagasa = CagasaChromosome(tuple(data.draw(context_genes(w)) for w in gene_words))
-        for tokens in sentences:
-            got = predict(gasa, tokens, table, semantics).value
-            assert got == gasa_verdict(gasa, tokens, index, sd, ad, semantics)
-            got = predict(cagasa, tokens, table, semantics).value
-            assert got == cagasa_verdict(cagasa, tokens, index, sd, ad, semantics)
+        for chromosome, verdict in ((gasa, gasa_verdict), (cagasa, cagasa_verdict)):
+            model = trained_model(chromosome, index, sd, ad, semantics)
+            expected = [verdict(chromosome, t, index, sd, ad, semantics) for t in sentences]
+            assert [v.value for v in model.predict_many(sentences)] == expected
 
 
 class TestSlotTable:

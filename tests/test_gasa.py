@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosent.corpus import Corpus, Instance, Label, build_unknown_index
-from evosent.evaluator import Semantics, Verdict, predict, slot_table
+from evosent.corpus import Corpus, build_unknown_index
+from evosent.evaluator import Semantics, Verdict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
@@ -14,12 +14,14 @@ from evosent.gasa import (
     GasaProblem,
     code_matrix,
     compile_corpus,
+    compile_tokens,
     crossover_at,
     forced_new_code,
     labelled_correctly,
     mutate_at,
     random_chromosome,
     random_code,
+    scores,
 )
 from evosent.lexicon import (
     AMPLIFIER_VALUES,
@@ -30,7 +32,7 @@ from evosent.lexicon import (
     seed_amplifier_dictionary,
 )
 
-from conftest import A, S, make_corpus
+from conftest import A, S, make_corpus, trained_model
 from oracles import gasa_chromosome, reference_forced_new_pair, reference_random_pair
 from oracles import gasa_fitness as fitness
 
@@ -79,13 +81,16 @@ codes = st.lists(st.integers(0, len(EVOLVABLE_PAIRS) - 1), max_size=30).map(byte
 
 
 class TestCodeGenome:
-    @given(codes)
-    def test_genes_pair_at_and_codes_agree(self, gene_codes):
+    @given(codes, st.sampled_from(list(Semantics)))
+    def test_genes_scores_and_codes_agree(self, gene_codes, semantics):
         chrom = GasaChromosome(gene_codes)
         assert len(chrom) == len(chrom.genes) == len(gene_codes)
         assert chrom.genes == tuple(EVOLVABLE_PAIRS[c] for c in gene_codes)
-        for k, pair in enumerate(chrom.genes):
-            assert chrom.pair_at(k, (), 0) == pair
+        # a sentence of gene k's word alone scores that gene's value
+        words = [f"w{k}" for k in range(len(chrom))]
+        compiled = compile_tokens([[w] for w in words], {w: k for k, w in enumerate(words)})
+        got = scores(compiled, code_matrix([chrom]).T, semantics)[0]
+        assert got.tolist() == [pair.value for pair in chrom.genes]
         assert gasa_chromosome(chrom.genes) == chrom
         assert list(code_matrix([chrom, chrom])[1]) == list(gene_codes)
 
@@ -160,19 +165,15 @@ class TestPredict:
         ad = seed_amplifier_dictionary()
         corpus = make_corpus([(["good"], "positive")])
         index = build_unknown_index(corpus, sd, ad)
-        inst = Instance(("good",), Label.POSITIVE)
-        table = slot_table(index, sd, ad)
-        verdict = predict(GasaChromosome(b""), inst.tokens, table, Semantics.LITERAL)
-        assert verdict is Verdict.POSITIVE
+        model = trained_model(GasaChromosome(b""), index, sd, ad)
+        assert model.predict(("good",)) is Verdict.POSITIVE
 
     def test_oov_word_is_neutral(self):
         sd, ad = empty_dicts()
         corpus = make_corpus([(["zorp"], "positive")])
         index = build_unknown_index(corpus, sd, ad)
-        inst = Instance(("neverseen",), Label.POSITIVE)
-        table = slot_table(index, sd, ad)
-        verdict = predict(gasa_chromosome((S(1.0),)), inst.tokens, table, Semantics.LITERAL)
-        assert verdict is Verdict.TIE
+        model = trained_model(gasa_chromosome((S(1.0),)), index, sd, ad)
+        assert model.predict(("neverseen",)) is Verdict.TIE
 
 
 class TestMutate:
