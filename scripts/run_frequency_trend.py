@@ -23,6 +23,31 @@ from evosent.ga_engine import GAConfig
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 
 
+def run_seed(seed: int, folds: int = 5, threshold: int = 20) -> tuple:
+    """Mean sentiment-vs-amplifier CV accuracy without a frequency threshold
+    and with `threshold`, for one seed."""
+    rng = random.Random(7000 + seed)
+    lexicon = random_planted_lexicon(20, 6, rng)
+    words = sorted(lexicon.entries)
+    frequent = PlantedLexicon({w: lexicon.entries[w] for w in words[:10]}, lexicon.fillers)
+    rare = PlantedLexicon({w: lexicon.entries[w] for w in words[10:]}, lexicon.fillers)
+    corpus = concat_corpora(
+        [
+            generate_synthetic_corpus(frequent, 240, (3, 7), Semantics.LITERAL, rng),
+            generate_synthetic_corpus(rare, 10, (2, 4), Semantics.LITERAL, rng),
+        ]
+    )
+    sentiment_dict = Dictionary(dict(lexicon.entries), Kind.SENTIMENT)
+    amplifier_dict = seed_amplifier_dictionary()
+    config = GAConfig(population_size=60, tournament_size=7, max_generations=60, seed=seed)
+    return tuple(
+        run_word_cv(
+            Protocol.SENT_VS_AMP, corpus, sentiment_dict, amplifier_dict, t, folds, config
+        ).mean_accuracy
+        for t in (0, threshold)
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10)
@@ -33,36 +58,10 @@ def main() -> None:
     print(f"{'seed':>4}  {'acc@0':>7}  {'acc@' + str(args.threshold):>7}")
     base, filtered = [], []
     for seed in range(args.seeds):
-        rng = random.Random(7000 + seed)
-        lexicon = random_planted_lexicon(20, 6, rng)
-        words = sorted(lexicon.entries)
-        frequent = PlantedLexicon(
-            {w: lexicon.entries[w] for w in words[:10]}, lexicon.fillers
-        )
-        rare = PlantedLexicon(
-            {w: lexicon.entries[w] for w in words[10:]}, lexicon.fillers
-        )
-        corpus = concat_corpora(
-            [
-                generate_synthetic_corpus(frequent, 240, (3, 7), Semantics.LITERAL, rng),
-                generate_synthetic_corpus(rare, 10, (2, 4), Semantics.LITERAL, rng),
-            ]
-        )
-        sentiment_dict = Dictionary(dict(lexicon.entries), Kind.SENTIMENT)
-        amplifier_dict = seed_amplifier_dictionary()
-        config = GAConfig(
-            population_size=60, tournament_size=7, max_generations=60, seed=seed
-        )
-        r0, rt = (
-            run_word_cv(
-                Protocol.SENT_VS_AMP, corpus, sentiment_dict, amplifier_dict,
-                threshold, args.folds, config,
-            )
-            for threshold in (0, args.threshold)
-        )
-        base.append(r0.mean_accuracy)
-        filtered.append(rt.mean_accuracy)
-        print(f"{seed:>4}  {r0.mean_accuracy:>7.3f}  {rt.mean_accuracy:>7.3f}")
+        acc0, acc = run_seed(seed, args.folds, args.threshold)
+        base.append(acc0)
+        filtered.append(acc)
+        print(f"{seed:>4}  {acc0:>7.3f}  {acc:>7.3f}")
     print(
         f"mean  {sum(base) / len(base):>7.3f}  {sum(filtered) / len(filtered):>7.3f}"
     )

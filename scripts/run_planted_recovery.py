@@ -11,37 +11,45 @@ import random
 
 from evosent.corpus import word_frequencies
 from evosent.evaluator import Semantics
-from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon, train
+from evosent.experiments import (
+    WORD_CHECKS,
+    Protocol,
+    generate_synthetic_corpus,
+    random_planted_lexicon,
+    train,
+)
 from evosent.ga_engine import GAConfig
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
 
 
-def run_seed(seed: int, args) -> tuple:
-    data_rng = random.Random(args.data_seed_base + seed)
-    lexicon = random_planted_lexicon(args.planted_words, args.filler_words, data_rng)
+def run_seed(
+    seed: int,
+    data_seed_base: int = 1000,
+    instances: int = 500,
+    planted_words: int = 30,
+    filler_words: int = 10,
+    min_length: int = 3,
+    max_length: int = 8,
+    semantics: Semantics = Semantics.LITERAL,
+) -> tuple:
+    """(training accuracy, share of planted signs recovered, generations run,
+    fewest occurrences of a planted word) for one GA seed."""
+    data_rng = random.Random(data_seed_base + seed)
+    lexicon = random_planted_lexicon(planted_words, filler_words, data_rng)
     corpus = generate_synthetic_corpus(
-        lexicon,
-        args.instances,
-        (args.min_length, args.max_length),
-        Semantics(args.semantics),
-        data_rng,
+        lexicon, instances, (min_length, max_length), semantics, data_rng
     )
     model, stats = train(
         corpus,
         Dictionary({}, Kind.SENTIMENT),
         seed_amplifier_dictionary(),
         GAConfig(seed=seed),
-        Semantics(args.semantics),
+        semantics,
     )
     planted = sorted(lexicon.entries)
     genes = dict(zip(model.index.words, model.gene_pairs()))
-    recovered = sum(
-        1
-        for word in planted
-        if genes[word].kind is Kind.SENTIMENT
-        and genes[word].value != 0.0
-        and (genes[word].value > 0.0) == (lexicon.entries[word].value > 0.0)
-    )
+    has_sign = WORD_CHECKS[Protocol.POLARITY_VALUE]
+    recovered = sum(has_sign(genes[word], lexicon.entries[word]) for word in planted)
     min_freq = min(word_frequencies(corpus)[w] for w in planted)
     return (
         model.best_fitness / len(corpus),
@@ -63,12 +71,14 @@ def main() -> None:
     parser.add_argument(
         "--semantics", choices=[s.value for s in Semantics], default="literal"
     )
-    args = parser.parse_args()
+    options = vars(parser.parse_args())
+    seeds = options.pop("seeds")
+    options["semantics"] = Semantics(options["semantics"])
 
     print(f"{'seed':>4}  {'train_acc':>9}  {'sign_rec':>8}  {'gens':>5}  {'min_freq':>8}")
     accs, recs = [], []
-    for seed in range(args.seeds):
-        acc, rec, gens, min_freq = run_seed(seed, args)
+    for seed in range(seeds):
+        acc, rec, gens, min_freq = run_seed(seed, **options)
         accs.append(acc)
         recs.append(rec)
         print(f"{seed:>4}  {acc:>9.3f}  {rec:>8.3f}  {gens:>5}  {min_freq:>8}")

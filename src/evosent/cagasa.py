@@ -8,10 +8,11 @@ pair fires when at least half of the neighborhood is in the gene's lists
 empty neighborhood, the context-free pair applies.
 
 `ContextCorpus.decide` applies the rule to every occurrence of a genome's
-gene words at once in numpy, for training and for prediction alike, and
-`ContextCorpus` scores on the GASA kernel. The rule for one word at a time
-lives only in `tests/oracles.py` (`cagasa_verdict`), the plain reference the
-test suite asserts this code equal to.
+gene words at once in numpy, for training and for prediction alike, and the
+GASA kernel scores the pairs it decides. Only `CagasaProblem` remembers
+decisions, while training. The rule for one word at a time lives only in
+`tests/oracles.py` (`cagasa_verdict`), the plain reference the test suite
+asserts this code equal to.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .corpus import Corpus, UnknownWordIndex
-from .evaluator import Semantics, SlotTable
+from .evaluator import SlotTable
 from .gasa import (
     PAIR_CODES,
     SLICE_CELLS,
@@ -250,11 +251,9 @@ class ContextCorpus:
     `compiled` is the GASA slot matrix in which every gene-word occurrence
     has a slot of its own, its occurrence number, so that a genome's value
     table holds the pair each occurrence resolves to. Occurrences are
-    numbered gene position by gene position. Which pair an occurrence
-    resolves to depends only on the gene at its position, so `fitness`
-    decides the pair codes of each (position, gene object) once and
-    remembers them for as long as the gene lives. `decide` remembers
-    nothing; prediction calls it once per slice of text.
+    numbered gene position by gene position. Training and prediction share
+    this object; it remembers no decisions, which `CagasaProblem.fitness`
+    does for training.
     """
 
     def __init__(self, compiled: CompiledCorpus):
@@ -269,9 +268,6 @@ class ContextCorpus:
         np.put(own_slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
         self.compiled = replace(compiled, slots=own_slots)
         self._ahead = self._behind = np.zeros((0, len(self._cells)), dtype=np.int32)
-        remembered: dict = {}  # (position, id(gene)) -> _Decision
-        self._codes = remembered
-        self._forget = lambda decision: remembered.pop(decision.key, None)
 
     def neighbor_ids(self, depth: int) -> Tuple[np.ndarray, np.ndarray]:
         """(ahead, behind), each with at least `depth` rows and one column
@@ -345,28 +341,12 @@ class ContextCorpus:
             codes[index] = np.where(fire, context_code, free_code)
         return codes, counts
 
-    def fitness(self, chromosome: CagasaChromosome, semantics: Semantics) -> int:
-        """Correctly labelled instances, deciding each (position, gene) not
-        remembered. Every gene pair must be evolvable, as those of random,
-        mutated and loaded genes are."""
-        remembered = self._codes
-        genes = chromosome.genes
-        keys = [(position, id(gene)) for position, gene in enumerate(genes)]
-        missing = [position for position, key in enumerate(keys) if key not in remembered]
-        if missing:
-            decided, counts = self.decide(missing, encode_genes([genes[p] for p in missing]))
-            decided, ends = decided.tobytes(), np.cumsum(counts).tolist()
-            for position, start, end in zip(missing, [0, *ends], ends):
-                key = keys[position]
-                remembered[key] = _Decision(genes[position], self._forget, key, decided[start:end])
-        codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
-        return int(labelled_correctly(self.compiled, codes[:, None], semantics).sum())
-
 
 class CagasaProblem(WordGeneProblem):
     """Adapter exposing CA-GASA to the GA engine. It scores one genome at a
-    time, with no `fitness_many`: a genome whose genes were all decided
-    before costs one pass of the kernel."""
+    time, with no `fitness_many`. `fitness` remembers the pair codes each
+    (position, gene object) decides for as long as the gene lives, so a
+    genome whose genes were all decided before costs one kernel pass."""
 
     @staticmethod
     def _compile(corpus: Corpus, table: SlotTable) -> ContextCorpus:
@@ -375,9 +355,26 @@ class CagasaProblem(WordGeneProblem):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.neighbors = corpus_neighbors(self.corpus)
+        remembered: dict = {}  # (position, id(gene)) -> _Decision
+        self._decisions = remembered
+        self._forget = lambda decision: remembered.pop(decision.key, None)
 
     def fitness(self, genome: CagasaChromosome) -> int:
-        return self._compiled.fitness(genome, self.semantics)
+        """Correctly labelled instances, deciding each (position, gene) not
+        remembered. Every gene pair must be evolvable, as those of random,
+        mutated and loaded genes are."""
+        context, remembered = self._compiled, self._decisions
+        genes = genome.genes
+        keys = [(position, id(gene)) for position, gene in enumerate(genes)]
+        missing = [position for position, key in enumerate(keys) if key not in remembered]
+        if missing:
+            decided, counts = context.decide(missing, encode_genes([genes[p] for p in missing]))
+            decided, ends = decided.tobytes(), np.cumsum(counts).tolist()
+            for position, start, end in zip(missing, [0, *ends], ends):
+                key = keys[position]
+                remembered[key] = _Decision(genes[position], self._forget, key, decided[start:end])
+        codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
+        return int(labelled_correctly(context.compiled, codes[:, None], self.semantics).sum())
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)

@@ -17,6 +17,7 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusParseError,
+    SplitError,
     concat_corpora,
     load_corpus,
     save_corpus,
@@ -27,7 +28,6 @@ from .experiments import (
     Algo,
     PlantedLexicon,
     Protocol,
-    WordSplitError,
     format_report,
     generate_synthetic_corpus,
     random_planted_lexicon,
@@ -36,7 +36,7 @@ from .experiments import (
     train,
     write_report,
 )
-from .ga_engine import GAConfig, parse_config_file
+from .ga_engine import CONFIG_FIELDS, GAConfig, parse_config_file
 from .lexicon import (
     ConflictingWordError,
     Kind,
@@ -62,11 +62,11 @@ class ValidationError(ValueError):
     """User input failed validation (exit code 1)."""
 
 
-# Malformed input files, text that is not UTF-8 among them, and too few
-# dictionary words for the folds are input-validation errors too.
+# Malformed input files, text that is not UTF-8 among them, and a corpus
+# that cannot be split as asked are input-validation errors too.
 INPUT_ERRORS = (
     ValidationError, ModelFormatError, TextDecodeError,
-    CorpusParseError, LexiconParseError, ConflictingWordError, WordSplitError,
+    CorpusParseError, LexiconParseError, ConflictingWordError, SplitError,
 )
 
 
@@ -99,14 +99,15 @@ def _add_common_flags(parser):
 
 
 def _add_training_flags(parser):
-    """The common flags, then the GA, dictionary and corpus flags."""
+    """The common flags, then the GA, dictionary and corpus flags. Each GA
+    flag's dest is its GAConfig field."""
     _add_common_flags(parser)
     parser.add_argument("--config", default=None, help="key=value GA config file")
-    parser.add_argument("--pop", type=int, default=None, help="population size")
-    parser.add_argument("--tournament", type=int, default=None, help="tournament size")
-    parser.add_argument("--generations", type=int, default=None, help="max generations")
-    parser.add_argument("--crossover-rate", type=float, default=None)
-    parser.add_argument("--mutation-rate", type=float, default=None)
+    parser.add_argument("--pop", dest="population_size", type=int, help="population size")
+    parser.add_argument("--tournament", dest="tournament_size", type=int, help="tournament size")
+    parser.add_argument("--generations", dest="max_generations", type=int, help="max generations")
+    parser.add_argument("--crossover-rate", type=float)
+    parser.add_argument("--mutation-rate", type=float)
     parser.add_argument("--positive-words", default=None, help="positive word list")
     parser.add_argument("--negative-words", default=None, help="negative word list")
     parser.add_argument(
@@ -133,16 +134,8 @@ def _build_config(args) -> GAConfig:
             config = replace(config, **parse_config_file(path))
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    flag_map = {
-        "population_size": args.pop,
-        "tournament_size": args.tournament,
-        "max_generations": args.generations,
-        "crossover_rate": args.crossover_rate,
-        "mutation_rate": args.mutation_rate,
-        "seed": args.seed,
-    }
-    overrides = {k: v for k, v in flag_map.items() if v is not None}
-    config = replace(config, **overrides)
+    flags = {key: getattr(args, key) for key in CONFIG_FIELDS}
+    config = replace(config, **{key: v for key, v in flags.items() if v is not None})
     try:
         config.validate()
     except ValueError as exc:

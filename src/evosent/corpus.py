@@ -52,6 +52,11 @@ class CorpusParseError(ValueError):
     """A corpus file line could not be parsed."""
 
 
+class SplitError(ValueError):
+    """A corpus cannot be split as asked: a holdout split misses a label or
+    leaves a side empty, or too few dictionary words pass for the folds."""
+
+
 # A token is a maximal run of letters, digits or apostrophes; everything
 # else (including underscore) splits. No stop-word filtering.
 _TOKEN_CHAR = re.compile(r"[^\W_]|'")
@@ -188,7 +193,7 @@ def split_holdout(corpus: Corpus, train_fraction: float, seed: int) -> tuple:
         by_label[inst.label].append(inst)
     for label, group in by_label.items():
         if not group:
-            raise ValueError(f"corpus has no {label.value} instances")
+            raise SplitError(f"corpus has no {label.value} instances")
     rng = random.Random(seed)
     train_parts, test_parts = [], []
     for label in (Label.POSITIVE, Label.NEGATIVE):

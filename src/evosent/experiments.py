@@ -17,6 +17,7 @@ from .corpus import (
     Corpus,
     Instance,
     Label,
+    SplitError,
     build_unknown_index,
     make_folds,
     split_holdout,
@@ -78,10 +79,6 @@ class PlantedLexicon:
 
 class GenerationError(RuntimeError):
     """The synthetic generator exhausted its retry budget."""
-
-
-class WordSplitError(ValueError):
-    """Too few dictionary words pass the frequency threshold for the folds."""
 
 
 def _mean(values) -> float:
@@ -160,14 +157,14 @@ def run_word_cv(
 ) -> ExperimentReport:
     """k-fold cross-validation over the dictionary words that pass the
     frequency threshold: each fold trains without its words, then checks
-    their genes. Fewer words than folds raise WordSplitError up front."""
+    their genes. Fewer words than folds raise SplitError up front."""
     word_correct = WORD_CHECKS.get(protocol)
     if word_correct is None:
         raise ValueError(f"{protocol.value} is not a word-CV protocol")
     check_disjoint(sentiment_dict, amplifier_dict)
     words = _filtered_dictionary_words(corpus, sentiment_dict, freq_threshold)
     if len(words) < k:
-        raise WordSplitError(
+        raise SplitError(
             f"cannot split the {len(words)} dictionary words that pass the "
             f"frequency threshold {freq_threshold} into {k} folds"
         )
@@ -214,7 +211,7 @@ def _test_accuracy(
         else:
             key = "false_positive" if verdict is Verdict.POSITIVE else "false_negative"
             counts[key] += 1
-    accuracy = correct / len(test_corpus.instances) if len(test_corpus) else 0.0
+    accuracy = correct / len(instances)
     return accuracy, {k: float(v) for k, v in counts.items()}
 
 
@@ -229,6 +226,9 @@ def run_holdout_accuracy(
 ) -> ExperimentReport:
     check_disjoint(sentiment_dict, amplifier_dict)
     train_corpus, test = split_holdout(corpus, train_fraction, config.seed)
+    for side, part in (("train", train_corpus), ("test", test)):
+        if not part.instances:
+            raise SplitError(f"train fraction {train_fraction} leaves the {side} side empty")
     model, stats = train(train_corpus, sentiment_dict, amplifier_dict, config, semantics, algo)
     accuracy, counts = _test_accuracy(model, test)
     extras = dict(counts)

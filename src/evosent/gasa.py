@@ -234,7 +234,8 @@ def gene_rows(slots: np.ndarray, genes: int) -> Tuple[np.ndarray, np.ndarray]:
 class WordGeneProblem:
     """What GASA and CA-GASA share as GA-engine problems: one gene per
     unknown word, resolved through one slot table. A subclass supplies
-    `_compile(corpus, table)`, which compiles the corpus, and `fitness`."""
+    `_compile(corpus, table)`, which compiles the corpus, and a way to
+    score: GASA supplies `fitness_many`, CA-GASA `fitness`."""
 
     def __init__(
         self,
@@ -296,11 +297,6 @@ class GasaProblem(WordGeneProblem):
 
     def random_genome(self, rng: random.Random) -> GasaChromosome:
         return random_chromosome(len(self.index), rng)
-
-    def fitness(self, genome: GasaChromosome) -> int:
-        """One genome's fitness by a full pass; keeps no state."""
-        codes = code_matrix([genome]).T
-        return int(labelled_correctly(self._compiled, codes, self.semantics).sum())
 
     def mutate_genes(self, genome: GasaChromosome, rng: random.Random) -> GasaChromosome:
         child, position = mutate_at(genome, rng)

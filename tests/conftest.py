@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,9 @@ from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import ClassificationValuePair, Dictionary, Kind
 from evosent.model import TrainedModel
+
+# The experiment scripts are importable, so that tests run the code users run.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 
 def S(value: float) -> ClassificationValuePair:

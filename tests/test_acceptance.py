@@ -20,15 +20,9 @@ from evosent.cagasa import (
     random_cagasa_chromosome,
 )
 from evosent.cli import main as cli_main
-from evosent.corpus import build_unknown_index, concat_corpora, word_frequencies
+from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics, evaluate_sentence
-from evosent.experiments import (
-    Protocol,
-    generate_synthetic_corpus,
-    random_planted_lexicon,
-    run_word_cv,
-    train,
-)
+from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_select
 from evosent.gasa import (
     PAIR_CODES,
@@ -46,6 +40,8 @@ from evosent.lexicon import (
     seed_amplifier_dictionary,
 )
 
+import run_frequency_trend
+import run_planted_recovery
 from conftest import A, S, fires, make_corpus, trained_model
 from oracles import (
     cagasa_fitness,
@@ -301,7 +297,8 @@ def test_05_brute_force_optimality(capsys):
 def test_06_planted_lexicon_recovery(capsys):
     """On 500-sentence corpora planted from a 30-word lexicon (each word
     occurring at least 20 times), training reaches >= 95% accuracy and
-    recovers >= 80% of polarity signs in at least 8 of 10 seeds.
+    recovers >= 80% of polarity signs in at least 8 of 10 seeds. Each seed
+    is one run of `scripts/run_planted_recovery.py` at its defaults.
 
     Thresholds were frozen after a 10-run calibration (observed: 100%
     training accuracy and 90-100% sign recovery on every seed).
@@ -310,29 +307,9 @@ def test_06_planted_lexicon_recovery(capsys):
         start = time.monotonic()
         successes = 0
         for seed in range(10):
-            data_rng = random.Random(1000 + seed)
-            lexicon = random_planted_lexicon(30, 10, data_rng)
-            corpus = generate_synthetic_corpus(
-                lexicon, 500, (3, 8), Semantics.LITERAL, data_rng
-            )
-            freqs = word_frequencies(corpus)
-            assert all(freqs[w] >= 20 for w in lexicon.entries)
-            sd = Dictionary({}, Kind.SENTIMENT)
-            ad = seed_amplifier_dictionary()
-            model, _stats = train(corpus, sd, ad, GAConfig(seed=seed))
-            train_accuracy = model.best_fitness / len(corpus)
-            planted_words = sorted(lexicon.entries)
-            pairs = dict(zip(model.index.words, model.gene_pairs()))
-            genes = [pairs[w] for w in planted_words]
-            recovered = sum(
-                1
-                for word, gene in zip(planted_words, genes)
-                if gene.kind is Kind.SENTIMENT
-                and gene.value != 0.0
-                and (gene.value > 0.0) == (lexicon.entries[word].value > 0.0)
-            )
-            sign_recovery = recovered / len(planted_words)
-            if train_accuracy >= 0.95 and sign_recovery >= 0.80:
+            accuracy, recovery, _gens, min_freq = run_planted_recovery.run_seed(seed)
+            assert min_freq >= 20
+            if accuracy >= 0.95 and recovery >= 0.80:
                 successes += 1
         assert successes >= 8
         assert time.monotonic() - start < 300.0
@@ -341,40 +318,10 @@ def test_06_planted_lexicon_recovery(capsys):
 def test_07_frequency_trend(capsys):
     """Sentiment-vs-amplifier CV accuracy restricted to frequent dictionary
     words (threshold 20) is at least the unrestricted accuracy (threshold 0),
-    averaged over 10 seeds."""
+    averaged over 10 seeds of `scripts/run_frequency_trend.py` at its
+    defaults."""
     with criterion(capsys, 7, "frequency trend"):
-        acc_unfiltered = []
-        acc_frequent = []
-        for seed in range(10):
-            rng = random.Random(7000 + seed)
-            lexicon = random_planted_lexicon(20, 6, rng)
-            words = sorted(lexicon.entries)
-            frequent = {w: lexicon.entries[w] for w in words[:10]}
-            rare = {w: lexicon.entries[w] for w in words[10:]}
-            big = generate_synthetic_corpus(
-                type(lexicon)(frequent, lexicon.fillers),
-                240,
-                (3, 7),
-                Semantics.LITERAL,
-                rng,
-            )
-            small = generate_synthetic_corpus(
-                type(lexicon)(rare, lexicon.fillers),
-                10,
-                (2, 4),
-                Semantics.LITERAL,
-                rng,
-            )
-            corpus = concat_corpora([big, small])
-            sd = Dictionary(dict(lexicon.entries), Kind.SENTIMENT)
-            ad = seed_amplifier_dictionary()
-            config = GAConfig(
-                population_size=60, tournament_size=7, max_generations=60, seed=seed
-            )
-            r0 = run_word_cv(Protocol.SENT_VS_AMP, corpus, sd, ad, 0, 5, config)
-            r20 = run_word_cv(Protocol.SENT_VS_AMP, corpus, sd, ad, 20, 5, config)
-            acc_unfiltered.append(r0.mean_accuracy)
-            acc_frequent.append(r20.mean_accuracy)
+        acc_unfiltered, acc_frequent = zip(*(run_frequency_trend.run_seed(s) for s in range(10)))
         mean0 = sum(acc_unfiltered) / 10
         mean20 = sum(acc_frequent) / 10
         assert mean20 >= mean0, (mean20, mean0)

@@ -9,7 +9,6 @@ from evosent.cagasa import (
     CagasaChromosome,
     CagasaGene,
     CagasaProblem,
-    ContextCorpus,
     ContextRule,
     corpus_neighbors,
     mutate_cagasa,
@@ -19,7 +18,7 @@ from evosent.cagasa import (
 from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
-from evosent.gasa import compile_corpus, crossover_at
+from evosent.gasa import crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, fires, make_corpus, trained_model
@@ -72,6 +71,20 @@ class TestGatherContext:
         words = {"a", "b", "c"}
         r = rule(list_next=words, list_previous=words, number_ahead=0, number_behind=0)
         assert not fires(r, ["a", "b", "c"], 1)
+
+    # "x" exactly at the look distance is in the neighborhood, {x} or {a, x},
+    # and fires; one word further it is not, and {a} never fires.
+    @pytest.mark.parametrize("distance", range(1, MAX_CONTEXT + 1))
+    def test_ahead_window_ends_at_number_ahead(self, distance):
+        r = rule(list_next={"x"}, number_ahead=distance)
+        assert fires(r, ["w", *["a"] * (distance - 1), "x"], 0)
+        assert not fires(r, ["w", *["a"] * distance, "x"], 0)
+
+    @pytest.mark.parametrize("distance", range(1, MAX_CONTEXT + 1))
+    def test_behind_window_ends_at_number_behind(self, distance):
+        r = rule(list_previous={"x"}, number_behind=distance)
+        assert fires(r, ["x", *["a"] * (distance - 1), "w"], distance)
+        assert not fires(r, ["x", *["a"] * distance, "w"], distance + 1)
 
     def test_deduplication(self):
         # ahead of "w" is {x, y}: one hit of two fires; counting the repeated
@@ -390,10 +403,8 @@ class TestKernelFitness:
         index = build_unknown_index(corpus, sd, ad)
         problem = CagasaProblem(corpus, index, sd, ad, semantics)
         assert len(index) == 0
-        context = ContextCorpus(compile_corpus(corpus, problem.table))
         # the empty sentence scores 0 and is never correct
-        assert [context.fitness(CagasaChromosome(()), semantics) for _ in range(3)] == [2] * 3
-        assert problem.fitness(CagasaChromosome(())) == 2
+        assert [problem.fitness(CagasaChromosome(())) for _ in range(3)] == [2] * 3
         empty = make_corpus([([], "negative")])
         problem = CagasaProblem(empty, build_unknown_index(empty, sd, ad), sd, ad, semantics)
         assert problem.fitness(CagasaChromosome(())) == 0
@@ -448,4 +459,4 @@ class TestKernelFitness:
         for _ in range(30):
             genome = problem.random_genome(rng)
             assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad)
-        assert len(problem._compiled._codes) == len(index)
+        assert len(problem._decisions) == len(index)

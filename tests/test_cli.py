@@ -313,6 +313,26 @@ def test_invalid_flag_value_exits_1(argv, message, corpus_file, tmp_path, capsys
     assert captured.err.startswith("error:") and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "labels, flags, message",
+    [
+        (["positive", "positive"], [], "corpus has no negative instances"),
+        # at the default --train-fraction each one-instance class trains
+        (["positive", "negative"], [], "leaves the test side empty"),
+        (["positive", "negative"], ["--train-fraction", "0.2"], "leaves the train side empty"),
+    ],
+)
+def test_holdout_impossible_split_exits_1(labels, flags, message, tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"{label}\tzorp\n" for label in labels))
+    report = tmp_path / "report.tsv"
+    argv = ["holdout", "--corpus", str(corpus), "--report-out", str(report), *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 class TestSynth:
     def test_writes_corpus_and_lexicon(self, tmp_path, capsys):
         out = tmp_path / "synth.tsv"

@@ -2,10 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from evosent.cagasa import MAX_CONTEXT, CagasaChromosome, CagasaGene, ContextRule
 from evosent.corpus import Label, UnknownWordIndex
 from evosent.evaluator import (
     Semantics,
@@ -17,8 +16,8 @@ from evosent.evaluator import (
 )
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
 
-from conftest import A, S, trained_model
-from oracles import cagasa_verdict, gasa_chromosome, gasa_verdict, reference_sentence_score
+from conftest import A, S
+from oracles import reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
 modes = pytest.mark.parametrize("semantics", list(Semantics))
@@ -121,7 +120,7 @@ class TestExhaustiveShortSentences:
 
 
 # Dictionary words, gene words and out-of-vocabulary words share one vocabulary
-# so that the strategies below can mix them in one sentence and one table.
+# so that the strategies below can mix them in one table.
 VOCABULARY = ["good", "bad", "not", "very", "g0", "g1", "g2", "g3", "oov0", "oov1"]
 words = st.sampled_from(VOCABULARY)
 
@@ -136,53 +135,11 @@ def dictionaries(draw):
     return Dictionary(sentiment, Kind.SENTIMENT), Dictionary(amplifier, Kind.AMPLIFIER)
 
 
-def unknown_index(gene_words):
-    return UnknownWordIndex(tuple(gene_words), {w: i for i, w in enumerate(gene_words)})
-
-
-@st.composite
-def context_genes(draw, word):
-    next_size = draw(st.integers(0, MAX_CONTEXT))
-    previous_size = draw(st.integers(0, MAX_CONTEXT))
-    rule = ContextRule(
-        next_size=next_size,
-        previous_size=previous_size,
-        list_next=frozenset(draw(st.lists(words, max_size=next_size))),
-        list_previous=frozenset(draw(st.lists(words, max_size=previous_size))),
-        number_ahead=draw(st.integers(0, MAX_CONTEXT)),
-        number_behind=draw(st.integers(0, MAX_CONTEXT)),
-        context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
-    )
-    return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
-
-
-class TestSharedPredict:
-    """Both algorithms' models against the per-token oracles."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        data=st.data(),
-        dicts=dictionaries(),
-        gene_words=st.lists(words, unique=True, max_size=6),
-        sentences=st.lists(st.lists(words, max_size=9), min_size=1, max_size=5),
-        semantics=st.sampled_from(list(Semantics)),
-    )
-    def test_matches_oracle(self, data, dicts, gene_words, sentences, semantics):
-        sd, ad = dicts
-        index = unknown_index(gene_words)
-        gasa = gasa_chromosome(data.draw(st.sampled_from(EVOLVABLE_PAIRS)) for _ in gene_words)
-        cagasa = CagasaChromosome(tuple(data.draw(context_genes(w)) for w in gene_words))
-        for chromosome, verdict in ((gasa, gasa_verdict), (cagasa, cagasa_verdict)):
-            model = trained_model(chromosome, index, sd, ad, semantics)
-            expected = [verdict(chromosome, t, index, sd, ad, semantics) for t in sentences]
-            assert [v.value for v in model.predict_many(sentences)] == expected
-
-
 class TestSlotTable:
     @given(dicts=dictionaries(), gene_words=st.lists(words, unique=True, max_size=6))
     def test_dictionary_words_resolve_through_lookup(self, dicts, gene_words):
         sd, ad = dicts
-        index = unknown_index(gene_words)
+        index = UnknownWordIndex(tuple(gene_words), {w: i for i, w in enumerate(gene_words)})
         table = slot_table(index, sd, ad)
         known = set(sd.entries) | set(ad.entries)
         for word in known:

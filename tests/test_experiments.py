@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from evosent.corpus import Label
+from evosent.corpus import Label, SplitError
 from evosent.evaluator import Semantics, classify_score, evaluate_sentence
 from evosent.experiments import (
     Algo,
@@ -11,7 +11,6 @@ from evosent.experiments import (
     GenerationError,
     PlantedLexicon,
     Protocol,
-    WordSplitError,
     _filtered_dictionary_words,
     format_report,
     generate_synthetic_corpus,
@@ -152,14 +151,14 @@ class TestWordCV:
     def test_no_words_pass_threshold(self):
         corpus = make_corpus([(["x"], "positive"), (["y"], "negative")])
         sd = Dictionary({"good": S(1.0)}, Kind.SENTIMENT)
-        with pytest.raises(WordSplitError, match="threshold"):
+        with pytest.raises(SplitError, match="threshold"):
             run_word_cv(
                 Protocol.SENT_VS_AMP, corpus, sd, seed_amplifier_dictionary(), 0, 2, SMALL
             )
 
     def test_fewer_words_than_folds(self):
         _, corpus, sd, ad = training_setup()
-        with pytest.raises(WordSplitError, match="10 dictionary words .* into 11 folds"):
+        with pytest.raises(SplitError, match="10 dictionary words .* into 11 folds"):
             run_word_cv(Protocol.POLARITY_VALUE, corpus, sd, ad, 0, 11, SMALL)
 
     @pytest.mark.parametrize(

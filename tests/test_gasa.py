@@ -345,9 +345,8 @@ class TestBatchFitness:
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
         problem = GasaProblem(corpus, index, sd, ad)
-        for _ in range(30):
-            chrom = random_chromosome(len(index), rng)
-            assert problem.fitness(chrom) == fitness(chrom, corpus, index, sd, ad)
+        chroms = [random_chromosome(len(index), rng) for _ in range(30)]
+        assert problem.fitness_many(chroms) == [fitness(c, corpus, index, sd, ad) for c in chroms]
         assert problem.max_fitness == 2
 
 

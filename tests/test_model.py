@@ -325,9 +325,9 @@ class TestFormatErrors:
 
 
 # Gene words, dictionary words, a word missing from the model, and
-# punctuation, which tokenizes to nothing.
-GENE_WORDS = ("g0", "g1", "g2")
-LINE_WORDS = [*GENE_WORDS, "good", "bad", "not", "very", "oov"]
+# punctuation, which tokenizes to nothing. Any word may be in a dictionary,
+# in both or be a gene word.
+LINE_WORDS = ["g0", "g1", "g2", "good", "bad", "not", "very", "oov"]
 line_word = st.sampled_from(LINE_WORDS)
 line_texts = st.one_of(
     st.lists(line_word | st.sampled_from(["!", "...", ", --"]), max_size=9).map(" ".join),
@@ -340,11 +340,24 @@ line_texts = st.one_of(
 
 
 @st.composite
+def dictionaries(draw):
+    """Sentiment and amplifier dictionaries over the line words, with exact
+    small values or any finite ones; they may overlap, as nothing but
+    `check_disjoint` keeps them apart."""
+    values = st.sampled_from([-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 1.25, 2.0]) | st.floats(
+        allow_nan=False, allow_infinity=False
+    )
+    sentiment = draw(st.dictionaries(line_word, values.map(S), max_size=4))
+    amplifier = draw(st.dictionaries(line_word, values.map(A), max_size=4))
+    return Dictionary(sentiment, Kind.SENTIMENT), Dictionary(amplifier, Kind.AMPLIFIER)
+
+
+@st.composite
 def context_genes(draw, word):
-    """A gene as training or a model file makes it, whose lists may name
-    words that no line holds."""
+    """A gene with any fields a rule allows, zero capacities and look
+    distances among them, whose lists may name words that no line holds."""
     list_words = st.sampled_from(LINE_WORDS + ["absent"])
-    sizes = st.integers(1, MAX_CONTEXT)
+    sizes = st.integers(0, MAX_CONTEXT)
     next_size, previous_size = draw(sizes), draw(sizes)
     rule = ContextRule(
         next_size=next_size,
@@ -359,9 +372,9 @@ def context_genes(draw, word):
 
 
 class TestPredictMany:
-    """The batched path against the per-token oracles, with blocks and
-    slices small enough that lines cross both, and one line longer than a
-    slice."""
+    """Both algorithms' batched path against the per-token oracles, with
+    blocks and slices small enough that lines cross both, and one line
+    longer than a slice."""
 
     # Huge values overflow to inf and nan in both paths alike; numpy warns.
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -370,20 +383,23 @@ class TestPredictMany:
         data=st.data(),
         algo=st.sampled_from(["gasa", "cagasa"]),
         semantics=st.sampled_from(list(Semantics)),
-        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        dicts=dictionaries(),
+        gene_words=st.lists(line_word, unique=True, max_size=6),
         lines=st.lists(line_texts, max_size=12),
         long_line=st.lists(line_word, min_size=7, max_size=12).map(" ".join),
     )
-    def test_matches_oracle_line_by_line(self, data, algo, semantics, values, lines, long_line):
-        good, bad, negator, very = values
-        sd = Dictionary({"good": S(good), "bad": S(bad)}, Kind.SENTIMENT)
-        ad = Dictionary({"not": A(negator), "very": A(very)}, Kind.AMPLIFIER)
-        index = UnknownWordIndex(GENE_WORDS, {w: k for k, w in enumerate(GENE_WORDS)})
+    def test_matches_oracle_line_by_line(
+        self, data, algo, semantics, dicts, gene_words, lines, long_line
+    ):
+        sd, ad = dicts
+        # a gene word that is also a dictionary word is dead
+        index = UnknownWordIndex(tuple(gene_words), {w: k for k, w in enumerate(gene_words)})
         if algo == "gasa":
-            codes = st.lists(st.integers(0, len(EVOLVABLE_PAIRS) - 1), min_size=3, max_size=3)
+            code = st.integers(0, len(EVOLVABLE_PAIRS) - 1)
+            codes = st.lists(code, min_size=len(gene_words), max_size=len(gene_words))
             chromosome, verdict = GasaChromosome(bytes(data.draw(codes))), gasa_verdict
         else:
-            genes = tuple(data.draw(context_genes(w)) for w in GENE_WORDS)
+            genes = tuple(data.draw(context_genes(w)) for w in gene_words)
             chromosome, verdict = CagasaChromosome(genes), cagasa_verdict
         model = TrainedModel(algo, semantics, GAConfig(), sd, ad, index, chromosome, 0, 0)
         lines.insert(data.draw(st.integers(0, len(lines))), long_line)
