@@ -10,7 +10,11 @@ empty neighborhood, the context-free pair applies.
 `ContextCorpus.decide` applies the rule to every occurrence of a genome's
 gene words at once in numpy, for training and for prediction alike, and the
 GASA kernel scores the pairs it decides. Only `CagasaProblem` remembers
-decisions, while training. The rule for one word at a time lives only in
+decisions, while training: for each genome of the last two generations, the
+pair codes each gene decides and which instances the genome labels
+correctly. A child differs from its parent in one gene, so it decides at
+most that gene and re-scores only the instances whose codes it changes,
+which equals the full pass. The rule for one word at a time lives only in
 `tests/oracles.py` (`cagasa_verdict`), the plain reference the test suite
 asserts this code equal to.
 """
@@ -18,8 +22,9 @@ asserts this code equal to.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +37,7 @@ from .gasa import (
     CompiledCorpus,
     WordGeneProblem,
     compile_corpus,
+    crossover_at,
     forced_new_code,
     labelled_correctly,
     random_code,
@@ -159,11 +165,12 @@ def _mutate_list(gene: CagasaGene, neighbors: Neighbors, rng: random.Random) -> 
     return replace(gene, rule=replace(rule, **{field: frozenset(words)}))
 
 
-def mutate_cagasa(
+def mutate_cagasa_at(
     parent: CagasaChromosome, neighbors: Dict[str, Neighbors], rng: random.Random
-) -> CagasaChromosome:
-    """Pick one gene, then one of: resample the context-free pair, resample
-    the context pair, or edit a context list with a fresh neighbor."""
+) -> Tuple[CagasaChromosome, int]:
+    """The child with one gene edited, and that gene's position. Pick one
+    gene, then one of: resample the context-free pair, resample the context
+    pair, or edit a context list with a fresh neighbor."""
     n = len(parent)
     if n == 0:
         raise ValueError("cannot mutate an empty chromosome")
@@ -179,7 +186,7 @@ def mutate_cagasa(
         new_gene = _mutate_list(gene, neighbors.get(gene.word, NO_NEIGHBORS), rng)
     genes = list(parent.genes)
     genes[position] = new_gene
-    return CagasaChromosome(tuple(genes))
+    return CagasaChromosome(tuple(genes)), position
 
 
 def _first_sightings(words: np.ndarray) -> np.ndarray:
@@ -228,23 +235,6 @@ def encode_genes(genes: Sequence[CagasaGene]) -> EncodedGenes:
     return EncodedGenes(fields, n_next, tuple(list_index))
 
 
-class _Decision(weakref.ref):
-    """A weak reference to a gene that holds the pair codes the gene
-    resolves to at the occurrences of one position (int8 bytes), and the
-    key they are remembered under. It calls its callback with itself once
-    the gene is freed, before the gene's id can be reused."""
-
-    __slots__ = ("key", "codes")
-
-    def __new__(cls, gene, callback, key, codes: bytes):
-        self = super().__new__(cls, gene, callback)
-        self.key, self.codes = key, codes
-        return self
-
-    def __init__(self, gene, callback, key, codes: bytes):
-        super().__init__(gene, callback)
-
-
 class ContextCorpus:
     """Compiled text prepared for scoring CA-GASA genomes on the GASA kernel.
 
@@ -252,8 +242,8 @@ class ContextCorpus:
     has a slot of its own, its occurrence number, so that a genome's value
     table holds the pair each occurrence resolves to. Occurrences are
     numbered gene position by gene position. Training and prediction share
-    this object; it remembers no decisions, which `CagasaProblem.fitness`
-    does for training.
+    this object; it remembers no decisions, which `CagasaProblem` does for
+    training.
     """
 
     def __init__(self, compiled: CompiledCorpus):
@@ -268,6 +258,11 @@ class ContextCorpus:
         np.put(own_slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
         self.compiled = replace(compiled, slots=own_slots)
         self._ahead = self._behind = np.zeros((0, len(self._cells)), dtype=np.int32)
+
+    @cached_property
+    def occurrence_row(self) -> np.ndarray:
+        """The instance each occurrence is in."""
+        return self._cells // self.compiled.slots.shape[1]
 
     def neighbor_ids(self, depth: int) -> Tuple[np.ndarray, np.ndarray]:
         """(ahead, behind), each with at least `depth` rows and one column
@@ -342,11 +337,38 @@ class ContextCorpus:
         return codes, counts
 
 
+# What decides where a rule fires.
+_trigger = attrgetter("list_next", "list_previous", "number_ahead", "number_behind")
+
+
+def _pair_codes(gene: CagasaGene) -> Tuple[int, int]:
+    """The codes of the gene's context pair and context-free pair."""
+    return PAIR_CODES[gene.rule.context_pair], PAIR_CODES[gene.context_free_pair]
+
+
 class CagasaProblem(WordGeneProblem):
-    """Adapter exposing CA-GASA to the GA engine. It scores one genome at a
-    time, with no `fitness_many`. `fitness` remembers the pair codes each
-    (position, gene object) decides for as long as the gene lives, so a
-    genome whose genes were all decided before costs one kernel pass."""
+    """Adapter exposing CA-GASA to the GA engine with delta fitness. It
+    scores one genome at a time, with no `fitness_many`.
+
+    For each genome it scores, `fitness` keeps a tuple of code segments, the
+    int8 pair codes each gene decides at its position's occurrences (bytes),
+    and which instances the genome labels correctly. Genomes that hold the
+    same segment share one object. `mutate` and `crossover` record each
+    child's parent, the one position they changed and, for a crossover, the
+    other parent, the donor. A child of a kept genome takes the donor's
+    segment if the donor is kept. Otherwise, if the changed gene keeps the
+    parent gene's lists and look distances and the parent gene's two pair
+    codes differ, the parent's segment shows where the rule fires. Otherwise
+    the gene is decided anew. A child whose segment equals the parent's takes
+    the parent's state; any other child re-scores only the instances whose
+    codes changed. Every other genome is decided and scored in full.
+
+    The first `mutate` or `crossover` after a `fitness` call makes the
+    genomes scored since the last such call the parents' table, and drops the
+    older table and the lineage. Tables and lineage are keyed by object
+    identity and hold their genomes, so an id is never reused while it is a
+    key.
+    """
 
     @staticmethod
     def _compile(corpus: Corpus, table: SlotTable) -> ContextCorpus:
@@ -355,29 +377,91 @@ class CagasaProblem(WordGeneProblem):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.neighbors = corpus_neighbors(self.corpus)
-        remembered: dict = {}  # (position, id(gene)) -> _Decision
-        self._decisions = remembered
-        self._forget = lambda decision: remembered.pop(decision.key, None)
+        self._lineage: dict = {}  # id(child) -> (child, parent, position, donor or None)
+        self._parents: dict = {}  # id(genome) -> (genome, segments, correct), last generation
+        self._scored: dict = {}  # the same for this one, scored since the last variation
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Gene g's occurrences are those numbered _starts[g]:_starts[g + 1]."""
+        return np.searchsorted(self._compiled.occurrence_gene, np.arange(len(self.index) + 1))
+
+    def _kept(self, genome):
+        key = id(genome)
+        return self._scored.get(key) or self._parents.get(key)
 
     def fitness(self, genome: CagasaChromosome) -> int:
-        """Correctly labelled instances, deciding each (position, gene) not
-        remembered. Every gene pair must be evolvable, as those of random,
-        mutated and loaded genes are."""
-        context, remembered = self._compiled, self._decisions
-        genes = genome.genes
-        keys = [(position, id(gene)) for position, gene in enumerate(genes)]
-        missing = [position for position, key in enumerate(keys) if key not in remembered]
-        if missing:
-            decided, counts = context.decide(missing, encode_genes([genes[p] for p in missing]))
-            decided, ends = decided.tobytes(), np.cumsum(counts).tolist()
-            for position, start, end in zip(missing, [0, *ends], ends):
-                key = keys[position]
-                remembered[key] = _Decision(genes[position], self._forget, key, decided[start:end])
-        codes = np.frombuffer(b"".join([remembered[key].codes for key in keys]), dtype=np.int8)
-        return int(labelled_correctly(context.compiled, codes[:, None], self.semantics).sum())
+        """Correctly labelled instances. Every gene pair must be evolvable,
+        as those of random, mutated and loaded genes are."""
+        state = self._kept(genome) or self._child_state(genome) or self._full_state(genome)
+        self._scored[id(genome)] = state
+        return int(state[2].sum())
+
+    def _full_state(self, genome: CagasaChromosome) -> tuple:
+        context = self._compiled
+        codes, counts = context.decide(range(len(genome)), encode_genes(genome.genes))
+        ends, decided = np.cumsum(counts).tolist(), codes.tobytes()
+        segments = tuple(decided[start:end] for start, end in zip([0, *ends], ends))
+        correct = labelled_correctly(context.compiled, codes[:, None], self.semantics)[0]
+        return genome, segments, correct
+
+    def _child_state(self, genome: CagasaChromosome):
+        """The state of a child of a kept genome, or None for any other."""
+        link = self._lineage.get(id(genome))
+        kept = link and self._kept(link[1])
+        if not kept:
+            return None
+        _, parent, position, donor = link
+        _, segments, correct = kept
+        old = segments[position]
+        donor_kept = donor is not None and self._kept(donor)
+        if donor_kept:
+            new = donor_kept[1][position]
+        else:
+            new = self._segment(parent.genes[position], genome.genes[position], old, position)
+        if new == old:
+            return genome, segments, correct
+        segments = segments[:position] + (new,) + segments[position + 1 :]
+        context = self._compiled
+        changed = np.frombuffer(new, dtype=np.int8) != np.frombuffer(old, dtype=np.int8)
+        occurrences = self._starts[position] + np.flatnonzero(changed)
+        rows = np.unique(context.occurrence_row[occurrences])
+        compiled = context.compiled
+        part = replace(
+            compiled, slots=compiled.slots[rows], label_positive=compiled.label_positive[rows]
+        )
+        codes = np.frombuffer(b"".join(segments), dtype=np.int8)
+        correct = correct.copy()
+        correct[rows] = labelled_correctly(part, codes[:, None], self.semantics)[0]
+        return genome, segments, correct
+
+    def _segment(self, old: CagasaGene, new: CagasaGene, codes: bytes, position: int) -> bytes:
+        """The codes `new` decides at `position`'s occurrences, where `old`
+        decides `codes`."""
+        context_code, free_code = _pair_codes(old)
+        if context_code != free_code and _trigger(old.rule) == _trigger(new.rule):
+            fired = np.frombuffer(codes, dtype=np.int8) == context_code
+            return np.where(fired, *_pair_codes(new)).astype(np.int8).tobytes()
+        return self._compiled.decide([position], encode_genes([new]))[0].tobytes()
+
+    def _vary(self) -> None:
+        if self._scored:  # the first variation since a `fitness` call
+            self._parents, self._scored, self._lineage = self._scored, {}, {}
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)
 
     def mutate_genes(self, genome: CagasaChromosome, rng: random.Random) -> CagasaChromosome:
-        return mutate_cagasa(genome, self.neighbors, rng)
+        self._vary()
+        child, position = mutate_cagasa_at(genome, self.neighbors, rng)
+        self._lineage[id(child)] = child, genome, position, None
+        return child
+
+    def crossover(self, g1, g2, rng: random.Random):
+        self._vary()
+        if len(g1) == 0:
+            return g1, g2
+        c1, c2, position = crossover_at(g1, g2, rng)
+        self._lineage[id(c1)] = c1, g1, position, g2
+        self._lineage[id(c2)] = c2, g2, position, g1
+        return c1, c2

@@ -235,7 +235,10 @@ class WordGeneProblem:
     """What GASA and CA-GASA share as GA-engine problems: one gene per
     unknown word, resolved through one slot table. A subclass supplies
     `_compile(corpus, table)`, which compiles the corpus, and a way to
-    score: GASA supplies `fitness_many`, CA-GASA `fitness`."""
+    score: GASA supplies `fitness_many`, CA-GASA `fitness`, one genome at a
+    time. Both score a child of a genome they scored in the last generation
+    by delta, from state they keep for that genome, and record each child's
+    lineage in `mutate` and `crossover`."""
 
     def __init__(
         self,

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,14 @@ from evosent.cagasa import (
     CagasaProblem,
     ContextRule,
     corpus_neighbors,
-    mutate_cagasa,
+    mutate_cagasa_at,
     random_cagasa_chromosome,
     random_cagasa_gene,
 )
 from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
+from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
@@ -214,12 +217,15 @@ class TestOperators:
     def test_mutation_changes_one_gene(self, rng):
         for _ in range(1000):
             parent, neighbors = self._random_chromosome(rng)
-            child = mutate_cagasa(parent, neighbors, rng)
+            child, position = mutate_cagasa_at(parent, neighbors, rng)
             assert len(child) == len(parent)
             diffs = [
                 i for i in range(len(parent)) if parent.genes[i] != child.genes[i]
             ]
-            assert len(diffs) <= 1  # a list edit can no-op only via fallback resample
+            assert len(diffs) <= 1
+            # every edit changes the gene: a list edit with no fresh neighbor
+            # resamples the context-free pair instead
+            assert diffs == [position]
             for i in diffs:
                 assert child.genes[i].word == parent.genes[i].word
                 assert child.genes[i].context_free_pair.is_evolvable()
@@ -239,13 +245,15 @@ class TestOperators:
                 except StopIteration:
                     return super().randrange(n)
 
-        child = mutate_cagasa(parent, neighbors, ForceContextFreeEdit())
+        child, position = mutate_cagasa_at(parent, neighbors, ForceContextFreeEdit())
+        assert position == 0
+        assert child.genes[1:] == parent.genes[1:]
         assert child.genes[0].rule == parent.genes[0].rule
         assert child.genes[0].context_free_pair != parent.genes[0].context_free_pair
 
     def test_empty_rejected(self, rng):
         with pytest.raises(ValueError):
-            mutate_cagasa(CagasaChromosome(()), {}, rng)
+            mutate_cagasa_at(CagasaChromosome(()), {}, rng)
         with pytest.raises(ValueError):
             crossover_at(CagasaChromosome(()), CagasaChromosome(()), rng)
 
@@ -299,8 +307,6 @@ class TestGasaReduction:
 
 class TestProblemAdapter:
     def test_ga_runs_and_improves(self):
-        from evosent.ga_engine import GAConfig, run_ga
-
         rnd = random.Random(7)
         lexicon = random_planted_lexicon(6, 2, rnd)
         corpus = generate_synthetic_corpus(lexicon, 40, (2, 5), Semantics.LITERAL, rnd)
@@ -392,7 +398,7 @@ class TestKernelFitness:
         problem = CagasaProblem(corpus, index, sd, ad, semantics)
         expected = [cagasa_fitness(c, corpus, index, sd, ad, semantics) for c in population]
         assert [problem.fitness(c) for c in population] == expected
-        # scored again from the remembered decisions
+        # scored again from the state kept for each genome
         assert [problem.fitness(c) for c in population] == expected
 
     @pytest.mark.parametrize("semantics", list(Semantics))
@@ -448,15 +454,118 @@ class TestKernelFitness:
         assert index.words == ("u", "v")
         assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad) == 3
 
-    def test_genes_freed_and_made_again_are_decided_again(self):
-        # A gene freed after scoring leaves its id free for the next one.
+
+class TestDeltaFitness:
+    """`CagasaProblem.fitness` scores a child of a kept genome from the
+    parent's segments and correctness; every value must still equal the
+    oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        semantics=st.sampled_from(list(Semantics)),
+        gene_words=st.integers(min_value=0, max_value=5),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_lineage_chains_match_oracle(self, data, semantics, gene_words, rnd):
+        vocab = ["good", "bad", "not", "oov"] + [f"w{k}" for k in range(gene_words)]
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(vocab), max_size=9),
+                    st.sampled_from(["positive", "negative"]),
+                ),
+                min_size=1,
+                max_size=10,
+            )
+        )
+        corpus = make_corpus(rows)
+        sd = Dictionary({"good": S(1.0), "bad": S(-1.0)}, Kind.SENTIMENT)
+        ad = seed_amplifier_dictionary()
+        # "oov" is out of the index, so it is neutral, but context lists may
+        # hold it
+        known = make_corpus([([w for w in t if w != "oov"], label) for t, label in rows])
+        index = build_unknown_index(known, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad, semantics)
+
+        def check(genome):
+            expected = cagasa_fitness(genome, corpus, index, sd, ad, semantics)
+            assert problem.fitness(genome) == expected
+
+        pool = [problem.random_genome(rnd) for _ in range(3)]  # scored or not
+        waiting = []  # made, and to be scored
+        recent = []  # scored in the last round, so most likely kept as parents
+        ops = ["mutate", "chain", "crossover", "self-cross", "again", "new"]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+            pick = st.sampled_from(pool)
+            if recent:
+                pick = st.one_of(st.sampled_from(recent), pick)
+            op = data.draw(st.sampled_from(ops))
+            if op == "mutate":
+                made = [problem.mutate(data.draw(pick), rnd)]
+            elif op == "chain":  # each child scored, then mutated in turn
+                made = [data.draw(pick)]
+                for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+                    made.append(problem.mutate(made[-1], rnd))
+                    check(made[-1])
+                made = made[1:]
+            elif op == "crossover":
+                made = list(problem.crossover(data.draw(pick), data.draw(pick), rnd))
+            elif op == "self-cross":  # swaps equal genes
+                parent = data.draw(pick)
+                made = list(problem.crossover(parent, parent, rnd))
+            elif op == "again":  # a genome already made or scored
+                made = [data.draw(pick)]
+            else:
+                made = [problem.random_genome(rnd)]
+            # an unscored child may become a parent
+            pool.extend(made)
+            waiting.extend(made[: data.draw(st.integers(min_value=0, max_value=len(made)))])
+            # score the first few waiting genomes now, one at a time
+            now = data.draw(st.integers(min_value=0, max_value=len(waiting)))
+            for genome in waiting[:now]:
+                check(genome)
+            if now:
+                recent, waiting = waiting[:now], waiting[now:]
+
+    def test_keeps_at_most_two_generations(self):
         rng = random.Random(3)
         lexicon = random_planted_lexicon(6, 2, rng)
         corpus = generate_synthetic_corpus(lexicon, 40, (2, 9), Semantics.LITERAL, rng)
         sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
         problem = CagasaProblem(corpus, index, sd, ad)
-        for _ in range(30):
-            genome = problem.random_genome(rng)
-            assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad)
-        assert len(problem._decisions) == len(index)
+        best, stats = run_ga(problem, GAConfig(population_size=20, max_generations=10, seed=3))
+        assert stats.generations_executed == 10
+        assert len(problem._parents) <= 20 and len(problem._scored) <= 20
+        # children made after the last scoring call are dropped, and with
+        # them the genomes held only for them, at the next variation
+        unscored = [problem.mutate(best.genome, rng) for _ in range(5)]
+        unscored += problem.crossover(best.genome, unscored[0], rng)
+        assert len(problem._lineage) == 7
+        freed = [weakref.ref(genome) for genome in unscored]
+        del unscored
+        assert problem.fitness(best.genome) == cagasa_fitness(best.genome, corpus, index, sd, ad)
+        child = problem.mutate(best.genome, rng)
+        gc.collect()
+        assert [ref() for ref in freed] == [None] * 7
+        assert [link[0] for link in problem._lineage.values()] == [child]
+        assert list(problem._parents) == [id(best.genome)] and not problem._scored
+
+    def test_reused_problem_runs_like_a_fresh_one(self):
+        rng = random.Random(7)
+        corpus = generate_synthetic_corpus(
+            random_planted_lexicon(12, 4, rng), 120, (3, 8), Semantics.LITERAL, rng
+        )
+        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        for semantics in Semantics:
+            reused = CagasaProblem(corpus, index, sd, ad, semantics)
+            for seed in (3, 4, 3):
+                config = GAConfig(population_size=30, max_generations=15, seed=seed)
+                fresh = CagasaProblem(corpus, index, sd, ad, semantics)
+                best, stats = run_ga(reused, config)
+                fresh_best, fresh_stats = run_ga(fresh, config)
+                assert best.genome == fresh_best.genome
+                assert best.fitness == fresh_best.fitness
+                assert stats == fresh_stats
