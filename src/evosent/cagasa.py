@@ -14,7 +14,8 @@ decisions, while training: for each genome of the last two generations, the
 pair codes each gene decides and which instances the genome labels
 correctly. A child differs from its parent in one gene, so it decides at
 most that gene and re-scores only the instances whose codes it changes,
-which equals the full pass. The rule for one word at a time lives only in
+which equals the full pass; a generation's children share one decision and
+one stacked re-score. The rule for one word at a time lives only in
 `tests/oracles.py` (`cagasa_verdict`), the plain reference the test suite
 asserts this code equal to.
 """
@@ -40,6 +41,7 @@ from .gasa import (
     crossover_at,
     forced_new_code,
     labelled_correctly,
+    labelled_correctly_at,
     random_code,
 )
 from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair
@@ -347,27 +349,31 @@ def _pair_codes(gene: CagasaGene) -> Tuple[int, int]:
 
 
 class CagasaProblem(WordGeneProblem):
-    """Adapter exposing CA-GASA to the GA engine with delta fitness. It
-    scores one genome at a time, with no `fitness_many`.
+    """Adapter exposing CA-GASA to the GA engine with delta fitness, through
+    `fitness` alone: the engine makes all of a generation's children before
+    it scores any, so they are resolved together at the first call.
 
     For each genome it scores, `fitness` keeps a tuple of code segments, the
     int8 pair codes each gene decides at its position's occurrences (bytes),
     and which instances the genome labels correctly. Genomes that hold the
     same segment share one object. `mutate` and `crossover` record each
     child's parent, the one position they changed and, for a crossover, the
-    other parent, the donor. A child of a kept genome takes the donor's
-    segment if the donor is kept. Otherwise, if the changed gene keeps the
-    parent gene's lists and look distances and the parent gene's two pair
-    codes differ, the parent's segment shows where the rule fires. Otherwise
-    the gene is decided anew. A child whose segment equals the parent's takes
-    the parent's state; any other child re-scores only the instances whose
-    codes changed. Every other genome is decided and scored in full.
+    other parent, the donor. The first `fitness` call on a recorded child
+    resolves every recorded child of a kept genome, one scored since the
+    last variation or in the generation before. A child takes the kept
+    donor's segment, or else, if the changed gene keeps the parent gene's
+    lists and look distances and the parent gene's two pair codes differ,
+    reads where the rule fires from the parent's segment. The other changed
+    genes are decided in one `decide` call. A child whose segment equals the
+    parent's takes the parent's state; the others re-score only the
+    instances whose codes changed, in one `labelled_correctly_at` call. The
+    states wait in `_pending`, which is not kept, until each child's own
+    `fitness` call. Every other genome is decided and scored in full.
 
     The first `mutate` or `crossover` after a `fitness` call makes the
-    genomes scored since the last such call the parents' table, and drops the
-    older table and the lineage. Tables and lineage are keyed by object
-    identity and hold their genomes, so an id is never reused while it is a
-    key.
+    genomes scored since then the parents' table, and drops the older table,
+    the lineage and the pending states. All are keyed by object identity and
+    hold their genomes, so an id is never reused while it is a key.
     """
 
     @staticmethod
@@ -378,6 +384,7 @@ class CagasaProblem(WordGeneProblem):
         super().__init__(*args, **kwargs)
         self.neighbors = corpus_neighbors(self.corpus)
         self._lineage: dict = {}  # id(child) -> (child, parent, position, donor or None)
+        self._pending: dict = {}  # id(child) -> its state, resolved and not yet scored
         self._parents: dict = {}  # id(genome) -> (genome, segments, correct), last generation
         self._scored: dict = {}  # the same for this one, scored since the last variation
 
@@ -393,60 +400,78 @@ class CagasaProblem(WordGeneProblem):
     def fitness(self, genome: CagasaChromosome) -> int:
         """Correctly labelled instances. Every gene pair must be evolvable,
         as those of random, mutated and loaded genes are."""
-        state = self._kept(genome) or self._child_state(genome) or self._full_state(genome)
-        self._scored[id(genome)] = state
+        key = id(genome)
+        if key in self._lineage:  # a child not resolved yet
+            self._resolve()
+            self._lineage.pop(key, None)  # left only if its parent is not kept
+        state = self._kept(genome) or self._pending.pop(key, None) or self._full_state(genome)
+        self._scored[key] = state
         return int(state[2].sum())
 
     def _full_state(self, genome: CagasaChromosome) -> tuple:
-        context = self._compiled
-        codes, counts = context.decide(range(len(genome)), encode_genes(genome.genes))
-        ends, decided = np.cumsum(counts).tolist(), codes.tobytes()
-        segments = tuple(decided[start:end] for start, end in zip([0, *ends], ends))
-        correct = labelled_correctly(context.compiled, codes[:, None], self.semantics)[0]
+        segments = tuple(self._decide(range(len(genome)), genome.genes))
+        codes = np.frombuffer(b"".join(segments), dtype=np.int8)
+        correct = labelled_correctly(self._compiled.compiled, codes[:, None], self.semantics)[0]
         return genome, segments, correct
 
-    def _child_state(self, genome: CagasaChromosome):
-        """The state of a child of a kept genome, or None for any other."""
-        link = self._lineage.get(id(genome))
-        kept = link and self._kept(link[1])
-        if not kept:
-            return None
-        _, parent, position, donor = link
-        _, segments, correct = kept
-        old = segments[position]
+    def _decide(self, positions: Sequence[int], genes: Sequence[CagasaGene]) -> list:
+        """The codes each gene decides at its position's occurrences."""
+        codes, counts = self._compiled.decide(positions, encode_genes(genes))
+        ends = np.cumsum(counts).tolist()
+        return [codes[start:end].tobytes() for start, end in zip([0, *ends], ends)]
+
+    def _resolve(self) -> None:
+        """Move the state of every recorded child of a kept genome from
+        `_lineage` to `_pending`, with one `decide` call for the genes
+        decided anew and one stacked re-score of the rows that changed."""
+        children = []  # [child, parent's state, position, its segment or None]
+        for key, (child, parent, position, donor) in list(self._lineage.items()):
+            kept = self._kept(parent)
+            if kept:
+                del self._lineage[key]
+                new = self._segment(child, parent, position, donor, kept[1][position])
+                children.append([child, kept, position, new])
+        fresh = [c for c in children if c[3] is None]
+        if fresh:
+            decided = self._decide([c[2] for c in fresh], [c[0].genes[c[2]] for c in fresh])
+            for child, new in zip(fresh, decided):
+                child[3] = new
+        owners, rows = [], []
+        for child, (_, segments, correct), position, new in children:
+            old = segments[position]
+            if new == old:
+                self._pending[id(child)] = child, segments, correct
+                continue
+            changed = np.frombuffer(new, dtype=np.int8) != np.frombuffer(old, dtype=np.int8)
+            occurrences = self._starts[position] + np.flatnonzero(changed)
+            rows.append(np.unique(self._compiled.occurrence_row[occurrences]))
+            owners.append((child, segments[:position] + (new,) + segments[position + 1 :], correct))
+        if not owners:
+            return
+        codes = [segments for _, segments, _ in owners]
+        relabelled = labelled_correctly_at(self._compiled.compiled, rows, codes, self.semantics)
+        parts = np.split(relabelled, np.cumsum([len(r) for r in rows[:-1]]))
+        for (child, segments, correct), at, part in zip(owners, rows, parts):
+            correct = correct.copy()
+            correct[at] = part
+            self._pending[id(child)] = child, segments, correct
+
+    def _segment(self, child, parent, position: int, donor, codes: bytes):
+        """The child's codes at `position`'s occurrences, if a kept donor's
+        or the parent's (`codes`) show them without a decision; else None."""
         donor_kept = donor is not None and self._kept(donor)
         if donor_kept:
-            new = donor_kept[1][position]
-        else:
-            new = self._segment(parent.genes[position], genome.genes[position], old, position)
-        if new == old:
-            return genome, segments, correct
-        segments = segments[:position] + (new,) + segments[position + 1 :]
-        context = self._compiled
-        changed = np.frombuffer(new, dtype=np.int8) != np.frombuffer(old, dtype=np.int8)
-        occurrences = self._starts[position] + np.flatnonzero(changed)
-        rows = np.unique(context.occurrence_row[occurrences])
-        compiled = context.compiled
-        part = replace(
-            compiled, slots=compiled.slots[rows], label_positive=compiled.label_positive[rows]
-        )
-        codes = np.frombuffer(b"".join(segments), dtype=np.int8)
-        correct = correct.copy()
-        correct[rows] = labelled_correctly(part, codes[:, None], self.semantics)[0]
-        return genome, segments, correct
-
-    def _segment(self, old: CagasaGene, new: CagasaGene, codes: bytes, position: int) -> bytes:
-        """The codes `new` decides at `position`'s occurrences, where `old`
-        decides `codes`."""
+            return donor_kept[1][position]
+        old, new = parent.genes[position], child.genes[position]
         context_code, free_code = _pair_codes(old)
         if context_code != free_code and _trigger(old.rule) == _trigger(new.rule):
             fired = np.frombuffer(codes, dtype=np.int8) == context_code
             return np.where(fired, *_pair_codes(new)).astype(np.int8).tobytes()
-        return self._compiled.decide([position], encode_genes([new]))[0].tobytes()
+        return None
 
     def _vary(self) -> None:
         if self._scored:  # the first variation since a `fitness` call
-            self._parents, self._scored, self._lineage = self._scored, {}, {}
+            self._parents, self._scored, self._lineage, self._pending = self._scored, {}, {}, {}
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)

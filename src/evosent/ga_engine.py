@@ -90,10 +90,17 @@ def tournament_select(
     if k < 1:
         raise ValueError("tournament size must be at least 1")
     n = len(population)
-    sample = [population[rng.randrange(n)] for _ in range(k)]
-    best_fitness = max(ind.fitness for ind in sample)
-    tied = [ind for ind in sample if ind.fitness == best_fitness]
-    return tied[rng.randrange(len(tied))]
+    randrange = rng.randrange
+    best = population[randrange(n)]
+    tied = [best]  # the draws as fit as `best`, repeats included, in draw order
+    for _ in range(k - 1):
+        ind = population[randrange(n)]
+        if ind.fitness > best.fitness:
+            best = ind
+            tied = [ind]
+        elif ind.fitness == best.fitness:
+            tied.append(ind)
+    return tied[randrange(len(tied))]
 
 
 def _evaluate(problem, genomes) -> list:

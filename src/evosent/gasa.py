@@ -101,9 +101,10 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
 
 
 # The most slot-matrix elements one kernel call takes at once (a longer
-# sentence takes a call of its own), and about the most elements the widest
-# temporary of a CA-GASA context decision holds. It bounds the memory their
-# temporaries hold, whatever the input's size.
+# sentence, or a re-scored genome with more, takes a call of its own), and
+# about the most elements the widest temporary of a CA-GASA context decision
+# holds. It bounds the memory their temporaries hold, whatever the input's
+# size.
 SLICE_CELLS = 1 << 16
 
 
@@ -191,6 +192,36 @@ def labelled_correctly(
     return np.where(compiled.label_positive, score > 0.0, score < 0.0)
 
 
+def labelled_correctly_at(
+    compiled: CompiledCorpus, rows: Sequence[np.ndarray], codes: Sequence, semantics: Semantics
+) -> np.ndarray:
+    """Whether each owner's codes label the instances `rows[k]` correctly,
+    the owners' rows concatenated in order, for at least one owner.
+    `codes[k]` holds owner k's gene codes as bytes chunks to join in order,
+    as many codes for every owner. Whole owners go through the kernel in
+    slices of at most SLICE_CELLS elements, counting an owner's slot-matrix
+    cells and its codes; a larger owner takes a slice of its own. Each slice
+    offsets its owners' gene slots into one column of its owners' codes."""
+    genes = sum(map(len, codes[0]))
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    elements = np.cumsum(counts * compiled.slots.shape[1] + genes)
+    correct = []
+    start = 0
+    while start < len(rows):
+        # the most owners from `start` on that fit, at least one
+        budget = SLICE_CELLS + (elements[start - 1] if start else 0)
+        end = max(start + 1, int(np.searchsorted(elements, budget, side="right")))
+        part = np.concatenate(rows[start:end])
+        offsets = np.repeat(np.arange(end - start, dtype=np.int32) * genes, counts[start:end])
+        slots = compiled.slots[part]
+        np.add(slots, offsets[:, None], out=slots, where=slots >= 0)
+        sliced = replace(compiled, slots=slots, label_positive=compiled.label_positive[part])
+        column = np.frombuffer(b"".join(chain.from_iterable(codes[start:end])), dtype=np.int8)
+        correct.append(labelled_correctly(sliced, column[:, None], semantics)[0])
+        start = end
+    return np.concatenate(correct)
+
+
 def accumulate(
     slots: np.ndarray, values: np.ndarray, is_amp: np.ndarray, semantics: Semantics
 ) -> np.ndarray:
@@ -235,10 +266,11 @@ class WordGeneProblem:
     """What GASA and CA-GASA share as GA-engine problems: one gene per
     unknown word, resolved through one slot table. A subclass supplies
     `_compile(corpus, table)`, which compiles the corpus, and a way to
-    score: GASA supplies `fitness_many`, CA-GASA `fitness`, one genome at a
-    time. Both score a child of a genome they scored in the last generation
-    by delta, from state they keep for that genome, and record each child's
-    lineage in `mutate` and `crossover`."""
+    score: GASA supplies `fitness_many`, CA-GASA `fitness`, which scores a
+    generation's children together at its first call. Both score a child of
+    a genome they scored in the last generation by delta, from state they
+    keep for that genome, and record each child's lineage in `mutate` and
+    `crossover`."""
 
     def __init__(
         self,
@@ -339,8 +371,13 @@ class GasaProblem(WordGeneProblem):
         correct = np.zeros((len(genomes), self.max_fitness), dtype=bool)
         correct[copies] = self._correct[sources]
         if children:
-            owners, rows, row_correct = self._rescore([genomes[j] for j in children], positions)
-            correct[np.array(children)[owners], rows] = row_correct
+            starts, holding = self._gene_rows
+            rows = [holding[starts[p] : starts[p + 1]] for p in positions]
+            owners = np.repeat(children, [len(r) for r in rows])
+            codes = [(genomes[j].codes,) for j in children]
+            correct[owners, np.concatenate(rows)] = labelled_correctly_at(
+                self._compiled, rows, codes, self.semantics
+            )
         if full:
             codes = code_matrix([genomes[j] for j in full]).T
             correct[full] = labelled_correctly(self._compiled, codes, self.semantics)
@@ -348,21 +385,3 @@ class GasaProblem(WordGeneProblem):
         self._rows = {id(g): (g, j) for j, g in enumerate(genomes)}
         self._correct = correct
         return correct.sum(axis=1).tolist()
-
-    def _rescore(self, children: list, positions: list):
-        """(owners, rows, correct): every instance that holds a child's
-        changed gene, re-scored with the child's codes in one kernel call.
-        The rows are stacked, and each child's gene slots are offset into
-        one column of all the children's codes."""
-        compiled = self._compiled
-        starts, holding = self._gene_rows
-        positions = np.array(positions)
-        counts = starts[positions + 1] - starts[positions]
-        firsts = np.cumsum(counts) - counts  # of each child's rows in the stack
-        owner = np.repeat(np.arange(len(children)), counts)
-        rows = holding[np.arange(len(owner)) + np.repeat(starts[positions] - firsts, counts)]
-        slots = compiled.slots[rows]
-        slots = np.where(slots >= 0, slots + (owner * len(self.index))[:, None], slots)
-        stacked = replace(compiled, slots=slots, label_positive=compiled.label_positive[rows])
-        codes = code_matrix(children).reshape(-1, 1)
-        return owner, rows, labelled_correctly(stacked, codes, self.semantics)[0]

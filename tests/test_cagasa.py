@@ -1,11 +1,14 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evosent.cagasa
+import evosent.gasa
 from evosent.cagasa import (
     MAX_CONTEXT,
     CagasaChromosome,
@@ -466,8 +469,9 @@ class TestDeltaFitness:
         semantics=st.sampled_from(list(Semantics)),
         gene_words=st.integers(min_value=0, max_value=5),
         rnd=st.randoms(use_true_random=False),
+        slice_cells=st.sampled_from([None, None, 1, 40]),
     )
-    def test_lineage_chains_match_oracle(self, data, semantics, gene_words, rnd):
+    def test_lineage_chains_match_oracle(self, data, semantics, gene_words, rnd, slice_cells):
         vocab = ["good", "bad", "not", "oov"] + [f"w{k}" for k in range(gene_words)]
         rows = data.draw(
             st.lists(
@@ -492,41 +496,46 @@ class TestDeltaFitness:
             expected = cagasa_fitness(genome, corpus, index, sd, ad, semantics)
             assert problem.fitness(genome) == expected
 
-        pool = [problem.random_genome(rnd) for _ in range(3)]  # scored or not
-        waiting = []  # made, and to be scored
-        recent = []  # scored in the last round, so most likely kept as parents
-        ops = ["mutate", "chain", "crossover", "self-cross", "again", "new"]
-        for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
-            pick = st.sampled_from(pool)
-            if recent:
-                pick = st.one_of(st.sampled_from(recent), pick)
-            op = data.draw(st.sampled_from(ops))
-            if op == "mutate":
-                made = [problem.mutate(data.draw(pick), rnd)]
-            elif op == "chain":  # each child scored, then mutated in turn
-                made = [data.draw(pick)]
-                for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-                    made.append(problem.mutate(made[-1], rnd))
-                    check(made[-1])
-                made = made[1:]
-            elif op == "crossover":
-                made = list(problem.crossover(data.draw(pick), data.draw(pick), rnd))
-            elif op == "self-cross":  # swaps equal genes
-                parent = data.draw(pick)
-                made = list(problem.crossover(parent, parent, rnd))
-            elif op == "again":  # a genome already made or scored
-                made = [data.draw(pick)]
-            else:
-                made = [problem.random_genome(rnd)]
-            # an unscored child may become a parent
-            pool.extend(made)
-            waiting.extend(made[: data.draw(st.integers(min_value=0, max_value=len(made)))])
-            # score the first few waiting genomes now, one at a time
-            now = data.draw(st.integers(min_value=0, max_value=len(waiting)))
-            for genome in waiting[:now]:
-                check(genome)
-            if now:
-                recent, waiting = waiting[:now], waiting[now:]
+        with pytest.MonkeyPatch.context() as patch:
+            if slice_cells is not None:  # several slices per batch and per decision
+                for module in (evosent.gasa, evosent.cagasa):
+                    patch.setattr(module, "SLICE_CELLS", slice_cells)
+            pool = [problem.random_genome(rnd) for _ in range(3)]  # scored or not
+            waiting = []  # made, and to be scored
+            recent = []  # scored in the last round, so most likely kept as parents
+            ops = ["mutate", "chain", "crossover", "self-cross", "again", "new"]
+            for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+                pick = st.sampled_from(pool)
+                if recent:
+                    pick = st.one_of(st.sampled_from(recent), pick)
+                op = data.draw(st.sampled_from(ops))
+                if op == "mutate":
+                    made = [problem.mutate(data.draw(pick), rnd)]
+                elif op == "chain":  # each child scored, then mutated in turn
+                    made = [data.draw(pick)]
+                    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+                        made.append(problem.mutate(made[-1], rnd))
+                        check(made[-1])
+                    made = made[1:]
+                elif op == "crossover":
+                    made = list(problem.crossover(data.draw(pick), data.draw(pick), rnd))
+                elif op == "self-cross":  # swaps equal genes
+                    parent = data.draw(pick)
+                    made = list(problem.crossover(parent, parent, rnd))
+                elif op == "again":  # a genome already made or scored
+                    made = [data.draw(pick)]
+                else:
+                    made = [problem.random_genome(rnd)]
+                # an unscored child may become a parent
+                pool.extend(made)
+                waiting.extend(made[: data.draw(st.integers(min_value=0, max_value=len(made)))])
+                # score a few waiting genomes now, one at a time in a drawn order
+                waiting = data.draw(st.permutations(waiting))
+                now = data.draw(st.integers(min_value=0, max_value=len(waiting)))
+                for genome in waiting[:now]:
+                    check(genome)
+                if now:
+                    recent, waiting = waiting[:now], waiting[now:]
 
     def test_keeps_at_most_two_generations(self):
         rng = random.Random(3)
@@ -543,14 +552,90 @@ class TestDeltaFitness:
         unscored = [problem.mutate(best.genome, rng) for _ in range(5)]
         unscored += problem.crossover(best.genome, unscored[0], rng)
         assert len(problem._lineage) == 7
+        assert problem.fitness(best.genome) == cagasa_fitness(best.genome, corpus, index, sd, ad)
+        # scoring one child resolves every child of a kept genome; the
+        # crossover child of the unscored mutant stays in the lineage
+        scored = unscored.pop(1)
+        assert problem.fitness(scored) == cagasa_fitness(scored, corpus, index, sd, ad)
+        assert len(problem._pending) == 5 and len(problem._lineage) == 1
         freed = [weakref.ref(genome) for genome in unscored]
         del unscored
-        assert problem.fitness(best.genome) == cagasa_fitness(best.genome, corpus, index, sd, ad)
         child = problem.mutate(best.genome, rng)
         gc.collect()
-        assert [ref() for ref in freed] == [None] * 7
+        assert [ref() for ref in freed] == [None] * 6
         assert [link[0] for link in problem._lineage.values()] == [child]
-        assert list(problem._parents) == [id(best.genome)] and not problem._scored
+        assert not problem._pending and not problem._scored
+        assert list(problem._parents) == [id(best.genome), id(scored)]
+
+    def test_a_generation_decides_once_and_calls_the_kernel_once_a_slice(self, monkeypatch):
+        """After the initial population, a generation decides its children's
+        genes in at most one `decide` call and re-scores them in one batch,
+        one kernel call per slice of whole children."""
+        rng = random.Random(5)
+        lexicon = random_planted_lexicon(8, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 60, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        slice_cells = 2000  # several children a slice, several slices a generation
+        monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
+        generations = [Counter()]  # calls per generation, the initial population first
+
+        def counted(name, method):
+            def call(*args):
+                generations[-1][name] += 1
+                return method(*args)
+
+            return call
+
+        rescore = evosent.cagasa.labelled_correctly_at
+
+        def batch(compiled, rows, codes, semantics):
+            generations[-1]["batches"] += 1
+            generations[-1]["children"] += len(rows)
+            genes, cells = sum(map(len, codes[0])), None
+            for owner in rows:  # a slice takes the most whole children that fit, at least one
+                size = len(owner) * compiled.slots.shape[1] + genes
+                if cells is None or cells + size > slice_cells:
+                    generations[-1]["slices"] += 1
+                    cells = 0
+                cells += size
+            return rescore(compiled, rows, codes, semantics)
+
+        decide = counted("decide", evosent.cagasa.ContextCorpus.decide)
+        monkeypatch.setattr(evosent.cagasa.ContextCorpus, "decide", decide)
+        for module in (evosent.gasa, evosent.cagasa):
+            kernel = counted("kernel", module.labelled_correctly)
+            monkeypatch.setattr(module, "labelled_correctly", kernel)
+        monkeypatch.setattr(evosent.cagasa, "labelled_correctly_at", batch)
+        scored = False
+
+        def variation(method):
+            def call(*args):
+                nonlocal scored
+                if scored:  # a generation starts at its first variation
+                    generations.append(Counter())
+                    scored = False
+                return method(*args)
+
+            return call
+
+        def fitness(genome, method=problem.fitness):
+            nonlocal scored
+            scored = True
+            return method(genome)
+
+        problem.mutate = variation(problem.mutate)
+        problem.crossover = variation(problem.crossover)
+        problem.fitness = fitness
+        best, stats = run_ga(problem, GAConfig(population_size=40, max_generations=8, seed=2))
+        later = generations[1:]
+        assert len(later) == stats.generations_executed == 8
+        assert all(calls["decide"] <= 1 and calls["batches"] <= 1 for calls in later)
+        assert [calls["kernel"] for calls in later] == [calls["slices"] for calls in later]
+        slices = sum(calls["slices"] for calls in later)
+        assert len(later) < slices < sum(calls["children"] for calls in later)
+        assert best.fitness == cagasa_fitness(best.genome, corpus, index, sd, ad)
 
     def test_reused_problem_runs_like_a_fresh_one(self):
         rng = random.Random(7)

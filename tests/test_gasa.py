@@ -1,10 +1,12 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evosent.gasa
 from evosent.corpus import Corpus, build_unknown_index
 from evosent.evaluator import Semantics, Verdict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
@@ -18,6 +20,7 @@ from evosent.gasa import (
     crossover_at,
     forced_new_code,
     labelled_correctly,
+    labelled_correctly_at,
     mutate_at,
     random_chromosome,
     random_code,
@@ -360,8 +363,9 @@ class TestDeltaFitness:
         semantics=st.sampled_from(list(Semantics)),
         gene_words=st.integers(min_value=0, max_value=5),
         rnd=st.randoms(use_true_random=False),
+        slice_cells=st.sampled_from([None, None, 1, 40]),
     )
-    def test_lineage_chains_match_oracle(self, data, semantics, gene_words, rnd):
+    def test_lineage_chains_match_oracle(self, data, semantics, gene_words, rnd, slice_cells):
         vocab = ["good", "bad", "not", "oov"] + [f"w{k}" for k in range(gene_words)]
         rows = data.draw(
             st.lists(
@@ -382,30 +386,60 @@ class TestDeltaFitness:
         problem = GasaProblem(corpus, index, sd, ad, semantics)
         pool = [problem.random_genome(rnd) for _ in range(3)]  # scored or not
         batch = []
-        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-            pick = st.sampled_from(pool + batch)
-            for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
-                op = data.draw(
-                    st.sampled_from(["mutate", "crossover", "self-cross", "again", "new"])
-                )
-                if op == "mutate":
-                    made = [problem.mutate(data.draw(pick), rnd)]
-                elif op == "crossover":
-                    made = list(problem.crossover(data.draw(pick), data.draw(pick), rnd))
-                elif op == "self-cross":  # swaps equal genes
-                    parent = data.draw(pick)
-                    made = list(problem.crossover(parent, parent, rnd))
-                elif op == "again":  # a genome already made or scored
-                    made = [data.draw(pick)]
-                else:
-                    made = [problem.random_genome(rnd)]
-                # an unscored child may become a parent within the batch
-                pool.extend(made)
-                made = made[: data.draw(st.integers(min_value=0, max_value=len(made)))]
-                batch.extend(made)
-            scores = problem.fitness_many(batch)
-            assert scores == [fitness(g, corpus, index, sd, ad, semantics) for g in batch]
-            pool, batch = batch or pool, []
+        with pytest.MonkeyPatch.context() as patch:
+            if slice_cells is not None:  # several slices per re-score
+                patch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+                pick = st.sampled_from(pool + batch)
+                for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+                    op = data.draw(
+                        st.sampled_from(["mutate", "crossover", "self-cross", "again", "new"])
+                    )
+                    if op == "mutate":
+                        made = [problem.mutate(data.draw(pick), rnd)]
+                    elif op == "crossover":
+                        made = list(problem.crossover(data.draw(pick), data.draw(pick), rnd))
+                    elif op == "self-cross":  # swaps equal genes
+                        parent = data.draw(pick)
+                        made = list(problem.crossover(parent, parent, rnd))
+                    elif op == "again":  # a genome already made or scored
+                        made = [data.draw(pick)]
+                    else:
+                        made = [problem.random_genome(rnd)]
+                    # an unscored child may become a parent within the batch
+                    pool.extend(made)
+                    made = made[: data.draw(st.integers(min_value=0, max_value=len(made)))]
+                    batch.extend(made)
+                scores = problem.fitness_many(batch)
+                assert scores == [fitness(g, corpus, index, sd, ad, semantics) for g in batch]
+                pool, batch = batch or pool, []
+
+    def test_rescore_slices_hold_whole_genomes_up_to_slice_cells(self, monkeypatch):
+        rng = random.Random(4)
+        lexicon = random_planted_lexicon(6, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 12, (2, 6), Semantics.LITERAL, rng)
+        sd, ad = empty_dicts()
+        index = build_unknown_index(corpus, sd, ad)
+        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        rows = [np.array([0, 3]), np.array([1]), np.arange(12), np.array([5, 7]), np.array([2])]
+        genomes = [random_chromosome(len(index), rng) for _ in rows]
+        sizes = [len(r) * compiled.slots.shape[1] + len(index) for r in rows]
+        # the first two genomes fill a slice exactly, the third needs more
+        # than a slice and the last two fill one exactly again
+        assert sizes[0] + sizes[1] == sizes[3] + sizes[4] < sizes[2]
+        monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", sizes[0] + sizes[1])
+        sliced = []
+
+        def kernel(part, codes, semantics):
+            sliced.append(len(part.slots))
+            return labelled_correctly(part, codes, semantics)
+
+        monkeypatch.setattr(evosent.gasa, "labelled_correctly", kernel)
+        codes = [(g.codes,) for g in genomes]
+        got = labelled_correctly_at(compiled, rows, codes, Semantics.LITERAL)
+        assert sliced == [3, 12, 3]
+        alone = labelled_correctly(compiled, code_matrix(genomes).T, Semantics.LITERAL)
+        assert got.tolist() == np.concatenate([a[r] for a, r in zip(alone, rows)]).tolist()
 
     def test_reused_problem_runs_like_a_fresh_one(self):
         rng = random.Random(7)
