@@ -10,14 +10,14 @@ empty neighborhood, the context-free pair applies.
 `ContextCorpus.decide` applies the rule to every occurrence of a genome's
 gene words at once in numpy, for training and for prediction alike, and the
 GASA kernel scores the pairs it decides. Only `CagasaProblem` remembers
-decisions, while training: for each genome of the last two generations, the
-pair codes each gene decides and which instances the genome labels
-correctly. A child differs from its parent in one gene, so it decides at
-most that gene and re-scores only the instances whose codes it changes,
-which equals the full pass; a generation's children share one decision and
-one stacked re-score. The rule for one word at a time lives only in
-`tests/oracles.py` (`cagasa_verdict`), the plain reference the test suite
-asserts this code equal to.
+decisions, while training: on the delta-fitness engine it shares with GASA
+(`gasa.WordGeneProblem`), a genome's code chunks are the pair codes each of
+its genes decides. A child differs from its parent in one gene, so it
+decides at most that gene and re-scores only the instances whose codes it
+changes, which equals the full pass; a generation's children share one
+decision and one stacked re-score. The rule for one word at a time lives
+only in `tests/oracles.py` (`cagasa_verdict`), the plain reference the test
+suite asserts this code equal to.
 """
 
 from __future__ import annotations
@@ -31,17 +31,13 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .corpus import Corpus, UnknownWordIndex
-from .evaluator import SlotTable
 from .gasa import (
     PAIR_CODES,
     SLICE_CELLS,
     CompiledCorpus,
     WordGeneProblem,
     compile_corpus,
-    crossover_at,
     forced_new_code,
-    labelled_correctly,
-    labelled_correctly_at,
     random_code,
 )
 from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair
@@ -349,144 +345,82 @@ def _pair_codes(gene: CagasaGene) -> Tuple[int, int]:
 
 
 class CagasaProblem(WordGeneProblem):
-    """Adapter exposing CA-GASA to the GA engine with delta fitness, through
-    `fitness` alone: the engine makes all of a generation's children before
-    it scores any, so they are resolved together at the first call.
+    """Adapter exposing CA-GASA to the GA engine through `fitness` alone.
+    The engine makes all of a generation's children before it scores any,
+    so the first call on a recorded child not scored yet scores every
+    recorded child with it; the others wait in `_batched` for their calls.
 
-    For each genome it scores, `fitness` keeps a tuple of code segments, the
-    int8 pair codes each gene decides at its position's occurrences (bytes),
-    and which instances the genome labels correctly. Genomes that hold the
-    same segment share one object. `mutate` and `crossover` record each
-    child's parent, the one position they changed and, for a crossover, the
-    other parent, the donor. The first `fitness` call on a recorded child
-    resolves every recorded child of a kept genome, one scored since the
-    last variation or in the generation before. A child takes the kept
-    donor's segment, or else, if the changed gene keeps the parent gene's
-    lists and look distances and the parent gene's two pair codes differ,
-    reads where the rule fires from the parent's segment. The other changed
-    genes are decided in one `decide` call. A child whose segment equals the
-    parent's takes the parent's state; the others re-score only the
-    instances whose codes changed, in one `labelled_correctly_at` call. The
-    states wait in `_pending`, which is not kept, until each child's own
-    `fitness` call. Every other genome is decided and scored in full.
-
-    The first `mutate` or `crossover` after a `fitness` call makes the
-    genomes scored since then the parents' table, and drops the older table,
-    the lineage and the pending states. All are keyed by object identity and
-    hold their genomes, so an id is never reused while it is a key.
+    A genome's code chunks are its segments: the int8 pair codes each gene
+    decides at its position's occurrences. Genomes that hold the same
+    segment share one object. A child's changed gene takes the kept donor's
+    segment or, if it keeps the parent gene's lists and look distances and
+    the parent gene's two pair codes differ, reads where the rule fired from
+    the parent's segment; the other changed genes are decided in one
+    `decide` call. A genome scored in full is decided on its own.
     """
-
-    @staticmethod
-    def _compile(corpus: Corpus, table: SlotTable) -> ContextCorpus:
-        return ContextCorpus(compile_corpus(corpus, table))
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.neighbors = corpus_neighbors(self.corpus)
-        self._lineage: dict = {}  # id(child) -> (child, parent, position, donor or None)
-        self._pending: dict = {}  # id(child) -> its state, resolved and not yet scored
-        self._parents: dict = {}  # id(genome) -> (genome, segments, correct), last generation
-        self._scored: dict = {}  # the same for this one, scored since the last variation
 
     @cached_property
-    def _starts(self) -> np.ndarray:
-        """Gene g's occurrences are those numbered _starts[g]:_starts[g + 1]."""
-        return np.searchsorted(self._compiled.occurrence_gene, np.arange(len(self.index) + 1))
+    def _context(self) -> ContextCorpus:
+        return ContextCorpus(compile_corpus(self.corpus, self.table))
 
-    def _kept(self, genome):
-        key = id(genome)
-        return self._scored.get(key) or self._parents.get(key)
-
-    def fitness(self, genome: CagasaChromosome) -> int:
-        """Correctly labelled instances. Every gene pair must be evolvable,
-        as those of random, mutated and loaded genes are."""
-        key = id(genome)
-        if key in self._lineage:  # a child not resolved yet
-            self._resolve()
-            self._lineage.pop(key, None)  # left only if its parent is not kept
-        state = self._kept(genome) or self._pending.pop(key, None) or self._full_state(genome)
-        self._scored[key] = state
-        return int(state[2].sum())
-
-    def _full_state(self, genome: CagasaChromosome) -> tuple:
-        segments = tuple(self._decide(range(len(genome)), genome.genes))
-        codes = np.frombuffer(b"".join(segments), dtype=np.int8)
-        correct = labelled_correctly(self._compiled.compiled, codes[:, None], self.semantics)[0]
-        return genome, segments, correct
-
-    def _decide(self, positions: Sequence[int], genes: Sequence[CagasaGene]) -> list:
-        """The codes each gene decides at its position's occurrences."""
-        codes, counts = self._compiled.decide(positions, encode_genes(genes))
-        ends = np.cumsum(counts).tolist()
-        return [codes[start:end].tobytes() for start, end in zip([0, *ends], ends)]
-
-    def _resolve(self) -> None:
-        """Move the state of every recorded child of a kept genome from
-        `_lineage` to `_pending`, with one `decide` call for the genes
-        decided anew and one stacked re-score of the rows that changed."""
-        children = []  # [child, parent's state, position, its segment or None]
-        for key, (child, parent, position, donor) in list(self._lineage.items()):
-            kept = self._kept(parent)
-            if kept:
-                del self._lineage[key]
-                new = self._segment(child, parent, position, donor, kept[1][position])
-                children.append([child, kept, position, new])
-        fresh = [c for c in children if c[3] is None]
-        if fresh:
-            decided = self._decide([c[2] for c in fresh], [c[0].genes[c[2]] for c in fresh])
-            for child, new in zip(fresh, decided):
-                child[3] = new
-        owners, rows = [], []
-        for child, (_, segments, correct), position, new in children:
-            old = segments[position]
-            if new == old:
-                self._pending[id(child)] = child, segments, correct
-                continue
-            changed = np.frombuffer(new, dtype=np.int8) != np.frombuffer(old, dtype=np.int8)
-            occurrences = self._starts[position] + np.flatnonzero(changed)
-            rows.append(np.unique(self._compiled.occurrence_row[occurrences]))
-            owners.append((child, segments[:position] + (new,) + segments[position + 1 :], correct))
-        if not owners:
-            return
-        codes = [segments for _, segments, _ in owners]
-        relabelled = labelled_correctly_at(self._compiled.compiled, rows, codes, self.semantics)
-        parts = np.split(relabelled, np.cumsum([len(r) for r in rows[:-1]]))
-        for (child, segments, correct), at, part in zip(owners, rows, parts):
-            correct = correct.copy()
-            correct[at] = part
-            self._pending[id(child)] = child, segments, correct
-
-    def _segment(self, child, parent, position: int, donor, codes: bytes):
-        """The child's codes at `position`'s occurrences, if a kept donor's
-        or the parent's (`codes`) show them without a decision; else None."""
-        donor_kept = donor is not None and self._kept(donor)
-        if donor_kept:
-            return donor_kept[1][position]
-        old, new = parent.genes[position], child.genes[position]
-        context_code, free_code = _pair_codes(old)
-        if context_code != free_code and _trigger(old.rule) == _trigger(new.rule):
-            fired = np.frombuffer(codes, dtype=np.int8) == context_code
-            return np.where(fired, *_pair_codes(new)).astype(np.int8).tobytes()
-        return None
-
-    def _vary(self) -> None:
-        if self._scored:  # the first variation since a `fitness` call
-            self._parents, self._scored, self._lineage, self._pending = self._scored, {}, {}, {}
+    @property
+    def _compiled(self) -> CompiledCorpus:
+        return self._context.compiled
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
         return random_cagasa_chromosome(self.index, self.neighbors, rng)
 
-    def mutate_genes(self, genome: CagasaChromosome, rng: random.Random) -> CagasaChromosome:
-        self._vary()
-        child, position = mutate_cagasa_at(genome, self.neighbors, rng)
-        self._lineage[id(child)] = child, genome, position, None
-        return child
+    def _mutate_at(self, genome: CagasaChromosome, rng: random.Random):
+        return mutate_cagasa_at(genome, self.neighbors, rng)
 
-    def crossover(self, g1, g2, rng: random.Random):
-        self._vary()
-        if len(g1) == 0:
-            return g1, g2
-        c1, c2, position = crossover_at(g1, g2, rng)
-        self._lineage[id(c1)] = c1, g1, position, g2
-        self._lineage[id(c2)] = c2, g2, position, g1
-        return c1, c2
+    def fitness(self, genome: CagasaChromosome) -> int:
+        """Correctly labelled instances. Every gene pair must be evolvable,
+        as those of random, mutated and loaded genes are."""
+        ahead = [link[0] for link in self._lineage.values()] if id(genome) in self._lineage else ()
+        return self._score([genome], ahead)[0]
+
+    def _decide(self, positions: Sequence[int], genes: Sequence[CagasaGene]) -> list:
+        """The codes each gene decides at its position's occurrences."""
+        codes, counts = self._context.decide(positions, encode_genes(genes))
+        ends = np.cumsum(counts).tolist()
+        return [codes[start:end].tobytes() for start, end in zip([0, *ends], ends)]
+
+    def _codes(self, genomes) -> list:
+        return [tuple(self._decide(range(len(g)), g.genes)) for g in genomes]
+
+    def _deltas(self, children) -> list:
+        segments = [self._segment(*child) for child in children]
+        fresh = [k for k, segment in enumerate(segments) if segment is None]
+        if fresh:
+            positions = [children[k][2] for k in fresh]
+            genes = [children[k][0].genes[p] for k, p in zip(fresh, positions)]
+            for k, segment in zip(fresh, self._decide(positions, genes)):
+                segments[k] = segment
+        deltas, unchanged = [], np.zeros(0, dtype=np.int64)
+        firsts = np.searchsorted(self._context.occurrence_gene, [c[2] for c in children]).tolist()
+        for (_, (_, chunks, _, _), position, _), new, first in zip(children, segments, firsts):
+            old = chunks[position]
+            if new == old:  # most children decide as their parents do
+                deltas.append((chunks, unchanged))
+                continue
+            changed = np.frombuffer(new, dtype=np.int8) != np.frombuffer(old, dtype=np.int8)
+            occurrences = first + np.flatnonzero(changed)
+            rows = np.unique(self._context.occurrence_row[occurrences])
+            deltas.append((chunks[:position] + (new,) + chunks[position + 1 :], rows))
+        return deltas
+
+    def _segment(self, child, parent, position: int, donor):
+        """The child's codes at `position`'s occurrences, if the kept donor's
+        or the parent's state shows them without a decision; else None."""
+        if donor is not None:
+            return donor[1][position]
+        old, new = parent[0].genes[position], child.genes[position]
+        context_code, free_code = _pair_codes(old)
+        if context_code != free_code and _trigger(old.rule) == _trigger(new.rule):
+            fired = np.frombuffer(parent[1][position], dtype=np.int8) == context_code
+            return np.where(fired, *_pair_codes(new)).astype(np.int8).tobytes()
+        return None

@@ -128,15 +128,12 @@ def _add_training_flags(parser):
 
 def _build_config(args) -> GAConfig:
     config = GAConfig()
-    if args.config is not None:
-        path = _require_file(args.config, "config file")
-        try:
-            config = replace(config, **parse_config_file(path))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-    flags = {key: getattr(args, key) for key in CONFIG_FIELDS}
-    config = replace(config, **{key: v for key, v in flags.items() if v is not None})
     try:
+        if args.config is not None:
+            path = _require_file(args.config, "config file")
+            config = replace(config, **parse_config_file(path))
+        flags = {key: getattr(args, key) for key in CONFIG_FIELDS}
+        config = replace(config, **{key: v for key, v in flags.items() if v is not None})
         config.validate()
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

@@ -165,6 +165,8 @@ def parse_config_file(source) -> dict:
             raise ValueError(f"line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in overrides:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
         try:
             overrides[key] = parse_config_field(key, value.strip())
         except ValueError as exc:

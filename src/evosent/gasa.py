@@ -10,15 +10,12 @@ matrix, and `scores` scores columns of pair codes on it through
 `accumulate`, the column loop over the slot matrix. `labelled_correctly`
 wraps `scores` for training; both algorithms train and predict on them.
 
-Each GASA child differs from its parent in at most one gene: a mutation
-replaces one, a crossover swaps one position. `GasaProblem.fitness_many`
-therefore scores a child of a genome it scored in its previous call from
-the parent's per-instance correctness: a child whose changed gene equals
-the parent's takes the parent's fitness, and any other child re-scores only
-the instances that contain its changed gene's word. A sentence's score
-depends on its own tokens alone, and the re-scored rows go through the same
-kernel, so the fitness is exactly that of a full pass. Initial genomes and
-children of genomes not scored in the previous call get the full pass.
+`WordGeneProblem` is the delta-fitness engine of both algorithms. A child
+differs from its parent in at most one gene, so a child of a genome scored
+in the last generation starts from the parent's per-instance correctness
+and re-scores only the instances whose codes it changes. `GasaProblem`
+supplies GASA's genomes and, for a child, the instances that hold its
+changed gene's word.
 """
 
 from __future__ import annotations
@@ -100,11 +97,11 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
     return c1, c2, position
 
 
-# The most slot-matrix elements one kernel call takes at once (a longer
-# sentence, or a re-scored genome with more, takes a call of its own), and
-# about the most elements the widest temporary of a CA-GASA context decision
-# holds. It bounds the memory their temporaries hold, whatever the input's
-# size.
+# The most elements one kernel call takes at once: slot-matrix cells and
+# codes for a re-score slice, instances and codes for each genome of a full
+# pass (a sentence or a genome with more takes a call of its own). Also about
+# the most elements the widest temporary of a CA-GASA context decision holds.
+# It bounds the memory their temporaries hold, whatever the input's size.
 SLICE_CELLS = 1 << 16
 
 
@@ -246,31 +243,46 @@ def accumulate(
     return (sentiment + amplifier).T
 
 
-def code_matrix(genomes) -> np.ndarray:
-    """The genomes' pair codes, one int8 row per genome."""
-    codes = np.frombuffer(b"".join([g.codes for g in genomes]), dtype=np.int8)
-    return codes.reshape(len(genomes), len(genomes[0]) if genomes else 0)
-
-
-def gene_rows(slots: np.ndarray, genes: int) -> Tuple[np.ndarray, np.ndarray]:
+def gene_rows(slots: np.ndarray, genes: int) -> Tuple[list, np.ndarray]:
     """(starts, rows): the rows of a slot matrix that hold gene g are
     rows[starts[g]:starts[g + 1]], ascending and each once."""
     instances = max(len(slots), 1)
     rows, columns = np.nonzero(slots >= 0)
     keys = np.unique(slots[rows, columns].astype(np.int64) * instances + rows)
     starts = np.searchsorted(keys // instances, np.arange(genes + 1))
-    return starts, keys % instances
+    return starts.tolist(), keys % instances
 
 
 class WordGeneProblem:
-    """What GASA and CA-GASA share as GA-engine problems: one gene per
-    unknown word, resolved through one slot table. A subclass supplies
-    `_compile(corpus, table)`, which compiles the corpus, and a way to
-    score: GASA supplies `fitness_many`, CA-GASA `fitness`, which scores a
-    generation's children together at its first call. Both score a child of
-    a genome they scored in the last generation by delta, from state they
-    keep for that genome, and record each child's lineage in `mutate` and
-    `crossover`."""
+    """The delta-fitness engine that GASA and CA-GASA share as GA-engine
+    problems: one gene per unknown word, resolved through one slot table.
+
+    A genome's state is (genome, code chunks, the bytes the kernel reads
+    for it joined in order; which instances it labels correctly; how many).
+    A genome is kept while its state is in `_scored`, for the genomes asked
+    for since the last variation, or in `_parents`, for the generation
+    before. A genome scored in a batch before it is asked for waits in
+    `_batched`. `mutate` and `crossover` record each child's parent, changed
+    position and, for a crossover, donor, the other parent. The first
+    variation after a scoring call makes `_scored` the parents' table, and
+    drops the older table, `_batched` and the lineage of the children never
+    scored.
+
+    A child of a kept genome starts from its parent's state and re-scores
+    only the rows its changed codes touch, all of a batch's children in one
+    `labelled_correctly_at` call. Any other genome takes a full pass, in
+    kernel calls of as many genomes as fit in SLICE_CELLS elements, counting
+    a genome's instances and codes, and at least one. A sentence's score
+    depends on its own tokens alone, so the fitness is exactly that of a
+    full pass. The tables are keyed by object identity and hold their
+    genomes, so an id is never reused while it is a key.
+
+    A subclass supplies `random_genome(rng)`; `_mutate_at(genome, rng)`, a
+    child and its changed position; `_codes(genomes)`, the code chunks of
+    genomes scored in full; and `_deltas(children)`, each child's code
+    chunks and changed rows, for children given as (child, parent's state,
+    position, donor's state or None).
+    """
 
     def __init__(
         self,
@@ -287,44 +299,100 @@ class WordGeneProblem:
         self.semantics = semantics
         self.max_fitness = len(corpus.instances)
         self.table = slot_table(index, sentiment_dict, amplifier_dict)
+        self._lineage: dict = {}  # id(child) -> (child, parent, position, donor or None)
+        self._parents: dict = {}  # id(genome) -> its state, for the last generation
+        self._scored: dict = {}  # the same for the genomes asked for since the last variation
+        self._batched: dict = {}  # the same for genomes scored before they are asked for
 
     @cached_property
-    def _compiled(self):
+    def _compiled(self) -> CompiledCorpus:
         """Built on first use, so that building the problem stays cheap."""
-        return self._compile(self.corpus, self.table)
+        return compile_corpus(self.corpus, self.table)
+
+    def _kept(self, genome):
+        key = id(genome)
+        return self._scored.get(key) or self._parents.get(key)
+
+    def _vary(self) -> None:
+        if self._scored:  # the first variation since a scoring call
+            self._parents, self._scored, self._batched, self._lineage = self._scored, {}, {}, {}
 
     def mutate(self, genome, rng: random.Random):
+        self._vary()
         if len(genome) == 0:  # nothing to evolve on a fully covered corpus
             return genome
-        return self.mutate_genes(genome, rng)
+        child, position = self._mutate_at(genome, rng)
+        self._lineage[id(child)] = child, genome, position, None
+        return child
 
     def crossover(self, g1, g2, rng: random.Random):
+        self._vary()
         if len(g1) == 0:
             return g1, g2
-        return crossover_at(g1, g2, rng)[:2]
+        c1, c2, position = crossover_at(g1, g2, rng)
+        self._lineage[id(c1)] = c1, g1, position, g2
+        self._lineage[id(c2)] = c2, g2, position, g1
+        return c1, c2
+
+    def _score(self, genomes, ahead=()) -> list:
+        """The fitness of each of `genomes`, whose states go in `_scored`.
+        The genomes `ahead` are scored in the same batch, and their states
+        wait in `_batched`. Each genome not kept is scored once, however
+        often it appears."""
+        scored, parents, batched = self._scored, self._parents, self._batched
+        children, full, fresh = [], [], set()
+        for genome in chain(genomes, ahead):
+            key = id(genome)
+            if key in scored or key in parents or key in batched or key in fresh:
+                continue
+            fresh.add(key)
+            link = self._lineage.pop(key, None)
+            parent = link and self._kept(link[1])
+            if parent:
+                children.append((genome, parent, link[2], self._kept(link[3])))
+            else:
+                full.append(genome)
+        if fresh:
+            deltas = self._deltas(children)
+            codes = [chunks for chunks, _ in deltas] + self._codes(full)
+            instances, genes = self.max_fitness, sum(map(len, codes[0]))
+            vectors = [parent[2] for _, parent, _, _ in children]
+            vectors += [np.zeros(instances, dtype=bool)] * len(full)
+            correct = np.concatenate(vectors).reshape(len(codes), instances)
+            fitness = np.array([parent[3] for _, parent, _, _ in children] + [0] * len(full))
+            at = [k for k, (_, rows) in enumerate(deltas) if len(rows)]
+            if at:  # children whose codes change rows; a fitness moves by their change
+                rows = [deltas[k][1] for k in at]
+                where = np.repeat(at, [len(r) for r in rows]), np.concatenate(rows)
+                owners = [codes[k] for k in at]
+                new = labelled_correctly_at(self._compiled, rows, owners, self.semantics)
+                np.add.at(fitness, where[0], np.subtract(new, correct[where], dtype=np.int64))
+                correct[where] = new
+            # full passes, of the most whole genomes that fit a call, at least one
+            step = max(SLICE_CELLS // max(instances + genes, 1), 1)
+            for start in range(len(children), len(codes), step):
+                block = codes[start : start + step]
+                joined = np.frombuffer(b"".join(chain.from_iterable(block)), dtype=np.int8)
+                columns = joined.reshape(len(block), genes).T
+                correct[start : start + len(block)] = labelled_correctly(
+                    self._compiled, columns, self.semantics
+                )
+            fitness[len(children) :] = np.count_nonzero(correct[len(children) :], axis=1)
+            made = [child for child, _, _, _ in children] + full
+            for genome, chunks, vector, value in zip(made, codes, correct, fitness.tolist()):
+                batched[id(genome)] = genome, chunks, vector, value
+        for genome in genomes:
+            key = id(genome)
+            scored[key] = scored.get(key) or parents.get(key) or batched.pop(key)
+        return [scored[id(genome)][3] for genome in genomes]
 
 
 class GasaProblem(WordGeneProblem):
-    """Adapter exposing GASA to the GA engine with batched delta fitness.
+    """Adapter exposing GASA to the GA engine through `fitness_many`. A
+    child re-scores the instances that hold its changed gene's word, or none
+    when its code there equals the parent's."""
 
-    `fitness_many` keeps, for each genome of its last batch, which instances
-    it labels correctly; each call replaces them. `mutate` and `crossover`
-    record each child's parent and the one position they changed, until the
-    next `fitness_many` call. A child of a genome in the last batch starts
-    from the parent's vector and re-scores only the instances that hold its
-    changed gene's word, if its code there differs from the parent's; a
-    genome of the last batch keeps its vector. Every other genome is scored
-    in full. Both are keyed by object identity and hold their genomes, so an
-    id is never reused while it is a key.
-    """
-
-    _compile = staticmethod(compile_corpus)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lineage: dict = {}  # id(child) -> (child, parent, changed position)
-        self._rows: dict = {}  # id(genome) -> (genome, its row of `_correct`)
-        self._correct = np.zeros((0, self.max_fitness), dtype=bool)
+    _mutate_at = staticmethod(mutate_at)
 
     @cached_property
     def _gene_rows(self):
@@ -333,55 +401,18 @@ class GasaProblem(WordGeneProblem):
     def random_genome(self, rng: random.Random) -> GasaChromosome:
         return random_chromosome(len(self.index), rng)
 
-    def mutate_genes(self, genome: GasaChromosome, rng: random.Random) -> GasaChromosome:
-        child, position = mutate_at(genome, rng)
-        self._lineage[id(child)] = child, genome, position
-        return child
+    def _codes(self, genomes) -> list:
+        return [(genome.codes,) for genome in genomes]
 
-    def crossover(self, g1, g2, rng: random.Random):
-        if len(g1) == 0:
-            return g1, g2
-        c1, c2, position = crossover_at(g1, g2, rng)
-        self._lineage[id(c1)] = c1, g1, position
-        self._lineage[id(c2)] = c2, g2, position
-        return c1, c2
+    def _deltas(self, children) -> list:
+        starts, holding = self._gene_rows
+        deltas = []
+        for child, parent, position, _ in children:
+            start = end = starts[position]
+            if child.codes[position] != parent[0].codes[position]:
+                end = starts[position + 1]
+            deltas.append(((child.codes,), holding[start:end]))
+        return deltas
 
     def fitness_many(self, genomes) -> list:
-        genomes = list(genomes)
-        lineage, self._lineage = self._lineage, {}
-        # Genomes that copy a row of the last batch, the rows they copy, the
-        # children among them whose changed code differs from the parent's
-        # with the positions changed, and the genomes scored in full.
-        copies, sources, children, positions, full = [], [], [], [], []
-        for j, genome in enumerate(genomes):
-            kept = self._rows.get(id(genome))
-            link = lineage.get(id(genome)) if kept is None else None
-            if link is not None:
-                _, parent, position = link
-                kept = self._rows.get(id(parent))
-                if kept is not None and genome.codes[position] != parent.codes[position]:
-                    children.append(j)
-                    positions.append(position)
-            if kept is None:
-                full.append(j)
-            else:
-                copies.append(j)
-                sources.append(kept[1])
-
-        correct = np.zeros((len(genomes), self.max_fitness), dtype=bool)
-        correct[copies] = self._correct[sources]
-        if children:
-            starts, holding = self._gene_rows
-            rows = [holding[starts[p] : starts[p + 1]] for p in positions]
-            owners = np.repeat(children, [len(r) for r in rows])
-            codes = [(genomes[j].codes,) for j in children]
-            correct[owners, np.concatenate(rows)] = labelled_correctly_at(
-                self._compiled, rows, codes, self.semantics
-            )
-        if full:
-            codes = code_matrix([genomes[j] for j in full]).T
-            correct[full] = labelled_correctly(self._compiled, codes, self.semantics)
-
-        self._rows = {id(g): (g, j) for j, g in enumerate(genomes)}
-        self._correct = correct
-        return correct.sum(axis=1).tolist()
+        return self._score(list(genomes))

@@ -104,13 +104,13 @@ def seed_amplifier_dictionary() -> Dictionary:
 
 def text_lines(source: Union[str, Path, TextIO]) -> Iterator[str]:
     """The lines of a UTF-8 text file, or of an open text stream, without
-    their newlines. Text that is not UTF-8 raises TextDecodeError, which
-    names the file."""
+    their newlines. A file's lines end at LF only, less one CR just before
+    it. Text that is not UTF-8 raises TextDecodeError, which names the file."""
     path = isinstance(source, (str, os.PathLike))
-    with open(source, "r", encoding="utf-8") if path else nullcontext(source) as fh:
+    with open(source, encoding="utf-8", newline="\n") if path else nullcontext(source) as fh:
         try:
             for line in fh:
-                yield line.rstrip("\n")
+                yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
         except UnicodeDecodeError as exc:
             raise TextDecodeError(f"{source}: {exc}") from None
 

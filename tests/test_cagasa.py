@@ -1,6 +1,4 @@
-import gc
 import random
-import weakref
 from collections import Counter
 
 import pytest
@@ -447,7 +445,7 @@ class TestKernelFitness:
         sd, ad = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
         index = build_unknown_index(corpus, sd, ad)
         problem = CagasaProblem(corpus, index, sd, ad)
-        ahead, behind = problem._compiled.neighbor_ids(3)
+        ahead, behind = problem._context.neighbor_ids(3)
         assert ahead.shape == behind.shape == (3, 3)
         assert (ahead == -1).all() and (behind == -1).all()
         both = rule(list_next={"u", "v"}, list_previous={"u", "v"}, number_ahead=3, number_behind=3)
@@ -537,36 +535,6 @@ class TestDeltaFitness:
                 if now:
                     recent, waiting = waiting[:now], waiting[now:]
 
-    def test_keeps_at_most_two_generations(self):
-        rng = random.Random(3)
-        lexicon = random_planted_lexicon(6, 2, rng)
-        corpus = generate_synthetic_corpus(lexicon, 40, (2, 9), Semantics.LITERAL, rng)
-        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
-        index = build_unknown_index(corpus, sd, ad)
-        problem = CagasaProblem(corpus, index, sd, ad)
-        best, stats = run_ga(problem, GAConfig(population_size=20, max_generations=10, seed=3))
-        assert stats.generations_executed == 10
-        assert len(problem._parents) <= 20 and len(problem._scored) <= 20
-        # children made after the last scoring call are dropped, and with
-        # them the genomes held only for them, at the next variation
-        unscored = [problem.mutate(best.genome, rng) for _ in range(5)]
-        unscored += problem.crossover(best.genome, unscored[0], rng)
-        assert len(problem._lineage) == 7
-        assert problem.fitness(best.genome) == cagasa_fitness(best.genome, corpus, index, sd, ad)
-        # scoring one child resolves every child of a kept genome; the
-        # crossover child of the unscored mutant stays in the lineage
-        scored = unscored.pop(1)
-        assert problem.fitness(scored) == cagasa_fitness(scored, corpus, index, sd, ad)
-        assert len(problem._pending) == 5 and len(problem._lineage) == 1
-        freed = [weakref.ref(genome) for genome in unscored]
-        del unscored
-        child = problem.mutate(best.genome, rng)
-        gc.collect()
-        assert [ref() for ref in freed] == [None] * 6
-        assert [link[0] for link in problem._lineage.values()] == [child]
-        assert not problem._pending and not problem._scored
-        assert list(problem._parents) == [id(best.genome), id(scored)]
-
     def test_a_generation_decides_once_and_calls_the_kernel_once_a_slice(self, monkeypatch):
         """After the initial population, a generation decides its children's
         genes in at most one `decide` call and re-scores them in one batch,
@@ -588,7 +556,7 @@ class TestDeltaFitness:
 
             return call
 
-        rescore = evosent.cagasa.labelled_correctly_at
+        rescore = evosent.gasa.labelled_correctly_at
 
         def batch(compiled, rows, codes, semantics):
             generations[-1]["batches"] += 1
@@ -604,10 +572,9 @@ class TestDeltaFitness:
 
         decide = counted("decide", evosent.cagasa.ContextCorpus.decide)
         monkeypatch.setattr(evosent.cagasa.ContextCorpus, "decide", decide)
-        for module in (evosent.gasa, evosent.cagasa):
-            kernel = counted("kernel", module.labelled_correctly)
-            monkeypatch.setattr(module, "labelled_correctly", kernel)
-        monkeypatch.setattr(evosent.cagasa, "labelled_correctly_at", batch)
+        kernel = counted("kernel", evosent.gasa.labelled_correctly)
+        monkeypatch.setattr(evosent.gasa, "labelled_correctly", kernel)
+        monkeypatch.setattr(evosent.gasa, "labelled_correctly_at", batch)
         scored = False
 
         def variation(method):
@@ -636,21 +603,3 @@ class TestDeltaFitness:
         slices = sum(calls["slices"] for calls in later)
         assert len(later) < slices < sum(calls["children"] for calls in later)
         assert best.fitness == cagasa_fitness(best.genome, corpus, index, sd, ad)
-
-    def test_reused_problem_runs_like_a_fresh_one(self):
-        rng = random.Random(7)
-        corpus = generate_synthetic_corpus(
-            random_planted_lexicon(12, 4, rng), 120, (3, 8), Semantics.LITERAL, rng
-        )
-        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
-        index = build_unknown_index(corpus, sd, ad)
-        for semantics in Semantics:
-            reused = CagasaProblem(corpus, index, sd, ad, semantics)
-            for seed in (3, 4, 3):
-                config = GAConfig(population_size=30, max_generations=15, seed=seed)
-                fresh = CagasaProblem(corpus, index, sd, ad, semantics)
-                best, stats = run_ga(reused, config)
-                fresh_best, fresh_stats = run_ga(fresh, config)
-                assert best.genome == fresh_best.genome
-                assert best.fitness == fresh_best.fitness
-                assert stats == fresh_stats

@@ -152,6 +152,15 @@ class TestPredict:
         main(["predict", "--model", str(model_path), "--text", "mystery", "--show-ties"])
         assert capsys.readouterr().out.strip() == "negative\ttie"
 
+    def test_lone_carriage_return_stays_in_its_line(self, model_path, tmp_path, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(b"zorp blick\rnot zorp\nflern\n")
+        assert main(["predict", "--model", str(model_path), "--input", str(inp)]) == 0
+        labels = capsys.readouterr().out.splitlines()
+        for text in ("zorp blick not zorp", "flern"):
+            assert main(["predict", "--model", str(model_path), "--text", text]) == 0
+        assert labels == capsys.readouterr().out.splitlines()
+
     def test_input_file_to_output_file(self, model_path, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_text("zorp blick\nmystery\n")
@@ -250,6 +259,7 @@ class TestPredict:
         ("--model", b"model\t1\n\xff\n", "utf-8"),
         ("--input", b"zorp\n\xfe\xff\n", "utf-8"),
         ("--config", b"seed=1\n\xff\n", "utf-8"),
+        ("--config", "population_size=10\npopulation_size=6\n", "line 2: repeated key"),
     ],
 )
 def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_path, capsys):

@@ -163,6 +163,12 @@ class TestLoadCorpus:
         assert load_corpus(crlf).instances == load_corpus(lf).instances
         assert len(load_corpus(lf)) == 3
 
+    def test_lone_carriage_return_stays_in_its_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"positive\tgood\rbad one\nnegative\tno\n")
+        loaded = load_corpus(path)
+        assert [i.tokens for i in loaded.instances] == [("good", "bad", "one"), ("no",)]
+
     def test_save_round_trip(self, tmp_path):
         corpus = make_corpus([(["a", "b"], "positive"), (["c"], "negative")])
         path = tmp_path / "c.tsv"

@@ -92,6 +92,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(path)
 
+    def test_config_file_repeated_key(self, tmp_path):
+        path = tmp_path / "ga.conf"
+        path.write_text("population_size=10\n# the same key again\npopulation_size=6\n")
+        with pytest.raises(ValueError, match="line 3: repeated key 'population_size'"):
+            parse_config_file(path)
+
 
 class TestTournament:
     def test_empty_population(self, rng):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evosent.gasa
+from evosent.cagasa import CagasaProblem
 from evosent.corpus import Corpus, build_unknown_index
 from evosent.evaluator import Semantics, Verdict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
@@ -14,7 +17,6 @@ from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
     GasaChromosome,
     GasaProblem,
-    code_matrix,
     compile_corpus,
     compile_tokens,
     crossover_at,
@@ -36,15 +38,33 @@ from evosent.lexicon import (
 )
 
 from conftest import A, S, make_corpus, trained_model
-from oracles import gasa_chromosome, reference_forced_new_pair, reference_random_pair
+from oracles import cagasa_fitness, gasa_chromosome
+from oracles import reference_forced_new_pair, reference_random_pair
 from oracles import gasa_fitness as fitness
 
 pairs = st.sampled_from(EVOLVABLE_PAIRS)
 chromosomes = st.lists(pairs, min_size=1, max_size=30).map(gasa_chromosome)
 
 
+def code_columns(genomes) -> np.ndarray:
+    """The genomes' pair codes, one int8 column per genome."""
+    genes = len(genomes[0]) if genomes else 0
+    codes = np.frombuffer(b"".join(g.codes for g in genomes), dtype=np.int8)
+    return codes.reshape(len(genomes), genes).T
+
+
 def batch_fitness(chroms, compiled, semantics=Semantics.LITERAL):
-    return labelled_correctly(compiled, code_matrix(chroms).T, semantics).sum(axis=1)
+    return labelled_correctly(compiled, code_columns(chroms), semantics).sum(axis=1)
+
+
+# Each problem class of the shared delta-fitness engine, and its oracle.
+PROBLEMS = {"gasa": (GasaProblem, fitness), "cagasa": (CagasaProblem, cagasa_fitness)}
+
+
+def scorer(problem):
+    """Scores a list of genomes through the problem's own protocol."""
+    many = getattr(problem, "fitness_many", None)
+    return many or (lambda genomes: [problem.fitness(g) for g in genomes])
 
 
 def empty_dicts():
@@ -92,10 +112,10 @@ class TestCodeGenome:
         # a sentence of gene k's word alone scores that gene's value
         words = [f"w{k}" for k in range(len(chrom))]
         compiled = compile_tokens([[w] for w in words], {w: k for k, w in enumerate(words)})
-        got = scores(compiled, code_matrix([chrom]).T, semantics)[0]
+        got = scores(compiled, code_columns([chrom]), semantics)[0]
         assert got.tolist() == [pair.value for pair in chrom.genes]
         assert gasa_chromosome(chrom.genes) == chrom
-        assert list(code_matrix([chrom, chrom])[1]) == list(gene_codes)
+        assert code_columns([chrom, chrom])[:, 1].tolist() == list(gene_codes)
 
     def test_random_code_draws_as_pairs_were_drawn(self):
         for seed in range(300):
@@ -390,8 +410,8 @@ class TestDeltaFitness:
             if slice_cells is not None:  # several slices per re-score
                 patch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
             for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-                pick = st.sampled_from(pool + batch)
                 for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+                    pick = st.sampled_from(pool + batch)
                     op = data.draw(
                         st.sampled_from(["mutate", "crossover", "self-cross", "again", "new"])
                     )
@@ -438,10 +458,115 @@ class TestDeltaFitness:
         codes = [(g.codes,) for g in genomes]
         got = labelled_correctly_at(compiled, rows, codes, Semantics.LITERAL)
         assert sliced == [3, 12, 3]
-        alone = labelled_correctly(compiled, code_matrix(genomes).T, Semantics.LITERAL)
+        alone = labelled_correctly(compiled, code_columns(genomes), Semantics.LITERAL)
         assert got.tolist() == np.concatenate([a[r] for a, r in zip(alone, rows)]).tolist()
 
-    def test_reused_problem_runs_like_a_fresh_one(self):
+    @pytest.mark.parametrize("algo", PROBLEMS)
+    def test_keeps_at_most_two_generations(self, algo):
+        problem_class, oracle = PROBLEMS[algo]
+        rng = random.Random(3)
+        lexicon = random_planted_lexicon(6, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 60, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = empty_dicts()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = problem_class(corpus, index, sd, ad)
+        score = scorer(problem)
+        best, stats = run_ga(problem, GAConfig(population_size=20, max_generations=10, seed=3))
+        assert stats.generations_executed == 10
+        assert len(problem._parents) <= 20 and len(problem._scored) <= 20
+        # children never scored, and the genomes held only for them, are
+        # dropped at the first variation after the next scoring call
+        parent = next(iter(problem._scored.values()))[0]  # of the last generation
+        unscored = [problem.mutate(parent, rng) for _ in range(5)]
+        unscored += problem.crossover(parent, unscored[0], rng)
+        assert len(problem._lineage) == 7
+        # a kept genome takes its state and scores no child
+        assert score([parent]) == [oracle(parent, corpus, index, sd, ad)]
+        assert list(problem._scored) == [id(parent)] and len(problem._lineage) == 7
+        # CA-GASA scores every recorded child with the one asked for, and the
+        # others wait in `_batched`, not kept
+        scored = unscored.pop(1)
+        assert score([scored]) == [oracle(scored, corpus, index, sd, ad)]
+        assert list(problem._scored) == [id(parent), id(scored)]
+        waiting = 6 if algo == "cagasa" else 0
+        assert len(problem._batched) == waiting and len(problem._lineage) == 6 - waiting
+        freed = [weakref.ref(genome) for genome in unscored]
+        del unscored
+        child = problem.mutate(parent, rng)
+        gc.collect()
+        assert [ref() for ref in freed] == [None] * 6
+        assert [link[0] for link in problem._lineage.values()] == [child]
+        assert not problem._scored and not problem._batched
+        assert list(problem._parents) == [id(parent), id(scored)]
+        # a scored child is the one genome kept at the next variation
+        assert score([child]) == [oracle(child, corpus, index, sd, ad)]
+        assert not problem._lineage and list(problem._scored) == [id(child)]
+        problem.crossover(child, parent, rng)
+        assert list(problem._parents) == [id(child)] and len(problem._lineage) == 2
+
+    @pytest.mark.parametrize("algo", PROBLEMS)
+    def test_a_genome_twice_in_a_batch_is_scored_once(self, algo, monkeypatch):
+        rng = random.Random(8)
+        lexicon = random_planted_lexicon(6, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 30, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = empty_dicts()
+        index = build_unknown_index(corpus, sd, ad)
+        problem_class, oracle = PROBLEMS[algo]
+        problem = problem_class(corpus, index, sd, ad)
+        parent = problem.random_genome(rng)
+        scorer(problem)([parent])
+        child, new = problem.mutate(parent, rng), problem.random_genome(rng)
+        asked = []  # (hook, genomes it scores), by delta and in full
+
+        def counted(name, method):
+            return lambda genomes: asked.append((name, len(genomes))) or method(genomes)
+
+        for name in ("_deltas", "_codes"):
+            monkeypatch.setattr(problem, name, counted(name, getattr(problem, name)))
+        batch = [child, new, child, new]
+        assert problem._score(batch) == [oracle(g, corpus, index, sd, ad) for g in batch]
+        assert asked == [("_deltas", 1), ("_codes", 1)]
+
+    def test_run_ga_kernel_calls_hold_bounded_full_passes_or_slices(self, monkeypatch):
+        """Each kernel call of a GASA run, the initial population's included,
+        is a full pass of the most whole genomes that fit in SLICE_CELLS
+        elements, counting a genome's instances and genes, and at least one;
+        or a re-score slice of at most SLICE_CELLS cells and codes, or of one
+        genome's full pass when that holds more."""
+        rng = random.Random(6)
+        lexicon = random_planted_lexicon(10, 3, rng)
+        corpus = generate_synthetic_corpus(lexicon, 80, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = empty_dicts()
+        index = build_unknown_index(corpus, sd, ad)
+        calls = []  # (whether a full pass, genomes, slot-matrix cells and codes)
+
+        def kernel(part, codes, semantics):
+            whole = part.slots is problem._compiled.slots
+            calls.append((whole, codes.shape[1], part.slots.size + codes.size))
+            return labelled_correctly(part, codes, semantics)
+
+        monkeypatch.setattr(evosent.gasa, "labelled_correctly", kernel)
+        full = None
+        for slice_cells in (None, 300):  # more than a population's full pass, and less
+            if slice_cells is not None:
+                monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
+            problem = GasaProblem(corpus, index, sd, ad)
+            full = problem._compiled.slots.size + len(index)
+            calls.clear()
+            config = GAConfig(population_size=30, max_generations=5, seed=1)
+            best, _ = run_ga(problem, config)
+            assert best.fitness == fitness(best.genome, corpus, index, sd, ad)
+            step = max(evosent.gasa.SLICE_CELLS // (len(corpus.instances) + len(index)), 1)
+            passes = [genomes for whole, genomes, _ in calls if whole]
+            assert passes == [step] * (30 // step) + [30 % step] * (30 % step > 0)
+            bound = max(evosent.gasa.SLICE_CELLS, full)
+            slices = [(genomes, cells) for whole, genomes, cells in calls if not whole]
+            assert slices and all(genomes == 1 and cells <= bound for genomes, cells in slices)
+        assert full > 300 and step == 3
+
+    @pytest.mark.parametrize("algo", PROBLEMS)
+    def test_reused_problem_runs_like_a_fresh_one(self, algo):
+        problem_class, _ = PROBLEMS[algo]
         rng = random.Random(7)
         corpus = generate_synthetic_corpus(
             random_planted_lexicon(12, 4, rng), 120, (3, 8), Semantics.LITERAL, rng
@@ -449,10 +574,10 @@ class TestDeltaFitness:
         sd, ad = empty_dicts()
         index = build_unknown_index(corpus, sd, ad)
         for semantics in Semantics:
-            reused = GasaProblem(corpus, index, sd, ad, semantics)
+            reused = problem_class(corpus, index, sd, ad, semantics)
             for seed in (3, 4, 3):
                 config = GAConfig(population_size=30, max_generations=15, seed=seed)
-                fresh = GasaProblem(corpus, index, sd, ad, semantics)
+                fresh = problem_class(corpus, index, sd, ad, semantics)
                 best, stats = run_ga(reused, config)
                 fresh_best, fresh_stats = run_ga(fresh, config)
                 assert best.genome == fresh_best.genome

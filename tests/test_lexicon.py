@@ -155,6 +155,12 @@ class TestExport:
         export_lexicon(words, pairs, path)
         assert parse_lexicon(path) == dict(zip(words, pairs))
 
+    def test_crlf_matches_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        export_lexicon(["alpha", "beta"], [S(-1.0), A(1.5)], lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert parse_lexicon(crlf) == parse_lexicon(lf) == {"alpha": S(-1.0), "beta": A(1.5)}
+
     @given(
         st.dictionaries(
             st.text(alphabet="abcdefghij", min_size=1, max_size=8),

@@ -98,6 +98,14 @@ class TestRoundTrip:
         assert loaded.best_fitness == model.best_fitness
         assert loaded.train_instances == model.train_instances
 
+    @pytest.mark.parametrize("make", [gasa_model, cagasa_model])
+    def test_crlf_file_loads_as_lf(self, make, tmp_path):
+        lf, crlf, again = tmp_path / "lf", tmp_path / "crlf", tmp_path / "again"
+        save_model(make(), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        save_model(load_model(crlf), again)
+        assert again.read_bytes() == lf.read_bytes()
+
     def test_save_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a", tmp_path / "b"
         save_model(gasa_model(), p1)
