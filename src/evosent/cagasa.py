@@ -14,10 +14,10 @@ decisions, while training: on the delta-fitness engine it shares with GASA
 (`gasa.WordGeneProblem`), a genome's code chunks are the pair codes each of
 its genes decides. A child differs from its parent in one gene, so it
 decides at most that gene and re-scores only the instances whose codes it
-changes, which equals the full pass; a generation's children share one
-decision and one stacked re-score. The rule for one word at a time lives
-only in `tests/oracles.py` (`cagasa_verdict`), the plain reference the test
-suite asserts this code equal to.
+changes, which equals the full pass. A generation's children share one
+decision, one changed-row pass and one stacked re-score. The rule for one
+word at a time lives only in `tests/oracles.py` (`cagasa_verdict`), the
+plain reference the test suite asserts this code equal to.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .gasa import (
     compile_corpus,
     forced_new_code,
     random_code,
+    slices,
 )
 from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair
 
@@ -346,9 +347,9 @@ def _pair_codes(gene: CagasaGene) -> Tuple[int, int]:
 
 class CagasaProblem(WordGeneProblem):
     """Adapter exposing CA-GASA to the GA engine through `fitness` alone.
-    The engine makes all of a generation's children before it scores any,
-    so the first call on a recorded child not scored yet scores every
-    recorded child with it; the others wait in `_batched` for their calls.
+    The engine makes all of a generation's children, or its initial genomes,
+    before it scores any; the first call on one scores all that are recorded
+    (random genomes with no parent), and the others wait in `_batched`.
 
     A genome's code chunks are its segments: the int8 pair codes each gene
     decides at its position's occurrences. Genomes that hold the same
@@ -356,7 +357,7 @@ class CagasaProblem(WordGeneProblem):
     segment or, if it keeps the parent gene's lists and look distances and
     the parent gene's two pair codes differ, reads where the rule fired from
     the parent's segment; the other changed genes are decided in one
-    `decide` call. A genome scored in full is decided on its own.
+    `decide` call, and genomes scored in full in slices of whole genomes.
     """
 
     def __init__(self, *args, **kwargs):
@@ -372,7 +373,9 @@ class CagasaProblem(WordGeneProblem):
         return self._context.compiled
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
-        return random_cagasa_chromosome(self.index, self.neighbors, rng)
+        genome = random_cagasa_chromosome(self.index, self.neighbors, rng)
+        self._lineage[id(genome)] = genome, None, None, None
+        return genome
 
     def _mutate_at(self, genome: CagasaChromosome, rng: random.Random):
         return mutate_cagasa_at(genome, self.neighbors, rng)
@@ -390,7 +393,12 @@ class CagasaProblem(WordGeneProblem):
         return [codes[start:end].tobytes() for start, end in zip([0, *ends], ends)]
 
     def _codes(self, genomes) -> list:
-        return [tuple(self._decide(range(len(g)), g.genes)) for g in genomes]
+        n, codes = len(self.index), []
+        for start, end in slices(np.full(len(genomes), len(self._context.occurrence_gene))):
+            genes = [gene for genome in genomes[start:end] for gene in genome.genes]
+            segments = self._decide([*range(n)] * (end - start), genes)
+            codes += [tuple(segments[k * n : k * n + n]) for k in range(end - start)]
+        return codes
 
     def _deltas(self, children) -> list:
         segments = [self._segment(*child) for child in children]
@@ -400,18 +408,31 @@ class CagasaProblem(WordGeneProblem):
             genes = [children[k][0].genes[p] for k, p in zip(fresh, positions)]
             for k, segment in zip(fresh, self._decide(positions, genes)):
                 segments[k] = segment
-        deltas, unchanged = [], np.zeros(0, dtype=np.int64)
-        firsts = np.searchsorted(self._context.occurrence_gene, [c[2] for c in children]).tolist()
-        for (_, (_, chunks, _, _), position, _), new, first in zip(children, segments, firsts):
-            old = chunks[position]
-            if new == old:  # most children decide as their parents do
-                deltas.append((chunks, unchanged))
-                continue
-            changed = np.frombuffer(new, dtype=np.int8) != np.frombuffer(old, dtype=np.int8)
-            occurrences = first + np.flatnonzero(changed)
-            rows = np.unique(self._context.occurrence_row[occurrences])
-            deltas.append((chunks[:position] + (new,) + chunks[position + 1 :], rows))
+        deltas, moved = [], []  # most children decide as their parents do
+        for k, ((_, (_, chunks, _, _), position, _), new) in enumerate(zip(children, segments)):
+            deltas.append((chunks, np.zeros(0, dtype=np.int64)))
+            if new != chunks[position]:
+                moved.append((k, chunks, position, new))
+        for start, end in slices([len(new) for *_, new in moved]):
+            part = moved[start:end]
+            for (k, chunks, position, new), rows in zip(part, self._changed_rows(part)):
+                deltas[k] = chunks[:position] + (new,) + chunks[position + 1 :], rows
         return deltas
+
+    def _changed_rows(self, moved) -> list:
+        """For `moved` as (index, parent chunks, position, new segment), the rows
+        where each differs from the parent's, ascending, found for all at once."""
+        context, instances = self._context, self.max_fitness
+        _, chunks, positions, news = zip(*moved)
+        ends = np.cumsum(lengths := [len(new) for new in news])
+        old = np.frombuffer(b"".join(map(tuple.__getitem__, chunks, positions)), dtype=np.int8)
+        changed = np.flatnonzero(np.frombuffer(b"".join(news), dtype=np.int8) != old)
+        owner = np.searchsorted(ends, changed, side="right")
+        # each owner's first occurrence number, less its segment's start in the join
+        shift = np.searchsorted(context.occurrence_gene, positions) - ends + lengths
+        keys = np.unique(owner * instances + context.occurrence_row[changed + shift[owner]])
+        bounds = np.searchsorted(keys, np.arange(1, len(news)) * instances)
+        return np.split(keys % instances, bounds)
 
     def _segment(self, child, parent, position: int, donor):
         """The child's codes at `position`'s occurrences, if the kept donor's

@@ -21,7 +21,7 @@ changed gene's word.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence, Tuple
@@ -90,7 +90,7 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
     if n == 0:
         raise ValueError("cannot cross over empty chromosomes")
     position = rng.randrange(n)
-    a, b = (getattr(p, fields(p)[0].name) for p in (p1, p2))
+    ((a,), (b,)) = vars(p1).values(), vars(p2).values()
     end = position + 1
     c1 = type(p1)(a[:position] + b[position:end] + a[end:])
     c2 = type(p2)(b[:position] + a[position:end] + b[end:])
@@ -99,9 +99,9 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
 
 # The most elements one kernel call takes at once: slot-matrix cells and
 # codes for a re-score slice, instances and codes for each genome of a full
-# pass (a sentence or a genome with more takes a call of its own). Also about
-# the most elements the widest temporary of a CA-GASA context decision holds.
-# It bounds the memory their temporaries hold, whatever the input's size.
+# pass (a sentence or a genome with more takes a call of its own), and of the
+# codes CA-GASA decides or compares at once; also about the most elements a
+# CA-GASA decision's widest temporary holds. It bounds their memory.
 SLICE_CELLS = 1 << 16
 
 
@@ -189,33 +189,42 @@ def labelled_correctly(
     return np.where(compiled.label_positive, score > 0.0, score < 0.0)
 
 
+def slices(sizes: Sequence[int]):
+    """(start, end) of the longest runs of owners whose `sizes` fit SLICE_CELLS, or of one."""
+    before, start = np.r_[0, np.cumsum(sizes)], 0  # before[k]: the sizes of owners 0..k-1
+    while start < len(sizes):
+        end = max(start + 1, int(np.searchsorted(before, before[start] + SLICE_CELLS, "right")) - 1)
+        yield start, end
+        start = end
+
+
 def labelled_correctly_at(
     compiled: CompiledCorpus, rows: Sequence[np.ndarray], codes: Sequence, semantics: Semantics
 ) -> np.ndarray:
     """Whether each owner's codes label the instances `rows[k]` correctly,
     the owners' rows concatenated in order, for at least one owner.
     `codes[k]` holds owner k's gene codes as bytes chunks to join in order,
-    as many codes for every owner. Whole owners go through the kernel in
-    slices of at most SLICE_CELLS elements, counting an owner's slot-matrix
-    cells and its codes; a larger owner takes a slice of its own. Each slice
-    offsets its owners' gene slots into one column of its owners' codes."""
+    as many for every owner. Whole owners go through the kernel in `slices`
+    of at most SLICE_CELLS cells and codes, each reading one column of its
+    owners' codes, or only the codes its gene cells read if those are fewer,
+    since the kernel's tables grow with the column: CA-GASA rows read about
+    a tenth of their codes; GASA's cells on long texts far outnumber its codes."""
     genes = sum(map(len, codes[0]))
     counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    elements = np.cumsum(counts * compiled.slots.shape[1] + genes)
     correct = []
-    start = 0
-    while start < len(rows):
-        # the most owners from `start` on that fit, at least one
-        budget = SLICE_CELLS + (elements[start - 1] if start else 0)
-        end = max(start + 1, int(np.searchsorted(elements, budget, side="right")))
+    for start, end in slices(counts * compiled.slots.shape[1] + genes):
         part = np.concatenate(rows[start:end])
         offsets = np.repeat(np.arange(end - start, dtype=np.int32) * genes, counts[start:end])
         slots = compiled.slots[part]
-        np.add(slots, offsets[:, None], out=slots, where=slots >= 0)
-        sliced = replace(compiled, slots=slots, label_positive=compiled.label_positive[part])
+        gene = slots >= 0
+        np.add(slots, offsets[:, None], out=slots, where=gene)
         column = np.frombuffer(b"".join(chain.from_iterable(codes[start:end])), dtype=np.int8)
+        if np.count_nonzero(gene) < len(column):
+            column = column[slots[gene]]
+            slots[gene] = np.arange(len(column), dtype=np.int32)
+        del gene  # before the kernel's temporaries
+        sliced = replace(compiled, slots=slots, label_positive=compiled.label_positive[part])
         correct.append(labelled_correctly(sliced, column[:, None], semantics)[0])
-        start = end
     return np.concatenate(correct)
 
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -535,8 +536,59 @@ class TestDeltaFitness:
                 if now:
                     recent, waiting = waiting[:now], waiting[now:]
 
+    @pytest.mark.parametrize("slice_cells", [1, 100, 400, 1 << 16])
+    def test_changed_rows_come_from_bounded_slices_and_match_each_child(
+        self, slice_cells, monkeypatch
+    ):
+        """`_deltas` finds the changed rows of all moved children in slices
+        of the most whole children whose segments fit SLICE_CELLS codes, at
+        least one; each child's rows and codes equal its own computation."""
+        rng = random.Random(9)
+        lexicon = random_planted_lexicon(8, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 60, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        parents = [problem.random_genome(rng) for _ in range(20)]
+        for genome in parents:
+            problem.fitness(genome)
+        children = []
+        for _ in range(40):
+            p1, p2 = rng.choice(parents), rng.choice(parents)
+            children += [problem.mutate(p1, rng), *problem.crossover(p1, p2, rng)]
+        links = [problem._lineage[id(child)] for child in children]
+        kept = [(c, problem._kept(p), at, d and problem._kept(d)) for c, p, at, d in links]
+        monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
+        sizes = []  # each slice's segment sizes
+        changed_rows = problem._changed_rows
+
+        def spy(moved):
+            sizes.append([len(new) for *_, new in moved])
+            return changed_rows(moved)
+
+        monkeypatch.setattr(problem, "_changed_rows", spy)
+        deltas = problem._deltas(kept)
+        context = problem._context
+        moved = 0
+        for (child, parent, position, _), (chunks, rows) in zip(kept, deltas):
+            assert chunks == problem._codes([child])[0]
+            new, old = (np.frombuffer(c[position], dtype=np.int8) for c in (chunks, parent[1]))
+            first = np.searchsorted(context.occurrence_gene, position)
+            occurrences = first + np.flatnonzero(new != old)
+            assert rows.tolist() == np.unique(context.occurrence_row[occurrences]).tolist()
+            moved += bool(len(rows))
+        assert 1 < moved == sum(map(len, sizes))
+        assert all(sum(s) <= slice_cells or len(s) == 1 for s in sizes)
+        # each slice is as long as it can be
+        assert all(sum(s) + n[0] > slice_cells for s, n in zip(sizes, sizes[1:]))
+        if slice_cells == 1 << 16:
+            assert len(sizes) == 1
+        elif slice_cells > 1:  # several slices, some of several children
+            assert len(sizes) > 1 and max(map(len, sizes)) > 1
+
     def test_a_generation_decides_once_and_calls_the_kernel_once_a_slice(self, monkeypatch):
-        """After the initial population, a generation decides its children's
+        """The initial population is decided in groups of whole genomes at
+        its first call. After it, a generation decides its children's
         genes in at most one `decide` call and re-scores them in one batch,
         one kernel call per slice of whole children."""
         rng = random.Random(5)
@@ -596,7 +648,11 @@ class TestDeltaFitness:
         problem.crossover = variation(problem.crossover)
         problem.fitness = fitness
         best, stats = run_ga(problem, GAConfig(population_size=40, max_generations=8, seed=2))
-        later = generations[1:]
+        initial, *later = generations
+        # the whole initial population at its first call, in as many `decide`
+        # calls as groups of whole genomes whose codes fit SLICE_CELLS
+        per_call = slice_cells // len(problem._context.occurrence_gene)
+        assert 1 < per_call < 40 and initial["decide"] == -(-40 // per_call)
         assert len(later) == stats.generations_executed == 8
         assert all(calls["decide"] <= 1 and calls["batches"] <= 1 for calls in later)
         assert [calls["kernel"] for calls in later] == [calls["slices"] for calls in later]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evosent.gasa
-from evosent.cagasa import CagasaProblem
+from evosent.cagasa import CagasaProblem, ContextCorpus
 from evosent.corpus import Corpus, build_unknown_index
 from evosent.evaluator import Semantics, Verdict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
@@ -460,6 +460,85 @@ class TestDeltaFitness:
         assert sliced == [3, 12, 3]
         alone = labelled_correctly(compiled, code_columns(genomes), Semantics.LITERAL)
         assert got.tolist() == np.concatenate([a[r] for a, r in zip(alone, rows)]).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shared=st.booleans(),
+        semantics=st.sampled_from(list(Semantics)),
+        slice_cells=st.sampled_from([1, 40, 1 << 16]),
+    )
+    def test_compacted_and_offset_slices_match_the_full_pass(
+        self, data, shared, semantics, slice_cells
+    ):
+        """A re-score slice whose gene cells are fewer than its owners' codes
+        reads only the codes they hold; any other offsets into them all.
+        Both equal the full pass, on GASA's shared slots (a few rows with
+        many genes compact) and on CA-GASA's one slot per occurrence (one
+        owner holding every row does not)."""
+        vocab = ["good", "not", "w0", "w1", "w2", "w3", "w4"]
+        sentence = st.lists(st.sampled_from(vocab), max_size=9)
+        rows = data.draw(
+            st.lists(
+                st.tuples(sentence, st.sampled_from(["positive", "negative"])),
+                min_size=1,
+                max_size=10,
+            )
+        )
+        corpus = make_corpus(rows)
+        sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        if not shared:
+            compiled = ContextCorpus(compiled).compiled
+        genes = int(compiled.slots.max(initial=-1)) + 1
+        instances = st.integers(min_value=0, max_value=len(rows) - 1)
+        owners = data.draw(st.integers(min_value=1, max_value=5))
+        owned = st.lists(instances, max_size=len(rows)).map(lambda r: np.unique(np.array(r, int)))
+        at = [data.draw(owned) for _ in range(owners)]
+        code = st.integers(min_value=0, max_value=len(EVOLVABLE_PAIRS) - 1)
+        columns = np.array(
+            [data.draw(st.lists(code, min_size=genes, max_size=genes)) for _ in range(owners)],
+            dtype=np.int8,
+        ).reshape(owners, genes)
+        # each owner's codes in two chunks, joined in order
+        cut = data.draw(st.integers(min_value=0, max_value=genes))
+        codes = [(c[:cut].tobytes(), c[cut:].tobytes()) for c in columns]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
+            got = labelled_correctly_at(compiled, at, codes, semantics)
+        full = labelled_correctly(compiled, columns.T, semantics)
+        assert got.tolist() == np.concatenate([f[r] for f, r in zip(full, at)]).tolist()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_a_slice_compacts_only_when_its_cells_are_fewer_than_its_codes(
+        self, shared, monkeypatch
+    ):
+        corpus = make_corpus(
+            [(["w0", "w1", "w2", "w1", "w0"], "positive"), (["w2", "good"], "negative")]
+        )
+        sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        if not shared:
+            compiled = ContextCorpus(compiled).compiled
+        genes = int(compiled.slots.max()) + 1
+        columns = []
+
+        def kernel(part, codes, semantics):
+            columns.append(len(codes))
+            return labelled_correctly(part, codes, semantics)
+
+        monkeypatch.setattr(evosent.gasa, "labelled_correctly", kernel)
+        every = np.arange(2)
+        codes = [(bytes([k % 6 for k in range(genes)]),)]
+        labelled_correctly_at(compiled, [np.array([1])] * 2, codes * 2, Semantics.LITERAL)
+        labelled_correctly_at(compiled, [np.array([0])], codes, Semantics.LITERAL)
+        labelled_correctly_at(compiled, [every], codes, Semantics.LITERAL)
+        # row 0 holds five gene cells and row 1 one; GASA has three genes,
+        # CA-GASA a slot for each of the six occurrences
+        assert genes == (3 if shared else 6)
+        assert columns == ([2, 3, 3] if shared else [2, 5, 6])
 
     @pytest.mark.parametrize("algo", PROBLEMS)
     def test_keeps_at_most_two_generations(self, algo):
