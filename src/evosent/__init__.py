@@ -9,7 +9,7 @@ from .corpus import (
     load_corpus,
     tokenize,
 )
-from .evaluator import Semantics, Verdict, classify_score, evaluate_sentence
+from .evaluator import Semantics, Verdict, classify_score
 from .ga_engine import GAConfig, run_ga
 from .gasa import GasaChromosome, GasaProblem
 from .cagasa import CagasaChromosome, CagasaProblem
@@ -41,7 +41,6 @@ __all__ = [
     "build_unknown_index",
     "classify_score",
     "load_corpus",
-    "evaluate_sentence",
     "lookup",
     "run_ga",
     "seed_amplifier_dictionary",

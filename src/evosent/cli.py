@@ -26,6 +26,7 @@ from .corpus import (
 from .evaluator import Semantics, Verdict
 from .experiments import (
     Algo,
+    GenerationError,
     PlantedLexicon,
     Protocol,
     format_report,
@@ -62,11 +63,11 @@ class ValidationError(ValueError):
     """User input failed validation (exit code 1)."""
 
 
-# Malformed input files, text that is not UTF-8 among them, and a corpus
-# that cannot be split as asked are input-validation errors too.
+# Malformed input files, text that is not UTF-8 among them, and requests that
+# cannot be met (a split, a balanced synthetic corpus) are input errors too.
 INPUT_ERRORS = (
-    ValidationError, ModelFormatError, TextDecodeError,
-    CorpusParseError, LexiconParseError, ConflictingWordError, SplitError,
+    ValidationError, ModelFormatError, TextDecodeError, CorpusParseError,
+    LexiconParseError, ConflictingWordError, SplitError, GenerationError,
 )
 
 

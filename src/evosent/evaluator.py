@@ -1,4 +1,5 @@
 """Arithmetic sentence scoring: sentiment words accumulate, amplifiers scale.
+The library's one scorer is the kernel `gasa.accumulate`.
 
 Two semantics modes are provided because the accumulation rule admits two
 readings that differ in when the amplifier accumulator is consumed:
@@ -11,19 +12,19 @@ readings that differ in when the amplifier accumulator is consumed:
 
 Gene values are multiples of one half, and sums and products of such values
 are exact in double precision. Dictionaries accept any finite value, and
-then the arithmetic rounds. The batched kernel (`gasa.labelled_correctly`)
-still gives the same scores as `evaluate_pairs`, because it performs the
-same operations in the same order; the padding it adds contributes only
-exact zeros.
+then the arithmetic rounds. The kernel still gives the same scores as the
+straight-line reference, `reference_sentence_score` in `tests/oracles.py`,
+because it performs the same operations in the same order; the padding it
+adds contributes only exact zeros.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Sequence, Union
+from typing import Dict, Union
 
 from .corpus import UnknownWordIndex
-from .lexicon import ClassificationValuePair, Dictionary, Kind, lookup
+from .lexicon import ClassificationValuePair, Dictionary, lookup
 
 # word -> its dictionary pair, or the position of its gene in a genome.
 SlotTable = Dict[str, Union[ClassificationValuePair, int]]
@@ -38,40 +39,6 @@ class Verdict(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     TIE = "tie"
-
-
-def evaluate_pairs(
-    pairs: Sequence[ClassificationValuePair],
-    semantics: Semantics = Semantics.LITERAL,
-) -> float:
-    """Score a sequence of already-resolved classification-value pairs."""
-    sentiment = 0.0
-    amplifier = 0.0
-    for pair in pairs:
-        if pair.kind is Kind.AMPLIFIER:
-            amplifier += pair.value
-        else:
-            if amplifier != 0.0:
-                sentiment += amplifier * pair.value
-                if semantics is Semantics.PROSE:
-                    amplifier = 0.0
-            else:
-                sentiment += pair.value
-    if semantics is Semantics.LITERAL:
-        if amplifier != 0.0:
-            sentiment += amplifier
-    elif pairs and pairs[-1].kind is Kind.AMPLIFIER:
-        sentiment += amplifier
-    return sentiment
-
-
-def evaluate_sentence(
-    tokens: Sequence[str],
-    resolve: Callable[[str], ClassificationValuePair],
-    semantics: Semantics = Semantics.LITERAL,
-) -> float:
-    """Resolve every token to its pair and score the sentence."""
-    return evaluate_pairs([resolve(word) for word in tokens], semantics)
 
 
 def slot_table(

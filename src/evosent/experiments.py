@@ -2,6 +2,8 @@
 instance-level cross-validation and the synthetic planted-lexicon generator
 used as the verifiable oracle for the whole pipeline. Both word-level
 protocols run through `run_word_cv` and differ only in their `WORD_CHECKS`.
+The generator labels its sentences on the scoring kernel that training and
+prediction use, `gasa.scores`, a block of candidates at a time.
 """
 
 from __future__ import annotations
@@ -9,8 +11,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from .cagasa import CagasaProblem
 from .corpus import (
@@ -23,9 +28,9 @@ from .corpus import (
     split_holdout,
     word_frequencies,
 )
-from .evaluator import Semantics, Verdict, evaluate_sentence
+from .evaluator import Semantics, Verdict
 from .ga_engine import GAConfig, RunStats, config_records, run_ga
-from .gasa import GasaProblem
+from .gasa import SLICE_CELLS, GasaProblem, compile_tokens, scores
 from .lexicon import (
     NEUTRAL_PAIR,
     ClassificationValuePair,
@@ -297,7 +302,9 @@ def generate_synthetic_corpus(
     rng: random.Random,
 ) -> Corpus:
     """Sample label-balanced sentences from the planted vocabulary; sentences
-    scoring zero under the ground truth are resampled."""
+    scoring zero under the ground truth are resampled. Candidates are scored in
+    blocks that fit SLICE_CELLS, the draws left and the open slots; each fills
+    at most one slot, so the draws are those of one candidate at a time."""
     if not lexicon.entries:
         raise ValueError("planted lexicon is empty")
     if n_instances % 2 != 0:
@@ -306,28 +313,29 @@ def generate_synthetic_corpus(
     if not 1 <= lo <= hi:
         raise ValueError(f"bad length range {length_range}")
     vocabulary = sorted(lexicon.entries) + sorted(lexicon.fillers)
+    table = lexicon.entries  # fillers are missing, so they compile as neutral
     half = n_instances // 2
     positives, negatives = [], []
     budget = 10 * n_instances
     draws = 0
     while (len(positives) < half or len(negatives) < half) and draws < budget:
-        draws += 1
-        length = rng.randint(lo, hi)
-        tokens = tuple(vocabulary[rng.randrange(len(vocabulary))] for _ in range(length))
-        score = evaluate_sentence(tokens, lexicon.resolve, semantics)
-        if score > 0.0 and len(positives) < half:
-            positives.append(Instance(tokens, Label.POSITIVE))
-        elif score < 0.0 and len(negatives) < half:
-            negatives.append(Instance(tokens, Label.NEGATIVE))
+        open_slots = n_instances - len(positives) - len(negatives)
+        block = []
+        for _ in range(min(open_slots, budget - draws, max(SLICE_CELLS // hi, 1))):
+            length = rng.randint(lo, hi)
+            block.append(tuple(vocabulary[rng.randrange(len(vocabulary))] for _ in range(length)))
+        draws += len(block)
+        block_scores = scores(compile_tokens(block, table), np.zeros((0, 1), np.int8), semantics)
+        for tokens, score in zip(block, block_scores[0].tolist()):
+            if score > 0.0 and len(positives) < half:
+                positives.append(Instance(tokens, Label.POSITIVE))
+            elif score < 0.0 and len(negatives) < half:
+                negatives.append(Instance(tokens, Label.NEGATIVE))
     if len(positives) < half or len(negatives) < half:
         raise GenerationError(
             f"could not balance {n_instances} instances within {budget} draws"
         )
-    interleaved = []
-    for pos, neg in zip(positives, negatives):
-        interleaved.append(pos)
-        interleaved.append(neg)
-    return Corpus(tuple(interleaved))
+    return Corpus(tuple(chain.from_iterable(zip(positives, negatives))))
 
 
 def report_records(report: ExperimentReport):

@@ -99,9 +99,10 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
 
 # The most elements one kernel call takes at once: slot-matrix cells and
 # codes for a re-score slice, instances and codes for each genome of a full
-# pass (a sentence or a genome with more takes a call of its own), and of the
-# codes CA-GASA decides or compares at once; also about the most elements a
-# CA-GASA decision's widest temporary holds. It bounds their memory.
+# pass (a sentence or a genome with more takes a call of its own), cells for a
+# block of synthetic candidates, and of the codes CA-GASA decides or compares
+# at once; also about the most elements a CA-GASA decision's widest temporary
+# holds. It bounds their memory.
 SLICE_CELLS = 1 << 16
 
 
@@ -378,14 +379,11 @@ class WordGeneProblem:
                 np.add.at(fitness, where[0], np.subtract(new, correct[where], dtype=np.int64))
                 correct[where] = new
             # full passes, of the most whole genomes that fit a call, at least one
-            step = max(SLICE_CELLS // max(instances + genes, 1), 1)
-            for start in range(len(children), len(codes), step):
-                block = codes[start : start + step]
-                joined = np.frombuffer(b"".join(chain.from_iterable(block)), dtype=np.int8)
-                columns = joined.reshape(len(block), genes).T
-                correct[start : start + len(block)] = labelled_correctly(
-                    self._compiled, columns, self.semantics
-                )
+            for start, end in slices([instances + genes] * len(full)):
+                start, end = start + len(children), end + len(children)
+                joined = np.frombuffer(b"".join(chain.from_iterable(codes[start:end])), np.int8)
+                columns = joined.reshape(end - start, genes).T
+                correct[start:end] = labelled_correctly(self._compiled, columns, self.semantics)
             fitness[len(children) :] = np.count_nonzero(correct[len(children) :], axis=1)
             made = [child for child, _, _, _ in children] + full
             for genome, chunks, vector, value in zip(made, codes, correct, fitness.tolist()):

@@ -124,14 +124,15 @@ def record_lines(source: Union[str, Path, TextIO]) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
+def _single_word(lineno: int, text: str) -> str:
+    """`text` lowercased, or LexiconParseError naming the line if it holds a tab or a space."""
+    if "\t" in text or " " in text:
+        raise LexiconParseError(f"line {lineno}: expected a single word, got {text!r}")
+    return text.lower()
+
+
 def _read_word_list(source) -> list:
-    words = []
-    for lineno, line in record_lines(source):
-        word = line.lower()
-        if "\t" in word or " " in word:
-            raise LexiconParseError(f"line {lineno}: expected a single word, got {line!r}")
-        words.append(word)
-    return words
+    return [_single_word(lineno, line) for lineno, line in record_lines(source)]
 
 
 def load_polarity_lists(positive_source, negative_source) -> Dictionary:
@@ -172,7 +173,7 @@ def parse_lexicon(source) -> dict:
         fields = line.split("\t")
         if len(fields) != 3:
             raise LexiconParseError(f"line {lineno}: expected 3 tab-separated fields")
-        word = fields[0].lower()
+        word = _single_word(lineno, fields[0])
         try:
             pair = parse_pair(fields[1], fields[2])
         except ValueError as exc:

@@ -3,7 +3,9 @@
 import itertools
 import re
 
+from evosent.corpus import Corpus, Instance, Label
 from evosent.evaluator import Semantics
+from evosent.experiments import GenerationError
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import (
     AMPLIFIER_VALUES,
@@ -74,6 +76,37 @@ def reference_sentence_score(pairs, prose: bool) -> float:
         if len(pairs) > 0 and pairs[-1].kind == Kind.AMPLIFIER:
             sentiment_count = sentiment_count + amplifier_count
     return sentiment_count
+
+
+def reference_synthetic_corpus(lexicon, n_instances, length_range, semantics, rng):
+    """`experiments.generate_synthetic_corpus` in its plain form: the same
+    draws, accept rule and budget, one candidate drawn and scored at a time
+    by `reference_sentence_score` under the ground truth. The arguments are
+    assumed valid."""
+    lo, hi = length_range
+    vocabulary = sorted(lexicon.entries) + sorted(lexicon.fillers)
+    half = n_instances // 2
+    positives, negatives = [], []
+    budget = 10 * n_instances
+    draws = 0
+    while (len(positives) < half or len(negatives) < half) and draws < budget:
+        draws += 1
+        length = rng.randint(lo, hi)
+        tokens = tuple(vocabulary[rng.randrange(len(vocabulary))] for _ in range(length))
+        pairs = [lexicon.resolve(word) for word in tokens]
+        score = reference_sentence_score(pairs, semantics is Semantics.PROSE)
+        if score > 0.0 and len(positives) < half:
+            positives.append(Instance(tokens, Label.POSITIVE))
+        elif score < 0.0 and len(negatives) < half:
+            negatives.append(Instance(tokens, Label.NEGATIVE))
+    if len(positives) < half or len(negatives) < half:
+        raise GenerationError(
+            f"could not balance {n_instances} instances within {budget} draws"
+        )
+    instances = []
+    for pos, neg in zip(positives, negatives):
+        instances += [pos, neg]
+    return Corpus(tuple(instances))
 
 
 def _verdict_value(score):

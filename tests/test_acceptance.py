@@ -21,7 +21,7 @@ from evosent.cagasa import (
 )
 from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index
-from evosent.evaluator import Semantics, evaluate_sentence
+from evosent.evaluator import Semantics
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_select
 from evosent.gasa import (
@@ -67,11 +67,11 @@ def criterion(capsys, number, name):
 
 
 def test_01_evaluator_oracle_equivalence(capsys):
-    """evaluate_sentence and the scoring kernel (`gasa.scores`) equal the
-    straight-line oracle on every sentence of length <= 6 over a 4-word
-    vocabulary under every resolver assignment.
+    """The scoring kernel (`gasa.scores`) equals the straight-line oracle on
+    every sentence of length <= 6 over a 4-word vocabulary under every
+    resolver assignment.
 
-    The evaluator resolves each token independently, so a (sentence,
+    The kernel reads each token's pair independently, so a (sentence,
     assignment) case is fully determined by its induced pair sequence.  Over a
     4-word vocabulary every such sequence has length <= 6 and at most 4
     distinct pairs, and conversely every such sequence is realized by mapping
@@ -82,9 +82,27 @@ def test_01_evaluator_oracle_equivalence(capsys):
     """
     with criterion(capsys, 1, "evaluator oracle equivalence"):
         start = time.monotonic()
-        # Sentence i on the kernel reads gene slots of its own, the words
-        # s{i}w{k}; `codes` holds their pair codes, one column for all.
-        sequences, token_lists, table, codes = [], [], {}, []
+
+        def assert_kernel_matches_oracle(assignments, token_lists):
+            """Sentence i reads gene slots of its own, the words s{i}w{k},
+            through `assignments[i]`; one code column holds all their pairs."""
+            table, codes, sentences = {}, [], []
+            for i, (assignment, tokens) in enumerate(zip(assignments, token_lists)):
+                for word, pair in assignment.items():
+                    table[f"s{i}{word}"] = len(codes)
+                    codes.append(PAIR_CODES[pair])
+                sentences.append([f"s{i}{word}" for word in tokens])
+            compiled = compile_tokens(sentences, table)
+            for semantics in Semantics:
+                got = scores(compiled, np.array(codes, dtype=np.int8)[:, None], semantics)[0]
+                prose = semantics is Semantics.PROSE
+                want = [
+                    reference_sentence_score([a[t] for t in tokens], prose)
+                    for a, tokens in zip(assignments, token_lists)
+                ]
+                assert got.tolist() == want, semantics
+
+        assignments, token_lists = [], []
         for length in range(7):
             for seq in itertools.product(EVOLVABLE_PAIRS, repeat=length):
                 distinct = []
@@ -93,38 +111,18 @@ def test_01_evaluator_oracle_equivalence(capsys):
                         distinct.append(pair)
                 if len(distinct) > 4:
                     continue
-                assignment = {f"w{i}": pair for i, pair in enumerate(distinct)}
-                tokens = [f"w{distinct.index(pair)}" for pair in seq]
-                for semantics in Semantics:
-                    got = evaluate_sentence(tokens, assignment.__getitem__, semantics)
-                    want = reference_sentence_score(
-                        list(seq), semantics is Semantics.PROSE
-                    )
-                    assert got == want, (seq, semantics)
-                prefix = f"s{len(sequences)}"
-                for word, pair in assignment.items():
-                    table[prefix + word] = len(codes)
-                    codes.append(PAIR_CODES[pair])
-                token_lists.append([prefix + word for word in tokens])
-                sequences.append(seq)
-        assert len(sequences) == 43_747
-        compiled = compile_tokens(token_lists, table)
-        for semantics in Semantics:
-            got = scores(compiled, np.array(codes, dtype=np.int8)[:, None], semantics)[0]
-            prose = semantics is Semantics.PROSE
-            assert got.tolist() == [reference_sentence_score(list(s), prose) for s in sequences]
+                assignments.append({f"w{i}": pair for i, pair in enumerate(distinct)})
+                token_lists.append([f"w{distinct.index(pair)}" for pair in seq])
+        assert len(token_lists) == 43_747
+        assert_kernel_matches_oracle(assignments, token_lists)
         # raw-form spot check: explicit sentences and resolver assignments
         rng = random.Random(1)
         vocab = ["w0", "w1", "w2", "w3"]
+        assignments, token_lists = [], []
         for _ in range(20_000):
-            assignment = {w: EVOLVABLE_PAIRS[rng.randrange(6)] for w in vocab}
-            tokens = [vocab[rng.randrange(4)] for _ in range(rng.randrange(7))]
-            pairs = [assignment[t] for t in tokens]
-            for semantics in Semantics:
-                got = evaluate_sentence(tokens, assignment.__getitem__, semantics)
-                assert got == reference_sentence_score(
-                    pairs, semantics is Semantics.PROSE
-                )
+            assignments.append({w: EVOLVABLE_PAIRS[rng.randrange(6)] for w in vocab})
+            token_lists.append([vocab[rng.randrange(4)] for _ in range(rng.randrange(7))])
+        assert_kernel_matches_oracle(assignments, token_lists)
         assert time.monotonic() - start < 30.0
 
 

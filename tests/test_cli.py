@@ -252,6 +252,9 @@ class TestPredict:
         ("--sentiment-dict", "good\tsentiment\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1.0\n", "twice"),
         ("--amplifier-dict", "not\tamplifier\tnan\n", "non-finite"),
+        # a word no token can match
+        ("--sentiment-dict", "very good\tsentiment\t1.0\nbad\tsentiment\t-1.0\n", "line 1"),
+        ("--sentiment-dict", "bad\tsentiment\t-1.0\ngood \tsentiment\t1\n", "line 2"),
         # files that are not UTF-8
         ("--corpus", b"positive\tgood \xff\n", "utf-8"),
         ("--sentiment-dict", b"good\tsentiment\t1.0\n\xff\n", "utf-8"),
@@ -406,6 +409,27 @@ class TestSynth:
         out = tmp_path / "c.tsv"
         assert main(["synth", "--out", str(out), "--lexicon", str(lex)]) == 1
         assert "nonzero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, lexicon",
+        [
+            (["--instances", "200", "--planted-words", "1", "--filler-words", "0", "--seed", "8"],
+             None),
+            # nonzero words of one sign and no amplifier
+            (["--instances", "20"], "up\tsentiment\t1\nfine\tsentiment\t0.5\nmeh\tsentiment\t0\n"),
+        ],
+        ids=["one-planted-word", "one-signed-lexicon"],
+    )
+    def test_unbalanceable_request_exits_1(self, flags, lexicon, tmp_path, capsys):
+        out = tmp_path / "c.tsv"
+        argv = ["synth", "--out", str(out), *flags]
+        if lexicon is not None:
+            (tmp_path / "planted.tsv").write_text(lexicon)
+            argv += ["--lexicon", str(tmp_path / "planted.tsv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "could not balance" in err
         assert not out.exists()
 
 

@@ -1,19 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from evosent.corpus import Label, UnknownWordIndex
-from evosent.evaluator import (
-    Semantics,
-    Verdict,
-    classify_score,
-    evaluate_pairs,
-    evaluate_sentence,
-    slot_table,
-)
+from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
+from evosent.gasa import compile_tokens, scores
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
 
 from conftest import A, S
@@ -23,6 +18,14 @@ pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
 modes = pytest.mark.parametrize("semantics", list(Semantics))
 
 
+def kernel_score(pairs, semantics=Semantics.LITERAL) -> float:
+    """The score the kernel gives a sentence of `pairs`: token k is the word
+    wk, which a slot table with no genes maps to pair k."""
+    table = {f"w{k}": pair for k, pair in enumerate(pairs)}
+    compiled = compile_tokens([list(table)], table)
+    return scores(compiled, np.zeros((0, 1), np.int8), semantics)[0, 0]
+
+
 def verdict_matches(verdict: Verdict, label: Label) -> bool:
     """A tie never matches: the model failed to commit to a polarity."""
     return verdict.value == label.value
@@ -30,37 +33,31 @@ def verdict_matches(verdict: Verdict, label: Label) -> bool:
 
 class TestLiteralSemantics:
     def test_single_sentiment_word(self):
-        assert evaluate_pairs([S(1.0)]) == 1.0
+        assert kernel_score([S(1.0)]) == 1.0
 
     def test_negation(self):
-        assert evaluate_pairs([A(-1.0), S(1.0)]) == -2.0
+        assert kernel_score([A(-1.0), S(1.0)]) == -2.0
 
     def test_amplified_with_trailing_accumulator(self):
-        assert evaluate_pairs([A(1.5), S(1.0), S(0.0)]) == 3.0
+        assert kernel_score([A(1.5), S(1.0), S(0.0)]) == 3.0
 
     def test_empty(self):
-        assert evaluate_pairs([]) == 0.0
+        assert kernel_score([]) == 0.0
 
     def test_accumulator_never_resets(self):
         # both sentiment words see the same multiplier; it is also added at the end
-        assert evaluate_pairs([A(0.5), S(1.0), S(1.0)]) == 0.5 + 0.5 + 0.5
+        assert kernel_score([A(0.5), S(1.0), S(1.0)]) == 0.5 + 0.5 + 0.5
 
 
 class TestProseSemantics:
     def test_trailing_amplifier(self):
-        assert evaluate_pairs([S(1.0), A(-1.0)], Semantics.PROSE) == 0.0
+        assert kernel_score([S(1.0), A(-1.0)], Semantics.PROSE) == 0.0
 
     def test_accumulator_resets_after_use(self):
-        assert evaluate_pairs([A(0.5), S(1.0), S(1.0)], Semantics.PROSE) == 0.5 + 1.0
+        assert kernel_score([A(0.5), S(1.0), S(1.0)], Semantics.PROSE) == 0.5 + 1.0
 
     def test_no_trailing_add_after_sentiment_final(self):
-        assert evaluate_pairs([A(-1.0), S(1.0)], Semantics.PROSE) == -1.0
-
-
-class TestResolution:
-    def test_evaluate_sentence_resolves_tokens(self):
-        table = {"not": A(-1.0), "good": S(1.0)}
-        assert evaluate_sentence(["not", "good"], table.__getitem__) == -2.0
+        assert kernel_score([A(-1.0), S(1.0)], Semantics.PROSE) == -1.0
 
 
 class TestClassifyScore:
@@ -84,29 +81,29 @@ class TestProperties:
     @modes
     @given(pairs=pairs_strategy)
     def test_matches_reference(self, pairs, semantics):
-        assert evaluate_pairs(pairs, semantics) == reference_sentence_score(
+        assert kernel_score(pairs, semantics) == reference_sentence_score(
             pairs, semantics is Semantics.PROSE
         )
 
     @modes
     @given(pairs=pairs_strategy)
     def test_pure(self, pairs, semantics):
-        assert evaluate_pairs(pairs, semantics) == evaluate_pairs(pairs, semantics)
+        assert kernel_score(pairs, semantics) == kernel_score(pairs, semantics)
 
     @modes
     @given(values=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=10))
     def test_amplifier_free_is_plain_sum(self, values, semantics):
-        assert evaluate_pairs([S(v) for v in values], semantics) == sum(values)
+        assert kernel_score([S(v) for v in values], semantics) == sum(values)
 
     @modes
     @given(values=st.lists(st.sampled_from([0.5, 1.0, 1.5]), max_size=10))
     def test_sentiment_free_is_amplifier_sum(self, values, semantics):
-        assert evaluate_pairs([A(v) for v in values], semantics) == sum(values)
+        assert kernel_score([A(v) for v in values], semantics) == sum(values)
 
     @given(values=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=10))
     def test_sign_flip_symmetry(self, values):
-        score = evaluate_pairs([S(v) for v in values])
-        assert evaluate_pairs([S(-v) for v in values]) == -score
+        score = kernel_score([S(v) for v in values])
+        assert kernel_score([S(-v) for v in values]) == -score
 
 
 class TestExhaustiveShortSentences:
@@ -114,7 +111,7 @@ class TestExhaustiveShortSentences:
     def test_all_length_le_3(self, semantics):
         for length in range(4):
             for pairs in itertools.product(EVOLVABLE_PAIRS, repeat=length):
-                got = evaluate_pairs(list(pairs), semantics)
+                got = kernel_score(list(pairs), semantics)
                 want = reference_sentence_score(list(pairs), semantics is Semantics.PROSE)
                 assert got == want, pairs
 

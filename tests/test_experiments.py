@@ -2,9 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import evosent.experiments
 from evosent.corpus import Label, SplitError
-from evosent.evaluator import Semantics, classify_score, evaluate_sentence
+from evosent.evaluator import Semantics, classify_score
 from evosent.experiments import (
     Algo,
     ExperimentReport,
@@ -22,11 +25,24 @@ from evosent.experiments import (
     write_report,
 )
 from evosent.ga_engine import GAConfig
-from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
+from evosent.gasa import SLICE_CELLS
+from evosent.lexicon import (
+    ClassificationValuePair,
+    Dictionary,
+    Kind,
+    seed_amplifier_dictionary,
+)
 
 from conftest import S, make_corpus
+from oracles import reference_sentence_score, reference_synthetic_corpus
 
 SMALL = GAConfig(population_size=40, tournament_size=3, max_generations=40, seed=1)
+
+
+def truth_score(tokens, lexicon, semantics):
+    """The reference score of `tokens` under the planted ground truth."""
+    pairs = [lexicon.resolve(word) for word in tokens]
+    return reference_sentence_score(pairs, semantics is Semantics.PROSE)
 
 
 def planted(n_sentiment=6, n_fillers=2, seed=0):
@@ -61,8 +77,7 @@ class TestSyntheticCorpus:
     def test_labels_consistent_with_ground_truth(self, semantics):
         lexicon, corpus = self.run(semantics=semantics)
         for inst in corpus.instances:
-            score = evaluate_sentence(inst.tokens, lexicon.resolve, semantics)
-            verdict = classify_score(score)
+            verdict = classify_score(truth_score(inst.tokens, lexicon, semantics))
             assert verdict.value == inst.label.value
 
     def test_balanced(self):
@@ -77,7 +92,7 @@ class TestSyntheticCorpus:
     def test_no_tie_sentences(self):
         lexicon, corpus = self.run()
         for inst in corpus.instances:
-            assert evaluate_sentence(inst.tokens, lexicon.resolve, Semantics.LITERAL) != 0.0
+            assert truth_score(inst.tokens, lexicon, Semantics.LITERAL) != 0.0
 
     def test_odd_count_rejected(self):
         lexicon = planted()
@@ -94,6 +109,50 @@ class TestSyntheticCorpus:
         _, c1 = self.run(seed=9)
         _, c2 = self.run(seed=9)
         assert c1.instances == c2.instances
+
+
+@st.composite
+def planted_lexicons(draw):
+    """Planted sentiment and amplifier words, some zero-valued and some not
+    multiples of one half, and up to three fillers."""
+    values = st.sampled_from([-1.5, -1.0, -0.3, 0.0, 0.25, 0.5, 0.7, 1.0, 2.0])
+    words = draw(st.lists(st.sampled_from("abcdef"), unique=True, min_size=1, max_size=6))
+    entries = {
+        f"p{w}": ClassificationValuePair(draw(st.sampled_from(list(Kind))), draw(values))
+        for w in words
+    }
+    fillers = draw(st.lists(st.sampled_from(["f0", "f1", "f2"]), unique=True, max_size=3))
+    return PlantedLexicon(entries, frozenset(fillers))
+
+
+class TestSyntheticOracle:
+    @pytest.mark.parametrize("slice_cells", [1, 7, SLICE_CELLS])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lexicon=planted_lexicons(),
+        half=st.integers(min_value=1, max_value=20),
+        lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=2),
+        semantics=st.sampled_from(list(Semantics)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_blocks_match_one_candidate_at_a_time(
+        self, slice_cells, lexicon, half, lengths, semantics, seed
+    ):
+        """Blocks cut by cells (1 or 7 cells), by the open slots or by the
+        draw budget give the same instances, the same GenerationError and
+        the same rng state as the one-candidate reference."""
+        outcomes = []
+        for generate in (generate_synthetic_corpus, reference_synthetic_corpus):
+            rng = random.Random(seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evosent.experiments, "SLICE_CELLS", slice_cells)
+                try:
+                    corpus = generate(lexicon, 2 * half, tuple(sorted(lengths)), semantics, rng)
+                    instances = corpus.instances
+                except GenerationError:
+                    instances = GenerationError
+            outcomes.append((instances, rng.getstate()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestFrequencyFilter:

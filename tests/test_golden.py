@@ -1,6 +1,8 @@
 """Golden GASA and CA-GASA runs: fixed seeds must keep producing the same
 model bytes and best-fitness trajectory, so a change to the scoring kernels
-or the operators that alters any fitness value shows up here."""
+or the operators that alters any fitness value shows up here. Golden
+synthetic corpora: fixed seeds must keep producing the same corpus bytes, so
+a change to the generator's draws or labels shows up here too."""
 
 import hashlib
 import random
@@ -8,13 +10,19 @@ import random
 import pytest
 
 from evosent.cagasa import CagasaProblem
-from evosent.corpus import build_unknown_index
+from evosent.corpus import build_unknown_index, save_corpus
 from evosent.evaluator import Semantics
-from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
+from evosent.experiments import (
+    PlantedLexicon,
+    generate_synthetic_corpus,
+    random_planted_lexicon,
+)
 from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import GasaProblem
 from evosent.lexicon import empty_sentiment_dictionary, seed_amplifier_dictionary
 from evosent.model import TrainedModel, save_model
+
+from conftest import A, S
 
 # sha256 of (saved model bytes, comma-joined trajectory) per (semantics, seed).
 # GASA: population 60, 30 generations.
@@ -107,6 +115,52 @@ GOLDEN_CAGASA = {
 }
 
 
+# A planted lexicon with amplifiers, a zero-valued amplifier, a sentiment
+# value that is not a multiple of one half, and fillers.
+AMPLIFIER_LEXICON = PlantedLexicon(
+    {"up": S(1.0), "down": S(-1.0), "slight": S(0.3), "very": A(1.5),
+     "not": A(-1.0), "half": A(0.5), "zero": A(0.0)},
+    frozenset({"the", "meh"}),
+)
+
+# sha256 of the `save_corpus` bytes per generator call: (planted and filler
+# word counts, or None for AMPLIFIER_LEXICON; instances; length range;
+# semantics; seed). A random planted lexicon is drawn first from the seed's
+# rng, as `evosent synth` draws it, so "c500" is `synth --instances 500
+# --seed 1` and "long" is `--instances 300 --min-length 3 --max-length 2000
+# --seed 1`.
+GOLDEN_SYNTH = {
+    "c500": (
+        ((30, 10), 500, (3, 8), "literal", 1),
+        "6a2d2c13efbfa16ba8bd9dacb864e3fa3ad559e94a95186d018e7c1cc9d835f7",
+    ),
+    "c500-prose": (
+        ((30, 10), 500, (3, 8), "prose", 5),
+        "b860e7c2fa2a5d7eb8dab253b768bcdd315afa551dedb4ddb5366fb6caab5f78",
+    ),
+    "c5k": (
+        ((300, 100), 5000, (3, 8), "literal", 2),
+        "bed289a954b5cbf2fe3d791ff62671426bc11bb802fc4c9cb914c6cdac001ef0",
+    ),
+    "wide": (
+        ((300, 10), 60, (3, 8), "literal", 3),
+        "394daff830a38b8cb09b495f2e6e3136959509f046623d49102acfa3c49e3691",
+    ),
+    "amplifiers-literal": (
+        (None, 400, (1, 6), "literal", 7),
+        "244e7031dd3e480720a9f43fa942381c57ff5fd7e81d8ab7a8fc3ef93a1f30fc",
+    ),
+    "amplifiers-prose": (
+        (None, 400, (1, 6), "prose", 7),
+        "6415982c06a7c2af68d0cc26ed1e5c2e2f40cbe8234585695189416d0d4c7d6d",
+    ),
+    "long": (
+        ((30, 10), 300, (3, 2000), "literal", 1),
+        "4ad9e01182430678b58208f034ae7b501ebce506d03a367216d9ac1914b32c5c",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def corpus():
     """`evosent synth --instances 500 --seed 1`: 30 planted words, 10 fillers."""
@@ -148,3 +202,13 @@ def test_cagasa_run_is_unchanged(corpus, semantics, seed, tmp_path):
     hashes = run_hashes(CagasaProblem, "cagasa", corpus, Semantics(semantics), config,
                         tmp_path / "model")
     assert hashes == GOLDEN_CAGASA[semantics, seed]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH))
+def test_synthetic_corpus_is_unchanged(name, tmp_path):
+    (words, instances, lengths, semantics, seed), digest = GOLDEN_SYNTH[name]
+    rng = random.Random(seed)
+    lexicon = AMPLIFIER_LEXICON if words is None else random_planted_lexicon(*words, rng)
+    corpus = generate_synthetic_corpus(lexicon, instances, lengths, Semantics(semantics), rng)
+    save_corpus(corpus, tmp_path / "corpus.tsv")
+    assert sha256((tmp_path / "corpus.tsv").read_bytes()) == digest

@@ -186,6 +186,11 @@ class TestLabeledDictionary:
         with pytest.raises(LexiconParseError, match="line 2: non-finite"):
             parse_lexicon(io.StringIO(f"good\tsentiment\t1.0\nbad\tsentiment\t{value}\n"))
 
+    @pytest.mark.parametrize("record", ["very good\tsentiment\t1.0", "good \tsentiment\t1"])
+    def test_word_with_a_space_is_parse_error(self, record):
+        with pytest.raises(LexiconParseError, match="line 2: expected a single word"):
+            parse_lexicon(io.StringIO(f"bad\tsentiment\t-1.0\n{record}\n"))
+
     def test_bad_kind_is_parse_error(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "w\tnoise\t1.0\n")
         with pytest.raises(LexiconParseError, match="line 1"):
