@@ -104,10 +104,7 @@ def corpus_neighbors(corpus: Corpus) -> Dict[str, Neighbors]:
 
 
 def _sample_list(pool: Tuple[str, ...], capacity: int, rng: random.Random) -> frozenset:
-    take = min(capacity, len(pool))
-    if take == 0:
-        return frozenset()
-    return frozenset(rng.sample(pool, take))
+    return frozenset(rng.sample(pool, min(capacity, len(pool))))  # sampling none draws nothing
 
 
 def _new_pair(pair: ClassificationValuePair, rng: random.Random) -> ClassificationValuePair:

@@ -21,7 +21,7 @@ from .corpus import (
     concat_corpora,
     load_corpus,
     save_corpus,
-    tokenize_lines,
+    tokenize_block,
 )
 from .evaluator import Semantics, Verdict
 from .experiments import (
@@ -57,6 +57,9 @@ from .model import ModelFormatError, load_model, save_model
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+# The input lines `predict` tokenizes and scores together. It bounds the
+# memory prediction holds, whatever the input's size.
+PREDICT_BLOCK_LINES = 1024
 
 
 class ValidationError(ValueError):
@@ -149,9 +152,7 @@ def _load_dictionaries(args):
         )
     if two_file:
         if args.positive_words is None or args.negative_words is None:
-            raise ValidationError(
-                "--positive-words and --negative-words must be given together"
-            )
+            raise ValidationError("--positive-words and --negative-words must be given together")
         sentiment = load_polarity_lists(
             _require_file(args.positive_words, "positive word list"),
             _require_file(args.negative_words, "negative word list"),
@@ -216,14 +217,17 @@ def cmd_predict(args) -> int:
         lines = [args.text]
     else:
         lines = list(text_lines(_require_file(args.input, "input file")))
-    text = {}
-    for verdict in Verdict:
-        tie = verdict is Verdict.TIE
-        annotation = ("\ttie" if tie else "\t-") if args.show_ties else ""
-        text[verdict] = f"{args.tie_policy if tie else verdict.value}{annotation}\n"
+    # the output for a negative, a tied and a positive score
+    marks = ("\t-", "\ttie", "\t-") if args.show_ties else ("", "", "")
+    labels = (Verdict.NEGATIVE.value, args.tie_policy, Verdict.POSITIVE.value)
+    text = [f"{label}{mark}\n" for label, mark in zip(labels, marks)]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        out.writelines(map(text.__getitem__, model.predict_many(tokenize_lines(lines))))
+        for start in range(0, len(lines), PREDICT_BLOCK_LINES):
+            # no name holds a block's tokens, so they go before the next block's
+            block = lines[start : start + PREDICT_BLOCK_LINES]
+            score = model.sentence_scores(*tokenize_block(block))
+            out.write("".join(map(text.__getitem__, (1 + (score > 0) - (score < 0)).tolist())))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -274,13 +278,8 @@ def cmd_synth(args) -> int:
         lexicon = PlantedLexicon(planted, fillers)
     else:
         lexicon = random_planted_lexicon(args.planted_words, args.filler_words, rng)
-    corpus = generate_synthetic_corpus(
-        lexicon,
-        args.instances,
-        (args.min_length, args.max_length),
-        semantics,
-        rng,
-    )
+    lengths = (args.min_length, args.max_length)
+    corpus = generate_synthetic_corpus(lexicon, args.instances, lengths, semantics, rng)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} instances to {args.out}")
     if args.lexicon_out:
@@ -314,9 +313,7 @@ def build_parser() -> _Parser:
     p_predict.add_argument("--text", default=None, help="classify a single text")
     p_predict.add_argument("--input", default=None, help="file of one text per line")
     p_predict.add_argument("--out", default=None, help="write labels here (default stdout)")
-    p_predict.add_argument(
-        "--tie-policy", choices=["positive", "negative"], default="negative"
-    )
+    p_predict.add_argument("--tie-policy", choices=["positive", "negative"], default="negative")
     p_predict.add_argument("--show-ties", action="store_true")
     p_predict.set_defaults(func=cmd_predict)
 

@@ -6,13 +6,16 @@ import enum
 import logging
 import os
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
-from .lexicon import Dictionary, text_lines
+import numpy as np
+
+# `_Separators`, `_SEPARATORS` and `tokenize` are re-exported here.
+from .lexicon import _SEPARATORS, Dictionary, _Separators, text_lines, tokenize, translate
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +37,12 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.instances)
+
+    def flat_tokens(self) -> Tuple[list, list]:
+        """(tokens, lengths), as `tokenize_block` gives them: the instances'
+        tokens as one flat list, and each instance's number of tokens."""
+        token_lists = [inst.tokens for inst in self.instances]
+        return list(chain.from_iterable(token_lists)), list(map(len, token_lists))
 
 
 @dataclass(frozen=True)
@@ -57,32 +66,22 @@ class SplitError(ValueError):
     leaves a side empty, or too few dictionary words pass for the folds."""
 
 
-# A token is a maximal run of letters, digits or apostrophes; everything
-# else (including underscore) splits. No stop-word filtering.
-_TOKEN_CHAR = re.compile(r"[^\W_]|'")
-
-
-class _Separators(dict):
-    """The `str.translate` table behind tokenizing: it keeps token characters
-    and "\n" and turns every other code point into a space. It remembers the
-    code points below 0x10000 it has mapped, at most 0x10000 entries (about
-    5 MB), and maps a higher one again each time it is seen."""
-
-    def __missing__(self, code: int) -> int:
-        kept = code if code == 10 or _TOKEN_CHAR.match(chr(code)) else 32
-        if code < 0x10000:
-            self[code] = kept
-        return kept
-
-
-_SEPARATORS = _Separators()
-# The characters `tokenize_lines` joins before it lowercases and translates
-# them at once; one call per line costs more than the work it does.
+# The characters `tokenize_lines` and `tokenize_block` join before they
+# lowercase and translate them at once; one call per line costs more than the
+# work it does.
 TOKENIZE_BLOCK_CHARS = 1 << 16
 
 
-def tokenize(text: str) -> list:
-    return text.lower().translate(_SEPARATORS).split()
+def _translated(block: list) -> str:
+    """The texts of `block` translated and joined by "\n"; a "\n" inside a
+    text becomes a space, so line k holds the tokens of text k."""
+    joined = "\n".join(block)
+    # `str.lower` and `str.translate` are fast on ASCII strings only, so a
+    # block that holds another character is translated text by text, as is
+    # one whose texts hold "\n"
+    if joined.isascii() and joined.count("\n") == len(block) - 1:
+        return translate(joined)
+    return "\n".join(translate(text).replace("\n", " ") for text in block)
 
 
 def tokenize_lines(texts: Iterable[str]) -> Iterator[list]:
@@ -93,18 +92,29 @@ def tokenize_lines(texts: Iterable[str]) -> Iterator[list]:
         block.append(text)
         chars += len(text)
         if chars >= TOKENIZE_BLOCK_CHARS:
-            yield from _tokenize_block(block)
+            yield from map(str.split, _translated(block).split("\n"))
             block, chars = [], 0
-    yield from _tokenize_block(block)
+    if block:
+        yield from map(str.split, _translated(block).split("\n"))
 
 
-def _tokenize_block(texts: list) -> Iterator[list]:
-    joined = "\n".join(texts)
-    # `str.lower` and `str.translate` are fast on ASCII strings only, so a
-    # block that holds another character is tokenized text by text, as is
-    # one whose texts hold "\n"
-    rows = joined.lower().translate(_SEPARATORS).split("\n") if joined.isascii() else ()
-    return map(str.split, rows) if len(rows) == len(texts) else map(tokenize, texts)
+def tokenize_block(texts: Sequence[str]) -> Tuple[list, np.ndarray]:
+    """(tokens, lengths): `tokenize` of each text, in order, as one flat list,
+    and each text's number of tokens. Runs of about TOKENIZE_BLOCK_CHARS
+    characters are translated at once, so long texts make no large temporaries."""
+    tokens, lengths = [], [np.zeros(0, dtype=np.int64)]
+    step = max(1, len(texts) * TOKENIZE_BLOCK_CHARS // max(1, sum(map(len, texts))))
+    for start in range(0, len(texts), step):
+        translated = _translated(texts[start : start + step])
+        # a token starts at a byte above " " after one that is not (all UTF-8
+        # bytes of a non-ASCII character are); its line counts the "\n" before it
+        data = np.frombuffer(b"\n" + translated.encode(), dtype=np.uint8)
+        inside = data > 32
+        starts = np.flatnonzero(inside[1:] > inside[:-1])
+        lines = np.searchsorted(np.flatnonzero(data == 10), starts, side="right") - 1
+        lengths.append(np.bincount(lines, minlength=translated.count("\n") + 1))
+        tokens += translated.split()
+    return tokens, np.concatenate(lengths)
 
 
 def load_corpus(source: Union[str, Path]) -> Corpus:
@@ -142,33 +152,21 @@ def save_corpus(corpus: Corpus, sink: Union[str, Path]) -> None:
 
 
 def concat_corpora(corpora: Sequence[Corpus]) -> Corpus:
-    instances = []
-    for corpus in corpora:
-        instances.extend(corpus.instances)
-    return Corpus(tuple(instances))
+    return Corpus(tuple(chain.from_iterable(corpus.instances for corpus in corpora)))
 
 
 def build_unknown_index(
     corpus: Corpus, sentiment_dict: Dictionary, amplifier_dict: Dictionary
 ) -> UnknownWordIndex:
     """Collect corpus words in neither dictionary, in first-occurrence order."""
-    words = []
-    position_of = {}
-    for inst in corpus.instances:
-        for word in inst.tokens:
-            if word in position_of or word in sentiment_dict or word in amplifier_dict:
-                continue
-            position_of[word] = len(words)
-            words.append(word)
-    return UnknownWordIndex(tuple(words), position_of)
+    seen = dict.fromkeys(chain.from_iterable(inst.tokens for inst in corpus.instances))
+    words = tuple(w for w in seen if w not in sentiment_dict and w not in amplifier_dict)
+    return UnknownWordIndex(words, {word: k for k, word in enumerate(words)})
 
 
 def word_frequencies(corpus: Corpus) -> Counter:
     """Token occurrence counts across all instances."""
-    counts = Counter()
-    for inst in corpus.instances:
-        counts.update(inst.tokens)
-    return counts
+    return Counter(chain.from_iterable(inst.tokens for inst in corpus.instances))
 
 
 def make_folds(items: Sequence, k: int, seed: int) -> list:
@@ -209,10 +207,6 @@ def split_holdout(corpus: Corpus, train_fraction: float, seed: int) -> tuple:
 
 
 def _interleave(groups) -> list:
-    out = []
-    longest = max(len(g) for g in groups)
-    for i in range(longest):
-        for group in groups:
-            if i < len(group):
-                out.append(group[i])
-    return out
+    """The first item of each group, in group order, then the second, and so on."""
+    gap = object()
+    return [item for row in zip_longest(*groups, fillvalue=gap) for item in row if item is not gap]

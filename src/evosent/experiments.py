@@ -28,16 +28,10 @@ from .corpus import (
     split_holdout,
     word_frequencies,
 )
-from .evaluator import Semantics, Verdict
+from .evaluator import Semantics
 from .ga_engine import GAConfig, RunStats, config_records, run_ga
 from .gasa import SLICE_CELLS, GasaProblem, compile_tokens, scores
-from .lexicon import (
-    NEUTRAL_PAIR,
-    ClassificationValuePair,
-    Dictionary,
-    Kind,
-    check_disjoint,
-)
+from .lexicon import NEUTRAL_PAIR, ClassificationValuePair, Dictionary, Kind, check_disjoint
 from .model import TrainedModel
 
 
@@ -197,26 +191,16 @@ def run_word_cv(
 def _test_accuracy(
     model: TrainedModel, test_corpus: Corpus
 ) -> Tuple[float, Dict[str, float]]:
+    score = model.sentence_scores(*test_corpus.flat_tokens())
+    positive = np.array([inst.label is Label.POSITIVE for inst in test_corpus.instances])
     counts = {
-        "true_positive": 0,
-        "true_negative": 0,
-        "false_positive": 0,
-        "false_negative": 0,
-        "ties": 0,
+        "true_positive": np.count_nonzero(positive & (score > 0.0)),
+        "true_negative": np.count_nonzero(~positive & (score < 0.0)),
+        "false_positive": np.count_nonzero(~positive & (score > 0.0)),
+        "false_negative": np.count_nonzero(positive & (score < 0.0)),
     }
-    correct = 0
-    instances = test_corpus.instances
-    for inst, verdict in zip(instances, model.predict_many(i.tokens for i in instances)):
-        if verdict is Verdict.TIE:
-            counts["ties"] += 1
-        elif verdict.value == inst.label.value:
-            correct += 1
-            key = "true_positive" if inst.label is Label.POSITIVE else "true_negative"
-            counts[key] += 1
-        else:
-            key = "false_positive" if verdict is Verdict.POSITIVE else "false_negative"
-            counts[key] += 1
-    accuracy = correct / len(instances)
+    counts["ties"] = len(score) - sum(counts.values())
+    accuracy = (counts["true_positive"] + counts["true_negative"]) / len(score)
     return accuracy, {k: float(v) for k, v in counts.items()}
 
 
@@ -325,7 +309,8 @@ def generate_synthetic_corpus(
             length = rng.randint(lo, hi)
             block.append(tuple(vocabulary[rng.randrange(len(vocabulary))] for _ in range(length)))
         draws += len(block)
-        block_scores = scores(compile_tokens(block, table), np.zeros((0, 1), np.int8), semantics)
+        compiled = compile_tokens(list(chain.from_iterable(block)), list(map(len, block)), table)
+        block_scores = scores(compiled, np.zeros((0, 1), np.int8), semantics)
         for tokens, score in zip(block, block_scores[0].tolist()):
             if score > 0.0 and len(positives) < half:
                 positives.append(Instance(tokens, Label.POSITIVE))

@@ -129,12 +129,13 @@ class CompiledCorpus:
     label_positive: Optional[np.ndarray] = None  # (instances,) bool; None for unlabelled text
 
 
-def compile_tokens(token_lists: Sequence[Sequence[str]], table: SlotTable) -> CompiledCorpus:
-    """The unlabelled `CompiledCorpus` of `token_lists`. A word missing from
-    the table is neutral."""
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    vocabulary = dict.fromkeys(chain.from_iterable(token_lists))
-    vocabulary = {word: k for k, word in enumerate(vocabulary)}
+def compile_tokens(
+    tokens: Sequence[str], lengths: Sequence[int], table: SlotTable
+) -> CompiledCorpus:
+    """The unlabelled `CompiledCorpus` of sentences given as one flat token
+    sequence, sentence k the next lengths[k] tokens. A word missing from the
+    table is neutral."""
+    vocabulary = {word: k for k, word in enumerate(dict.fromkeys(tokens))}
     entries = [table.get(word, NEUTRAL_PAIR) for word in vocabulary]
     dictionary_pairs = dict.fromkeys(e for e in entries if not isinstance(e, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
@@ -143,14 +144,8 @@ def compile_tokens(token_lists: Sequence[Sequence[str]], table: SlotTable) -> Co
     word_slots = np.array(
         [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
     )
-    width = int(lengths.max(initial=0))
-    words = np.full((len(lengths), width), -1, dtype=np.int32)
-    # a row's tokens fill its last `length` columns; the mask's cells run row
-    # by row, left to right, the order of the tokens
-    tokens = chain.from_iterable(token_lists)
-    words[np.arange(width) >= width - lengths[:, None]] = np.fromiter(
-        map(vocabulary.__getitem__, tokens), dtype=np.int32, count=int(lengths.sum())
-    )
+    ids = np.fromiter(map(vocabulary.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    words = left_padded(ids, np.asarray(lengths, dtype=np.int64))
     return CompiledCorpus(
         slots=word_slots[words],
         words=words,
@@ -160,8 +155,18 @@ def compile_tokens(token_lists: Sequence[Sequence[str]], table: SlotTable) -> Co
     )
 
 
+def left_padded(cells: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int32 matrix whose row k holds the next lengths[k] of `cells` in
+    its last columns, padded on the left with -1 to the longest row."""
+    width = int(lengths.max(initial=0))
+    matrix = np.full((len(lengths), width), -1, dtype=np.int32)
+    # the mask's cells run row by row, left to right, the order of `cells`
+    matrix[np.arange(width) >= width - lengths[:, None]] = cells
+    return matrix
+
+
 def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
-    compiled = compile_tokens([inst.tokens for inst in corpus.instances], table)
+    compiled = compile_tokens(*corpus.flat_tokens(), table)
     labels = [inst.label is Label.POSITIVE for inst in corpus.instances]
     return replace(compiled, label_positive=np.array(labels, dtype=bool))
 

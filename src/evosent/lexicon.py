@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,36 @@ EVOLVABLE_PAIRS = tuple(
     [ClassificationValuePair(Kind.SENTIMENT, v) for v in SENTIMENT_VALUES]
     + [ClassificationValuePair(Kind.AMPLIFIER, v) for v in AMPLIFIER_VALUES]
 )
+
+
+# A token is a maximal run of letters, digits or apostrophes; everything
+# else (including underscore) splits. No stop-word filtering.
+_TOKEN_CHAR = re.compile(r"[^\W_]|'")
+
+
+class _Separators(dict):
+    """The `str.translate` table behind tokenizing: it keeps token characters
+    and "\n" and turns every other code point into a space. It remembers the
+    code points below 0x10000 it has mapped, at most 0x10000 entries (about
+    5 MB), and maps a higher one again each time it is seen."""
+
+    def __missing__(self, code: int) -> int:
+        kept = code if code == 10 or _TOKEN_CHAR.match(chr(code)) else 32
+        if code < 0x10000:
+            self[code] = kept
+        return kept
+
+
+_SEPARATORS = _Separators()
+
+
+def translate(text: str) -> str:
+    """`text` lowercased, with token characters and "\n" kept and all else a space."""
+    return text.lower().translate(_SEPARATORS)
+
+
+def tokenize(text: str) -> list:
+    return translate(text).split()
 
 
 class LexiconParseError(ValueError):
@@ -125,14 +156,12 @@ def record_lines(source: Union[str, Path, TextIO]) -> Iterator[Tuple[int, str]]:
 
 
 def _single_word(lineno: int, text: str) -> str:
-    """`text` lowercased, or LexiconParseError naming the line if it holds a tab or a space."""
-    if "\t" in text or " " in text:
+    """`text` lowercased, or LexiconParseError naming the line unless it
+    tokenizes to itself: any other word matches no token of any text."""
+    word = text.lower()
+    if tokenize(word) != [word]:
         raise LexiconParseError(f"line {lineno}: expected a single word, got {text!r}")
-    return text.lower()
-
-
-def _read_word_list(source) -> list:
-    return [_single_word(lineno, line) for lineno, line in record_lines(source)]
+    return word
 
 
 def load_polarity_lists(positive_source, negative_source) -> Dictionary:
@@ -140,7 +169,8 @@ def load_polarity_lists(positive_source, negative_source) -> Dictionary:
     entries = {}
     for source, value in ((positive_source, 1.0), (negative_source, -1.0)):
         pair = ClassificationValuePair(Kind.SENTIMENT, value)
-        for word in _read_word_list(source):
+        words = [_single_word(lineno, line) for lineno, line in record_lines(source)]
+        for word in words:
             existing = entries.get(word)
             if existing is not None and existing.value != value:
                 raise ConflictingWordError(

@@ -8,11 +8,10 @@ the full context rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,13 +27,10 @@ from .cagasa import (
 from .corpus import UnknownWordIndex
 from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
-from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_tokens, scores
+from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_tokens, left_padded, scores
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair, text_lines
 
 FORMAT_VERSION = "1"
-# Token sequences `TrainedModel.predict_many` holds and scores together. It
-# bounds the memory prediction holds, whatever the input's size.
-PREDICT_BLOCK_LINES = 1024
 # The two-field records `save_model` writes, each exactly once.
 HEADER_KEYS = ("model", "algo", "semantics", *CONFIG_FIELDS, "best_fitness", "train_instances")
 
@@ -70,40 +66,39 @@ class TrainedModel:
 
     def predict(self, tokens: Sequence[str]) -> Verdict:
         """The polarity the model gives a token sequence."""
-        return next(self.predict_many([tokens]))
+        return classify_score(self.sentence_scores(tokens, [len(tokens)])[0])
 
-    def predict_many(self, token_lists: Iterable[Sequence[str]]) -> Iterator[Verdict]:
-        """The polarity the model gives each token sequence, in order. The
-        sequences are read PREDICT_BLOCK_LINES at a time; within a block
-        they are sorted by length and scored in slices of at most
-        SLICE_CELLS slot-matrix elements, so that short sentences are not
-        padded to the width of long ones."""
-        token_lists = iter(token_lists)
-        while block := list(islice(token_lists, PREDICT_BLOCK_LINES)):
-            lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-            order = np.argsort(lengths, kind="stable")
-            lengths = lengths[order]
-            block_scores = np.empty(len(block))
-            start = 0
-            while start < len(block):
-                # the longest prefix whose rows times its width fits, at least one row
-                elements = np.arange(1, len(block) - start + 1) * lengths[start:]
-                end = start + max(1, int(np.searchsorted(elements, SLICE_CELLS, side="right")))
-                rows = order[start:end]
-                block_scores[rows] = self._scores([block[k] for k in rows.tolist()])
-                start = end
-            yield from map(classify_score, block_scores.tolist())
-
-    def _scores(self, token_lists: list) -> np.ndarray:
-        """Each token sequence's sentence score, on the training kernel."""
-        compiled = compile_tokens(token_lists, self.table)
-        if self.algo == "gasa":
-            codes = np.frombuffer(self.chromosome.codes, dtype=np.int8)
-        else:
-            context = ContextCorpus(compiled)
-            compiled = context.compiled
-            codes = context.decide(range(len(self.index)), self._encoded_genes)[0]
-        return scores(compiled, codes[:, None], self.semantics)[0]
+    def sentence_scores(self, tokens: Sequence[str], lengths: Sequence[int]) -> np.ndarray:
+        """The score of each line of a block given as one flat token sequence,
+        line k the next lengths[k] tokens. The block is compiled as one row; its
+        lines are then sorted by length and scored on the training kernel in
+        slices of at most SLICE_CELLS slot-matrix elements, so that short lines
+        are not padded to the width of long ones. A longer line takes a slice alone."""
+        row = compile_tokens(tokens, [len(tokens)], self.table)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        order = np.argsort(lengths, kind="stable")
+        firsts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
+        block_scores = np.empty(len(lengths))
+        start = 0
+        while start < len(lengths):
+            # the longest run of lines whose rows times its width fits, at least one
+            elements = np.arange(1, len(lengths) - start + 1) * lengths[start:]
+            end = start + max(1, int(np.searchsorted(elements, SLICE_CELLS, side="right")))
+            part = lengths[start:end]
+            # the run's tokens' indices in `tokens`, line by line
+            cells = np.repeat(firsts[start:end] - np.cumsum(part) + part, part)
+            cells += np.arange(len(cells))
+            words, slots = (left_padded(ids[0, cells], part) for ids in (row.words, row.slots))
+            compiled = replace(row, words=words, slots=slots)
+            if self.algo == "gasa":
+                codes = np.frombuffer(self.chromosome.codes, dtype=np.int8)
+            else:
+                context = ContextCorpus(compiled)
+                compiled = context.compiled
+                codes = context.decide(range(len(self.index)), self._encoded_genes)[0]
+            block_scores[order[start:end]] = scores(compiled, codes[:, None], self.semantics)[0]
+            start = end
+        return block_scores
 
 
 class ModelFormatError(ValueError):
@@ -254,11 +249,8 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
         if word in sentiment_entries or word in amplifier_entries:
             raise ModelFormatError(f"gene word {word!r} is also a dictionary word")
     index = UnknownWordIndex(tuple(gene_positions), gene_positions)
-    chromosome = (
-        GasaChromosome(bytes(gasa_codes))
-        if algo == "gasa"
-        else CagasaChromosome(tuple(cagasa_genes))
-    )
+    codes, genes = bytes(gasa_codes), tuple(cagasa_genes)
+    chromosome = GasaChromosome(codes) if algo == "gasa" else CagasaChromosome(genes)
     return TrainedModel(
         algo=algo,
         semantics=semantics,

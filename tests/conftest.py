@@ -6,7 +6,7 @@ import pytest
 
 from evosent.cagasa import CagasaChromosome, CagasaGene
 from evosent.corpus import Corpus, Instance, Label, UnknownWordIndex
-from evosent.evaluator import Semantics, Verdict
+from evosent.evaluator import Semantics, Verdict, classify_score
 from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import ClassificationValuePair, Dictionary, Kind
@@ -29,6 +29,19 @@ def make_corpus(rows) -> Corpus:
     return Corpus(
         tuple(Instance(tuple(tokens), Label(label)) for tokens, label in rows)
     )
+
+
+def flat(token_lists) -> tuple:
+    """(tokens, lengths): token lists as one flat list, and each list's
+    length, the form `compile_tokens` and `TrainedModel.sentence_scores` take."""
+    token_lists = list(token_lists)
+    return [t for tokens in token_lists for t in tokens], [len(t) for t in token_lists]
+
+
+def predicted(model, token_lists) -> list:
+    """The verdict value the model gives each token list, all scored as one
+    block."""
+    return [classify_score(s).value for s in model.sentence_scores(*flat(token_lists)).tolist()]
 
 
 def trained_model(

@@ -42,7 +42,7 @@ from evosent.lexicon import (
 
 import run_frequency_trend
 import run_planted_recovery
-from conftest import A, S, fires, make_corpus, trained_model
+from conftest import A, S, fires, flat, make_corpus, predicted, trained_model
 from oracles import (
     cagasa_fitness,
     exhaustive_best_fitness,
@@ -92,7 +92,7 @@ def test_01_evaluator_oracle_equivalence(capsys):
                     table[f"s{i}{word}"] = len(codes)
                     codes.append(PAIR_CODES[pair])
                 sentences.append([f"s{i}{word}" for word in tokens])
-            compiled = compile_tokens(sentences, table)
+            compiled = compile_tokens(*flat(sentences), table)
             for semantics in Semantics:
                 got = scores(compiled, np.array(codes, dtype=np.int8)[:, None], semantics)[0]
                 prose = semantics is Semantics.PROSE
@@ -364,7 +364,7 @@ def test_08_cagasa_reduction(capsys):
             expected = [gasa_verdict(plain, t, index, sd, ad, semantics) for t in token_lists]
             for genome in (stripped, plain):
                 model = trained_model(genome, index, sd, ad, semantics)
-                assert [v.value for v in model.predict_many(token_lists)] == expected
+                assert predicted(model, token_lists) == expected
 
 
 def test_09_determinism_every_subcommand(capsys, tmp_path):

@@ -26,7 +26,7 @@ from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
-from conftest import A, S, fires, make_corpus, trained_model
+from conftest import A, S, fires, make_corpus, predicted, trained_model
 from oracles import cagasa_fitness, gasa_fitness, gasa_verdict, to_context_free_gasa
 
 
@@ -304,7 +304,7 @@ class TestGasaReduction:
         ]
         for genome in (chromosome, gasa_chromosome):
             model = trained_model(genome, index, sd, ad, semantics)
-            assert [v.value for v in model.predict_many(token_lists)] == expected
+            assert predicted(model, token_lists) == expected
 
 
 class TestProblemAdapter:

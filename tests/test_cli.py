@@ -255,6 +255,10 @@ class TestPredict:
         # a word no token can match
         ("--sentiment-dict", "very good\tsentiment\t1.0\nbad\tsentiment\t-1.0\n", "line 1"),
         ("--sentiment-dict", "bad\tsentiment\t-1.0\ngood \tsentiment\t1\n", "line 2"),
+        ("--sentiment-dict", "bad\tsentiment\t-1.0\nwell-done\tsentiment\t1\n", "line 2"),
+        ("--amplifier-dict", "very!\tamplifier\t1.5\n", "line 1: expected a single word"),
+        ("--positive-words", "good\ngood!\n", "line 2: expected a single word"),
+        ("--positive-words", "don't\nwell-done\n", "line 2: expected a single word"),
         # files that are not UTF-8
         ("--corpus", b"positive\tgood \xff\n", "utf-8"),
         ("--sentiment-dict", b"good\tsentiment\t1.0\n\xff\n", "utf-8"),
@@ -402,6 +406,17 @@ class TestSynth:
         }
         assert tokens <= {"up", "down", "meh"}
 
+    @pytest.mark.parametrize("word", ["well-done", "good!", "snake_case"])
+    def test_planted_word_that_splits_exits_1(self, word, tmp_path, capsys):
+        """A planted word that tokenizes to other tokens would write a corpus
+        whose ground truth the tokens it loads back as do not match."""
+        lex = tmp_path / "planted.tsv"
+        lex.write_text(f"bad\tsentiment\t-1.0\n{word}\tsentiment\t1.0\n")
+        out = tmp_path / "c.tsv"
+        assert main(["synth", "--out", str(out), "--lexicon", str(lex)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 2: expected a single word, got {word!r}\n"
+        assert not out.exists()
 
     def test_planted_lexicon_without_sentiment_exits_1(self, tmp_path, capsys):
         lex = tmp_path / "planted.tsv"

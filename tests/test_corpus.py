@@ -3,12 +3,13 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from evosent import corpus
+from evosent import corpus, lexicon
 from evosent.corpus import (
     Corpus,
     CorpusParseError,
@@ -20,6 +21,7 @@ from evosent.corpus import (
     save_corpus,
     split_holdout,
     tokenize,
+    tokenize_block,
     tokenize_lines,
     word_frequencies,
 )
@@ -65,17 +67,17 @@ class TestTokenize:
     @pytest.mark.parametrize("sep", [" ", "_", "'"])
     def test_every_code_point_matches_oracle(self, sep, monkeypatch):
         # a table of its own, so that every code point is mapped afresh
-        monkeypatch.setattr(corpus, "_SEPARATORS", corpus._Separators())
+        monkeypatch.setattr(lexicon, "_SEPARATORS", lexicon._Separators())
         text = sep.join(CODE_POINTS)
         assert tokenize(text) == oracles.tokenize(text)
 
     def test_table_keeps_the_bmp_only(self, monkeypatch):
         # code points past the BMP are mapped again each time, and alike
-        monkeypatch.setattr(corpus, "_SEPARATORS", corpus._Separators())
+        monkeypatch.setattr(lexicon, "_SEPARATORS", lexicon._Separators())
         text = " ".join(CODE_POINTS)
         first = tokenize(text)
-        assert len(corpus._SEPARATORS) <= 0x10000
-        assert max(corpus._SEPARATORS) < 0x10000
+        assert len(lexicon._SEPARATORS) <= 0x10000
+        assert max(lexicon._SEPARATORS) < 0x10000
         assert tokenize(text) == first
 
     @pytest.mark.parametrize("block_chars", [1, 7])
@@ -90,13 +92,27 @@ class TestTokenize:
 
     def test_lines_fall_back_for_newlines_and_non_ascii(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(corpus, "tokenize", lambda t: calls.append(t) or oracles.tokenize(t))
+        monkeypatch.setattr(corpus, "translate", lambda t: calls.append(t) or lexicon.translate(t))
         assert list(tokenize_lines(["A b", "", "c_d"])) == [["a", "b"], [], ["c", "d"]]
-        assert calls == []
+        assert calls == ["A b\n\nc_d"]
         assert list(tokenize_lines(["a\nb", "c"])) == [["a", "b"], ["c"]]
-        assert calls == ["a\nb", "c"]
+        assert calls[1:] == ["a\nb", "c"]
         assert list(tokenize_lines(["d", "Café"])) == [["d"], ["café"]]
-        assert calls == ["a\nb", "c", "d", "Café"]
+        assert calls[3:] == ["d", "Café"]
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 1 << 16])
+    @given(st.lists(TEXTS, max_size=10))
+    @example([])
+    @example(["", "", ""])
+    @example(["AΣ", "Σ", "a\nΣ", "İ", " x"])
+    def test_block_matches_oracle(self, block_chars, texts):
+        token_lists = [oracles.tokenize(t) for t in texts]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "TOKENIZE_BLOCK_CHARS", block_chars)
+            tokens, lengths = tokenize_block(texts)
+        assert tokens == [t for line in token_lists for t in line]
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == [len(line) for line in token_lists]
 
 
 class TestLoadCorpus:

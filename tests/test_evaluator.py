@@ -22,7 +22,7 @@ def kernel_score(pairs, semantics=Semantics.LITERAL) -> float:
     """The score the kernel gives a sentence of `pairs`: token k is the word
     wk, which a slot table with no genes maps to pair k."""
     table = {f"w{k}": pair for k, pair in enumerate(pairs)}
-    compiled = compile_tokens([list(table)], table)
+    compiled = compile_tokens(list(table), [len(table)], table)
     return scores(compiled, np.zeros((0, 1), np.int8), semantics)[0, 0]
 
 

@@ -111,7 +111,7 @@ class TestCodeGenome:
         assert chrom.genes == tuple(EVOLVABLE_PAIRS[c] for c in gene_codes)
         # a sentence of gene k's word alone scores that gene's value
         words = [f"w{k}" for k in range(len(chrom))]
-        compiled = compile_tokens([[w] for w in words], {w: k for k, w in enumerate(words)})
+        compiled = compile_tokens(words, [1] * len(words), {w: k for k, w in enumerate(words)})
         got = scores(compiled, code_columns([chrom]), semantics)[0]
         assert got.tolist() == [pair.value for pair in chrom.genes]
         assert gasa_chromosome(chrom.genes) == chrom

@@ -72,6 +72,13 @@ class TestPolarityLists:
         assert d.get("good") == S(1.0)
         assert len(d) == 2
 
+    @pytest.mark.parametrize("word", ["well-done", "good!"])
+    def test_word_that_splits_is_parse_error(self, word, tmp_path):
+        pos = write(tmp_path, "pos.txt", "")
+        neg = write(tmp_path, "neg.txt", f"bad\n{word}\n")
+        with pytest.raises(LexiconParseError, match="line 2: expected a single word"):
+            load_polarity_lists(pos, neg)
+
     def test_multiword_line_is_parse_error(self, tmp_path):
         pos = write(tmp_path, "pos.txt", "two words\n")
         neg = write(tmp_path, "neg.txt", "")
@@ -190,6 +197,17 @@ class TestLabeledDictionary:
     def test_word_with_a_space_is_parse_error(self, record):
         with pytest.raises(LexiconParseError, match="line 2: expected a single word"):
             parse_lexicon(io.StringIO(f"bad\tsentiment\t-1.0\n{record}\n"))
+
+    @pytest.mark.parametrize("word", ["well-done", "good!", "snake_case", "\u0130"])
+    def test_word_that_is_not_one_token_is_parse_error(self, word):
+        """No token can match a word that tokenizes otherwise: "İ" lowercases
+        to "i" and a combining dot, which splits."""
+        with pytest.raises(LexiconParseError, match="line 2: expected a single word"):
+            parse_lexicon(io.StringIO(f"bad\tsentiment\t-1.0\n{word}\tsentiment\t1.0\n"))
+
+    @pytest.mark.parametrize("word", ["Don't", "CAFÉ", "3rd", "ΑΣ"])
+    def test_word_that_is_one_token_loads_lowercased(self, word):
+        assert parse_lexicon(io.StringIO(f"{word}\tsentiment\t1.0\n")) == {word.lower(): S(1.0)}
 
     def test_bad_kind_is_parse_error(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "w\tnoise\t1.0\n")

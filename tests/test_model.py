@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evosent.cagasa
+import evosent.cli
 import evosent.model
 from evosent.cagasa import (
     MAX_CONTEXT,
@@ -21,14 +22,15 @@ from evosent.cagasa import (
     random_cagasa_chromosome,
 )
 from evosent.cli import main
-from evosent.corpus import UnknownWordIndex, build_unknown_index, tokenize
+from evosent.corpus import UnknownWordIndex, build_unknown_index, tokenize_block
 from evosent.evaluator import Semantics, slot_table
 from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
-from conftest import A, S, make_corpus
+import oracles
+from conftest import A, S, make_corpus, predicted
 from oracles import cagasa_verdict, gasa_chromosome, gasa_verdict
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -144,7 +146,7 @@ class TestRoundTrip:
                     model.amplifier_dict, model.semantics)
             for tokens in token_lists
         ]
-        assert [v.value for v in loaded.predict_many(token_lists)] == expected
+        assert predicted(loaded, token_lists) == expected
 
     def test_word_in_both_dictionaries(self, tmp_path):
         """`save_model` writes a word in both dictionaries, so it loads."""
@@ -333,12 +335,14 @@ class TestFormatErrors:
 
 
 # Gene words, dictionary words, a word missing from the model, and
-# punctuation, which tokenizes to nothing. Any word may be in a dictionary,
+# punctuation, which tokenizes to nothing, or a word in other case. Any word may be in a dictionary,
 # in both or be a gene word.
-LINE_WORDS = ["g0", "g1", "g2", "good", "bad", "not", "very", "oov"]
+LINE_WORDS = ["g0", "g1", "g2", "good", "bad", "not", "very", "oov", "café"]
 line_word = st.sampled_from(LINE_WORDS)
 line_texts = st.one_of(
-    st.lists(line_word | st.sampled_from(["!", "...", ", --"]), max_size=9).map(" ".join),
+    st.lists(line_word | st.sampled_from(["!", "...", ", --", "Café", "ΑΣ"]), max_size=9).map(
+        " ".join
+    ),
     # repeated neighbours: w x x x y
     st.builds(
         lambda w, x, n, y: " ".join([w] + [x] * n + [y]),
@@ -379,10 +383,12 @@ def context_genes(draw, word):
     return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
 
 
-class TestPredictMany:
-    """Both algorithms' batched path against the per-token oracles, with
-    blocks and slices small enough that lines cross both, and one line
-    longer than a slice."""
+class TestBlockPath:
+    """`evosent predict` with both algorithms' models against the per-token
+    oracles, with blocks and slices small enough that lines cross both, one
+    line longer than a slice, CRLF-ended lines and a `--text` that holds
+    "\n". The model is the one drawn, not one loaded back: a saved model
+    holds no zero-capacity rule and no gene word that is a dictionary word."""
 
     # Huge values overflow to inf and nan in both paths alike; numpy warns.
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -393,11 +399,12 @@ class TestPredictMany:
         semantics=st.sampled_from(list(Semantics)),
         dicts=dictionaries(),
         gene_words=st.lists(line_word, unique=True, max_size=6),
-        lines=st.lists(line_texts, max_size=12),
+        lines=st.lists(st.tuples(line_texts, st.sampled_from(["\n", "\r\n"])), max_size=12),
         long_line=st.lists(line_word, min_size=7, max_size=12).map(" ".join),
+        text=st.lists(line_texts, min_size=2, max_size=3).map("\n".join),
     )
     def test_matches_oracle_line_by_line(
-        self, data, algo, semantics, dicts, gene_words, lines, long_line
+        self, data, algo, semantics, dicts, gene_words, lines, long_line, text
     ):
         sd, ad = dicts
         # a gene word that is also a dictionary word is dead
@@ -410,12 +417,28 @@ class TestPredictMany:
             genes = tuple(data.draw(context_genes(w)) for w in gene_words)
             chromosome, verdict = CagasaChromosome(genes), cagasa_verdict
         model = TrainedModel(algo, semantics, GAConfig(), sd, ad, index, chromosome, 0, 0)
-        lines.insert(data.draw(st.integers(0, len(lines))), long_line)
-        token_lists = [tokenize(line) for line in lines]
-        expected = [verdict(chromosome, t, index, sd, ad, semantics) for t in token_lists]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evosent.model, "PREDICT_BLOCK_LINES", 3)
+        lines.insert(data.draw(st.integers(0, len(lines))), (long_line, "\n"))
+        texts = [line for line, _ in lines] + [text]
+
+        token_lists = [oracles.tokenize(t) for t in texts]
+        tokens, lengths = tokenize_block(texts)
+        assert tokens == [t for line in token_lists for t in line]
+        assert lengths.tolist() == [len(line) for line in token_lists]
+
+        def shown(tokens):
+            label = verdict(chromosome, tokens, index, sd, ad, semantics)
+            return "negative\ttie" if label == "tie" else f"{label}\t-"
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evosent.cli, "load_model", lambda path: model)
+            patch.setattr(evosent.cli, "PREDICT_BLOCK_LINES", 3)
             for module in (evosent.model, evosent.cagasa):
                 patch.setattr(module, "SLICE_CELLS", 6)
-            got = [v.value for v in model.predict_many(iter(token_lists))]
-        assert got == expected
+            inp, out = Path(tmp, "in.txt"), Path(tmp, "out.txt")
+            inp.write_bytes("".join(line + end for line, end in lines).encode())
+            argv = ["predict", "--model", str(inp), "--show-ties"]
+            assert main([*argv, "--input", str(inp), "--out", str(out)]) == 0
+            assert out.read_text().split("\n") == [*map(shown, token_lists[:-1]), ""]
+            with redirect_stdout(io.StringIO()) as stdout:
+                assert main([*argv, "--text", text]) == 0
+            assert stdout.getvalue() == shown(token_lists[-1]) + "\n"
