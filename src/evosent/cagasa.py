@@ -346,7 +346,8 @@ class CagasaProblem(WordGeneProblem):
     """Adapter exposing CA-GASA to the GA engine through `fitness` alone.
     The engine makes all of a generation's children, or its initial genomes,
     before it scores any; the first call on one scores all that are recorded
-    (random genomes with no parent), and the others wait in `_batched`.
+    (random genomes with no parent), and the others wait in `_batched`, from
+    which a later call only moves the genome's state to `_scored`.
 
     A genome's code chunks are its segments: the int8 pair codes each gene
     decides at its position's occurrences. Genomes that hold the same
@@ -380,6 +381,9 @@ class CagasaProblem(WordGeneProblem):
     def fitness(self, genome: CagasaChromosome) -> int:
         """Correctly labelled instances. Every gene pair must be evolvable,
         as those of random, mutated and loaded genes are."""
+        if id(genome) in self._batched:  # scored in this generation's first call
+            state = self._scored[id(genome)] = self._batched.pop(id(genome))
+            return state[3]
         ahead = [link[0] for link in self._lineage.values()] if id(genome) in self._lineage else ()
         return self._score([genome], ahead)[0]
 
@@ -397,7 +401,7 @@ class CagasaProblem(WordGeneProblem):
             codes += [tuple(segments[k * n : k * n + n]) for k in range(end - start)]
         return codes
 
-    def _deltas(self, children) -> list:
+    def _deltas(self, children) -> tuple:
         segments = [self._segment(*child) for child in children]
         fresh = [k for k, segment in enumerate(segments) if segment is None]
         if fresh:
@@ -405,20 +409,23 @@ class CagasaProblem(WordGeneProblem):
             genes = [children[k][0].genes[p] for k, p in zip(fresh, positions)]
             for k, segment in zip(fresh, self._decide(positions, genes)):
                 segments[k] = segment
-        deltas, moved = [], []  # most children decide as their parents do
+        codes, moved = [], []  # most children decide as their parents do
         for k, ((_, (_, chunks, _, _), position, _), new) in enumerate(zip(children, segments)):
-            deltas.append((chunks, np.zeros(0, dtype=np.int64)))
             if new != chunks[position]:
                 moved.append((k, chunks, position, new))
+                chunks = chunks[:position] + (new,) + chunks[position + 1 :]
+            codes.append(chunks)
+        rows, counts = [np.zeros(0, dtype=np.int64)], np.zeros(len(children), dtype=np.int64)
         for start, end in slices([len(new) for *_, new in moved]):
             part = moved[start:end]
-            for (k, chunks, position, new), rows in zip(part, self._changed_rows(part)):
-                deltas[k] = chunks[:position] + (new,) + chunks[position + 1 :], rows
-        return deltas
+            found, counts[[k for k, *_ in part]] = self._changed_rows(part)
+            rows.append(found)
+        return codes, np.concatenate(rows), counts
 
-    def _changed_rows(self, moved) -> list:
-        """For `moved` as (index, parent chunks, position, new segment), the rows
-        where each differs from the parent's, ascending, found for all at once."""
+    def _changed_rows(self, moved) -> Tuple[np.ndarray, np.ndarray]:
+        """For `moved` as (index, parent chunks, position, new segment), each
+        new segment unequal to the parent's, the rows where each differs,
+        ascending, joined in order, and how many each has, found for all at once."""
         context, instances = self._context, self.max_fitness
         _, chunks, positions, news = zip(*moved)
         ends = np.cumsum(lengths := [len(new) for new in news])
@@ -427,9 +434,10 @@ class CagasaProblem(WordGeneProblem):
         owner = np.searchsorted(ends, changed, side="right")
         # each owner's first occurrence number, less its segment's start in the join
         shift = np.searchsorted(context.occurrence_gene, positions) - ends + lengths
-        keys = np.unique(owner * instances + context.occurrence_row[changed + shift[owner]])
-        bounds = np.searchsorted(keys, np.arange(1, len(news)) * instances)
-        return np.split(keys % instances, bounds)
+        rows = context.occurrence_row[changed + shift[owner]]
+        keys = owner * instances + rows  # sorted, as a gene's occurrences lie in row order
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        return rows[first], np.bincount(owner[first], minlength=len(news))
 
     def _segment(self, child, parent, position: int, donor):
         """The child's codes at `position`'s occurrences, if the kept donor's

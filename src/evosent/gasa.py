@@ -97,12 +97,12 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
     return c1, c2, position
 
 
-# The most elements one kernel call takes at once: slot-matrix cells and
-# codes for a re-score slice, instances and codes for each genome of a full
-# pass (a sentence or a genome with more takes a call of its own), cells for a
-# block of synthetic candidates, and of the codes CA-GASA decides or compares
-# at once; also about the most elements a CA-GASA decision's widest temporary
-# holds. It bounds their memory.
+# The most elements one kernel call takes at once: slot-matrix cells, and the
+# fewer of each owner's cells and codes, for a re-score slice; instances and
+# codes for each genome of a full pass (a sentence or a genome with more takes
+# a call of its own); cells for a block of synthetic candidates; and of the
+# codes CA-GASA decides or compares at once; also about the most elements a
+# CA-GASA decision's widest temporary holds. It bounds their memory.
 SLICE_CELLS = 1 << 16
 
 
@@ -205,21 +205,22 @@ def slices(sizes: Sequence[int]):
 
 
 def labelled_correctly_at(
-    compiled: CompiledCorpus, rows: Sequence[np.ndarray], codes: Sequence, semantics: Semantics
+    compiled: CompiledCorpus, rows: np.ndarray, counts: np.ndarray, codes, semantics: Semantics
 ) -> np.ndarray:
-    """Whether each owner's codes label the instances `rows[k]` correctly,
-    the owners' rows concatenated in order, for at least one owner.
-    `codes[k]` holds owner k's gene codes as bytes chunks to join in order,
-    as many for every owner. Whole owners go through the kernel in `slices`
-    of at most SLICE_CELLS cells and codes, each reading one column of its
-    owners' codes, or only the codes its gene cells read if those are fewer,
-    since the kernel's tables grow with the column: CA-GASA rows read about
-    a tenth of their codes; GASA's cells on long texts far outnumber its codes."""
+    """Whether each owner's codes label its instances correctly, for at
+    least one owner; owner k's are the next counts[k] of `rows`. `codes[k]`
+    holds owner k's gene codes as bytes chunks to join in order, as many for
+    every owner. Each slice reads one column of its owners' codes, or only
+    the codes its gene cells read if those are fewer (CA-GASA rows read about
+    a tenth of theirs; GASA's cells on long texts far outnumber its codes),
+    so whole owners go through the kernel in `slices` of at most SLICE_CELLS
+    cells plus the fewer of each owner's cells and codes. A slice joins the
+    codes of at most SLICE_CELLS / (width + min(width, codes)) owners of rows."""
     genes = sum(map(len, codes[0]))
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    cells, before = counts * compiled.slots.shape[1], np.r_[0, np.cumsum(counts)]
     correct = []
-    for start, end in slices(counts * compiled.slots.shape[1] + genes):
-        part = np.concatenate(rows[start:end])
+    for start, end in slices(cells + np.minimum(cells, genes)):
+        part = rows[before[start] : before[end]]
         offsets = np.repeat(np.arange(end - start, dtype=np.int32) * genes, counts[start:end])
         slots = compiled.slots[part]
         gene = slots >= 0
@@ -294,9 +295,10 @@ class WordGeneProblem:
 
     A subclass supplies `random_genome(rng)`; `_mutate_at(genome, rng)`, a
     child and its changed position; `_codes(genomes)`, the code chunks of
-    genomes scored in full; and `_deltas(children)`, each child's code
-    chunks and changed rows, for children given as (child, parent's state,
-    position, donor's state or None).
+    genomes scored in full; and `_deltas(children)`, for children given as
+    (child, parent's state, position, donor's state or None), each child's
+    code chunks, the rows each changes, ascending, joined child by child in
+    one array, and how many rows each changes.
     """
 
     def __init__(
@@ -368,19 +370,18 @@ class WordGeneProblem:
             else:
                 full.append(genome)
         if fresh:
-            deltas = self._deltas(children)
-            codes = [chunks for chunks, _ in deltas] + self._codes(full)
+            codes, rows, counts = self._deltas(children)
+            codes += self._codes(full)
             instances, genes = self.max_fitness, sum(map(len, codes[0]))
             vectors = [parent[2] for _, parent, _, _ in children]
             vectors += [np.zeros(instances, dtype=bool)] * len(full)
             correct = np.concatenate(vectors).reshape(len(codes), instances)
             fitness = np.array([parent[3] for _, parent, _, _ in children] + [0] * len(full))
-            at = [k for k, (_, rows) in enumerate(deltas) if len(rows)]
-            if at:  # children whose codes change rows; a fitness moves by their change
-                rows = [deltas[k][1] for k in at]
-                where = np.repeat(at, [len(r) for r in rows]), np.concatenate(rows)
-                owners = [codes[k] for k in at]
-                new = labelled_correctly_at(self._compiled, rows, owners, self.semantics)
+            if len(rows):  # children whose codes change rows; a fitness moves by their change
+                at = np.flatnonzero(counts)
+                owners, counts = [codes[k] for k in at.tolist()], counts[at]
+                where = np.repeat(at, counts), rows
+                new = labelled_correctly_at(self._compiled, rows, counts, owners, self.semantics)
                 np.add.at(fitness, where[0], np.subtract(new, correct[where], dtype=np.int64))
                 correct[where] = new
             # full passes, of the most whole genomes that fit a call, at least one
@@ -416,15 +417,16 @@ class GasaProblem(WordGeneProblem):
     def _codes(self, genomes) -> list:
         return [(genome.codes,) for genome in genomes]
 
-    def _deltas(self, children) -> list:
+    def _deltas(self, children) -> tuple:
         starts, holding = self._gene_rows
-        deltas = []
+        rows = [holding[:0]]
         for child, parent, position, _ in children:
             start = end = starts[position]
             if child.codes[position] != parent[0].codes[position]:
                 end = starts[position + 1]
-            deltas.append(((child.codes,), holding[start:end]))
-        return deltas
+            rows.append(holding[start:end])
+        counts = np.fromiter(map(len, rows[1:]), dtype=np.int64, count=len(children))
+        return [(child.codes,) for child, *_ in children], np.concatenate(rows), counts
 
     def fitness_many(self, genomes) -> list:
         return self._score(list(genomes))

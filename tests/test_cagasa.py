@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evosent.cagasa
@@ -13,6 +15,7 @@ from evosent.cagasa import (
     CagasaChromosome,
     CagasaGene,
     CagasaProblem,
+    ContextCorpus,
     ContextRule,
     corpus_neighbors,
     mutate_cagasa_at,
@@ -20,10 +23,10 @@ from evosent.cagasa import (
     random_cagasa_gene,
 )
 from evosent.corpus import UnknownWordIndex, build_unknown_index
-from evosent.evaluator import Semantics
+from evosent.evaluator import Semantics, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import GAConfig, run_ga
-from evosent.gasa import crossover_at
+from evosent.gasa import compile_corpus, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, fires, make_corpus, predicted, trained_model
@@ -457,6 +460,34 @@ class TestKernelFitness:
         assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad) == 3
 
 
+class TestOccurrenceOrder:
+    """`CagasaProblem._changed_rows` drops repeated (child, row) keys without
+    a sort, which holds because a gene's occurrences are numbered in row
+    order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["u", "v", "w", "good"]), max_size=6)
+            | st.lists(st.sampled_from(["u", "v", "good"]), min_size=100, max_size=400),
+            max_size=8,
+        )
+    )
+    @example(texts=[["u", "v", "u", "u"]])  # a gene word repeated within a sentence
+    @example(texts=[["u"], ["u", "v"], ["v", "u"], ["u"]])  # in adjacent rows
+    @example(texts=[[], ["u"], [], [], ["u", "u"], []])  # between empty sentences
+    @example(texts=[["u", "good", "v", "u"] * 150])  # in one long sentence
+    def test_each_gene_occurs_in_row_order(self, texts):
+        corpus = make_corpus([(tokens, "positive") for tokens in texts])
+        sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        context = ContextCorpus(compile_corpus(corpus, slot_table(index, sd, ad)))
+        found = list(zip(context.occurrence_gene.tolist(), context.occurrence_row.tolist()))
+        # every occurrence once, gene by gene, each gene's rows non-decreasing
+        every = [(index.position_of[w], r) for r, t in enumerate(texts) for w in t if w != "good"]
+        assert found == sorted(found) == sorted(every)
+
+
 class TestDeltaFitness:
     """`CagasaProblem.fitness` scores a child of a kept genome from the
     parent's segments and correctness; every value must still equal the
@@ -567,17 +598,20 @@ class TestDeltaFitness:
             return changed_rows(moved)
 
         monkeypatch.setattr(problem, "_changed_rows", spy)
-        deltas = problem._deltas(kept)
+        codes, rows, counts = problem._deltas(kept)
+        assert len(codes) == len(counts) == len(kept) and len(rows) == counts.sum()
         context = problem._context
-        moved = 0
-        for (child, parent, position, _), (chunks, rows) in zip(kept, deltas):
+        moved = twice = 0
+        each = np.split(rows, np.cumsum(counts)[:-1])
+        for (child, parent, position, _), chunks, rows in zip(kept, codes, each):
             assert chunks == problem._codes([child])[0]
             new, old = (np.frombuffer(c[position], dtype=np.int8) for c in (chunks, parent[1]))
             first = np.searchsorted(context.occurrence_gene, position)
             occurrences = first + np.flatnonzero(new != old)
             assert rows.tolist() == np.unique(context.occurrence_row[occurrences]).tolist()
             moved += bool(len(rows))
-        assert 1 < moved == sum(map(len, sizes))
+            twice += len(rows) < len(occurrences)  # two changed codes in one row
+        assert 1 < moved == sum(map(len, sizes)) and twice > 0
         assert all(sum(s) <= slice_cells or len(s) == 1 for s in sizes)
         # each slice is as long as it can be
         assert all(sum(s) + n[0] > slice_cells for s, n in zip(sizes, sizes[1:]))
@@ -610,17 +644,19 @@ class TestDeltaFitness:
 
         rescore = evosent.gasa.labelled_correctly_at
 
-        def batch(compiled, rows, codes, semantics):
+        def batch(compiled, rows, counts, codes, semantics):
             generations[-1]["batches"] += 1
-            generations[-1]["children"] += len(rows)
+            generations[-1]["children"] += len(counts)
             genes, cells = sum(map(len, codes[0])), None
-            for owner in rows:  # a slice takes the most whole children that fit, at least one
-                size = len(owner) * compiled.slots.shape[1] + genes
+            # a slice takes the most whole children that fit, at least one
+            for count in counts.tolist():
+                size = count * compiled.slots.shape[1]
+                size += min(size, genes)  # its cells, and the fewer of its cells and codes
                 if cells is None or cells + size > slice_cells:
                     generations[-1]["slices"] += 1
                     cells = 0
                 cells += size
-            return rescore(compiled, rows, codes, semantics)
+            return rescore(compiled, rows, counts, codes, semantics)
 
         decide = counted("decide", evosent.cagasa.ContextCorpus.decide)
         monkeypatch.setattr(evosent.cagasa.ContextCorpus, "decide", decide)
@@ -659,3 +695,45 @@ class TestDeltaFitness:
         slices = sum(calls["slices"] for calls in later)
         assert len(later) < slices < sum(calls["children"] for calls in later)
         assert best.fitness == cagasa_fitness(best.genome, corpus, index, sd, ad)
+
+    def test_fitness_after_a_generations_first_call_moves_a_batched_state(self, monkeypatch):
+        """A generation's first `fitness` call scores all its children; each
+        later call moves the child's state from `_batched` to `_scored` and
+        calls no `_score`. A child never asked for is freed at the next
+        variation."""
+        rng = random.Random(11)
+        lexicon = random_planted_lexicon(8, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 60, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        calls = []
+        score = problem._score
+        monkeypatch.setattr(problem, "_score", lambda *args: calls.append(args) or score(*args))
+
+        def ask(genomes):
+            got = [problem.fitness(genome) for genome in genomes]
+            assert got == [cagasa_fitness(g, corpus, index, sd, ad) for g in genomes]
+            assert len(calls) == 1 and calls.pop()[0] == [genomes[0]]
+            assert list(problem._scored) == [id(genome) for genome in genomes]
+
+        def children(parents):
+            made = [problem.mutate(parent, rng) for parent in parents[:4]]
+            for p1, p2 in zip(parents[4::2], parents[5::2]):
+                made += problem.crossover(p1, p2, rng)
+            return made
+
+        parents = [problem.random_genome(rng) for _ in range(10)]
+        ask(parents)
+        assert not problem._batched
+        # one crossover sibling is never asked for: it waits in `_batched`
+        made = children(parents)
+        sibling = weakref.ref(made.pop())
+        ask(made)
+        assert list(problem._batched) == [id(sibling())]
+        # every child asked for: none waits
+        later = children(made)
+        gc.collect()
+        assert sibling() is None
+        ask(later)
+        assert not problem._batched

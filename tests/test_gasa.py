@@ -61,6 +61,12 @@ def batch_fitness(chroms, compiled, semantics=Semantics.LITERAL):
 PROBLEMS = {"gasa": (GasaProblem, fitness), "cagasa": (CagasaProblem, cagasa_fitness)}
 
 
+def rescore(compiled, rows, codes, semantics=Semantics.LITERAL) -> np.ndarray:
+    """`labelled_correctly_at` of owners given each as its own row array."""
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    return labelled_correctly_at(compiled, np.concatenate(rows), counts, codes, semantics)
+
+
 def scorer(problem):
     """Scores a list of genomes through the problem's own protocol."""
     many = getattr(problem, "fitness_many", None)
@@ -435,31 +441,53 @@ class TestDeltaFitness:
                 pool, batch = batch or pool, []
 
     def test_rescore_slices_hold_whole_genomes_up_to_slice_cells(self, monkeypatch):
+        """A slice takes the most whole owners that fit SLICE_CELLS, each
+        charged its slot-matrix cells and the fewer of its cells and codes."""
         rng = random.Random(4)
         lexicon = random_planted_lexicon(6, 2, rng)
         corpus = generate_synthetic_corpus(lexicon, 12, (2, 6), Semantics.LITERAL, rng)
         sd, ad = empty_dicts()
         index = build_unknown_index(corpus, sd, ad)
         compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        width = compiled.slots.shape[1]
         rows = [np.array([0, 3]), np.array([1]), np.arange(12), np.array([5, 7]), np.array([2])]
         genomes = [random_chromosome(len(index), rng) for _ in rows]
-        sizes = [len(r) * compiled.slots.shape[1] + len(index) for r in rows]
+        sizes = [len(r) * width + min(len(r) * width, len(index)) for r in rows]
         # the first two genomes fill a slice exactly, the third needs more
         # than a slice and the last two fill one exactly again
         assert sizes[0] + sizes[1] == sizes[3] + sizes[4] < sizes[2]
         monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", sizes[0] + sizes[1])
-        sliced = []
+        sliced, columns = [], []
 
         def kernel(part, codes, semantics):
             sliced.append(len(part.slots))
+            columns.append(len(codes))
             return labelled_correctly(part, codes, semantics)
 
         monkeypatch.setattr(evosent.gasa, "labelled_correctly", kernel)
         codes = [(g.codes,) for g in genomes]
-        got = labelled_correctly_at(compiled, rows, codes, Semantics.LITERAL)
+        got = rescore(compiled, rows, codes)
         assert sliced == [3, 12, 3]
         alone = labelled_correctly(compiled, code_columns(genomes), Semantics.LITERAL)
         assert got.tolist() == np.concatenate([a[r] for a, r in zip(alone, rows)]).tolist()
+        # CA-GASA's slot per occurrence: an owner of one row is charged its
+        # six cells twice, not its cells and its 48 codes, so a slice of 54
+        # elements, one owner under the old charge, takes four, and reads only
+        # the codes of their rows
+        context = ContextCorpus(compiled).compiled
+        occurrences = int(context.slots.max()) + 1
+        assert (width, occurrences) == (6, 48)
+        monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", width + occurrences)
+        del sliced[:], columns[:]
+        rows = [np.array([k]) for k in range(9)]
+        codes = [(bytes(rng.randrange(6) for _ in range(occurrences)),) for _ in rows]
+        got = rescore(context, rows, codes)
+        assert sliced == [4, 4, 1]
+        cells = [np.count_nonzero(context.slots[k] >= 0) for k in range(9)]
+        assert columns == [sum(cells[:4]), sum(cells[4:8]), cells[8]]
+        full = np.frombuffer(b"".join(c for (c,) in codes), dtype=np.int8).reshape(9, -1)
+        alone = labelled_correctly(context, full.T, Semantics.LITERAL)
+        assert got.tolist() == [a[r[0]] for a, r in zip(alone, rows)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -506,7 +534,7 @@ class TestDeltaFitness:
         codes = [(c[:cut].tobytes(), c[cut:].tobytes()) for c in columns]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evosent.gasa, "SLICE_CELLS", slice_cells)
-            got = labelled_correctly_at(compiled, at, codes, semantics)
+            got = rescore(compiled, at, codes, semantics)
         full = labelled_correctly(compiled, columns.T, semantics)
         assert got.tolist() == np.concatenate([f[r] for f, r in zip(full, at)]).tolist()
 
@@ -532,9 +560,9 @@ class TestDeltaFitness:
         monkeypatch.setattr(evosent.gasa, "labelled_correctly", kernel)
         every = np.arange(2)
         codes = [(bytes([k % 6 for k in range(genes)]),)]
-        labelled_correctly_at(compiled, [np.array([1])] * 2, codes * 2, Semantics.LITERAL)
-        labelled_correctly_at(compiled, [np.array([0])], codes, Semantics.LITERAL)
-        labelled_correctly_at(compiled, [every], codes, Semantics.LITERAL)
+        rescore(compiled, [np.array([1])] * 2, codes * 2)
+        rescore(compiled, [np.array([0])], codes)
+        rescore(compiled, [every], codes)
         # row 0 holds five gene cells and row 1 one; GASA has three genes,
         # CA-GASA a slot for each of the six occurrences
         assert genes == (3 if shared else 6)
