@@ -355,7 +355,7 @@ class CagasaProblem(WordGeneProblem):
     segment or, if it keeps the parent gene's lists and look distances and
     the parent gene's two pair codes differ, reads where the rule fired from
     the parent's segment; the other changed genes are decided in one
-    `decide` call, and genomes scored in full in slices of whole genomes.
+    `decide` call, and a genome scored in full in a `decide` call of its own.
     """
 
     def __init__(self, *args, **kwargs):
@@ -394,12 +394,7 @@ class CagasaProblem(WordGeneProblem):
         return [codes[start:end].tobytes() for start, end in zip([0, *ends], ends)]
 
     def _codes(self, genomes) -> list:
-        n, codes = len(self.index), []
-        for start, end in slices(np.full(len(genomes), len(self._context.occurrence_gene))):
-            genes = [gene for genome in genomes[start:end] for gene in genome.genes]
-            segments = self._decide([*range(n)] * (end - start), genes)
-            codes += [tuple(segments[k * n : k * n + n]) for k in range(end - start)]
-        return codes
+        return [tuple(self._decide(range(len(self.index)), genome.genes)) for genome in genomes]
 
     def _deltas(self, children) -> tuple:
         segments = [self._segment(*child) for child in children]

@@ -101,8 +101,8 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
 # fewer of each owner's cells and codes, for a re-score slice; instances and
 # codes for each genome of a full pass (a sentence or a genome with more takes
 # a call of its own); cells for a block of synthetic candidates; and of the
-# codes CA-GASA decides or compares at once; also about the most elements a
-# CA-GASA decision's widest temporary holds. It bounds their memory.
+# codes CA-GASA compares at once; also about the most elements a CA-GASA
+# decision's widest temporary holds. It bounds their memory.
 SLICE_CELLS = 1 << 16
 
 

@@ -216,13 +216,7 @@ def parse_lexicon(source) -> dict:
 
 def load_labeled_dictionary(source, kind: Kind) -> Dictionary:
     """Load a single-file lexicon, requiring every record to be of `kind`."""
-    entries = parse_lexicon(source)
-    for word, pair in entries.items():
-        if pair.kind is not kind:
-            raise ConflictingWordError(
-                f"word {word!r} has kind {pair.kind.value}, expected {kind.value}"
-            )
-    return Dictionary(entries, kind)
+    return Dictionary(parse_lexicon(source), kind)
 
 
 def lookup(

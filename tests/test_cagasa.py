@@ -1,7 +1,9 @@
 import gc
+import math
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import GAConfig, run_ga
-from evosent.gasa import compile_corpus, crossover_at
+from evosent.gasa import PAIR_CODES, compile_corpus, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, fires, make_corpus, predicted, trained_model
@@ -621,10 +623,11 @@ class TestDeltaFitness:
             assert len(sizes) > 1 and max(map(len, sizes)) > 1
 
     def test_a_generation_decides_once_and_calls_the_kernel_once_a_slice(self, monkeypatch):
-        """The initial population is decided in groups of whole genomes at
-        its first call. After it, a generation decides its children's
-        genes in at most one `decide` call and re-scores them in one batch,
-        one kernel call per slice of whole children."""
+        """The initial population is scored at its first call, one `decide`
+        call a genome and one kernel call per group of the most whole
+        genomes that fit SLICE_CELLS. After it, a generation decides its
+        children's genes in at most one `decide` call and re-scores them in
+        one batch, one kernel call per slice of whole children."""
         rng = random.Random(5)
         lexicon = random_planted_lexicon(8, 2, rng)
         corpus = generate_synthetic_corpus(lexicon, 60, (2, 9), Semantics.LITERAL, rng)
@@ -685,16 +688,64 @@ class TestDeltaFitness:
         problem.fitness = fitness
         best, stats = run_ga(problem, GAConfig(population_size=40, max_generations=8, seed=2))
         initial, *later = generations
-        # the whole initial population at its first call, in as many `decide`
-        # calls as groups of whole genomes whose codes fit SLICE_CELLS
-        per_call = slice_cells // len(problem._context.occurrence_gene)
-        assert 1 < per_call < 40 and initial["decide"] == -(-40 // per_call)
+        # the whole initial population at its first call: a `decide` call
+        # a genome, and full passes stacked in as many kernel calls as groups
+        # of whole genomes whose instances and codes fit SLICE_CELLS
+        occurrences = len(problem._context.occurrence_gene)
+        per_call = max(slice_cells // (len(corpus.instances) + occurrences), 1)
+        assert (len(corpus.instances), occurrences) == (60, 378) and 1 < per_call < 40
+        assert initial["decide"] == 40 and initial["kernel"] == math.ceil(40 / per_call) == 10
         assert len(later) == stats.generations_executed == 8
         assert all(calls["decide"] <= 1 and calls["batches"] <= 1 for calls in later)
         assert [calls["kernel"] for calls in later] == [calls["slices"] for calls in later]
         slices = sum(calls["slices"] for calls in later)
         assert len(later) < slices < sum(calls["children"] for calls in later)
         assert best.fitness == cagasa_fitness(best.genome, corpus, index, sd, ad)
+
+    def test_a_pair_edit_reads_where_the_parents_rule_fired(self, monkeypatch):
+        """A child whose one edit is a pair of a gene whose two pair codes
+        differ takes its codes from where the parent's rule fired, with no
+        `decide` call. Where the two codes are equal, the parent's codes do
+        not show where the rule fired, so the changed gene is decided."""
+        rng = random.Random(13)
+        lexicon = random_planted_lexicon(8, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 60, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = Dictionary({}, Kind.SENTIMENT), seed_amplifier_dictionary()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        parents = [problem.random_genome(rng) for _ in range(4)]
+        for genome in parents:
+            problem.fitness(genome)
+
+        def other(pair):
+            return EVOLVABLE_PAIRS[(PAIR_CODES[pair] + 1) % len(EVOLVABLE_PAIRS)]
+
+        read, decided = [], []  # as (child, parent's state, position, no donor)
+        for parent in parents:
+            for position, gene in enumerate(parent.genes):
+                context = replace(gene.rule, context_pair=other(gene.rule.context_pair))
+                for edited in (
+                    replace(gene, context_free_pair=other(gene.context_free_pair)),
+                    replace(gene, rule=context),
+                ):
+                    genes = list(parent.genes)
+                    genes[position] = edited
+                    entry = CagasaChromosome(tuple(genes)), problem._kept(parent), position, None
+                    differ = gene.rule.context_pair != gene.context_free_pair
+                    (read if differ else decided).append(entry)
+        calls = []
+        decide = ContextCorpus.decide
+
+        def counted(context, positions, encoded):
+            calls.append(len(positions))
+            return decide(context, positions, encoded)
+
+        monkeypatch.setattr(ContextCorpus, "decide", counted)
+        codes, _, counts = problem._deltas(read)
+        assert calls == [] and counts.any()
+        problem._deltas(decided)
+        assert decided and calls == [len(decided)]
+        assert codes == problem._codes([child for child, *_ in read])
 
     def test_fitness_after_a_generations_first_call_moves_a_batched_state(self, monkeypatch):
         """A generation's first `fitness` call scores all its children; each

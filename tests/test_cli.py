@@ -252,6 +252,8 @@ class TestPredict:
         ("--sentiment-dict", "good\tsentiment\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1.0\n", "twice"),
         ("--amplifier-dict", "not\tamplifier\tnan\n", "non-finite"),
+        # a record of the other kind
+        ("--amplifier-dict", "not\tamplifier\t-1.0\nsplendid\tsentiment\t1.0\n", "'splendid'"),
         # a word no token can match
         ("--sentiment-dict", "very good\tsentiment\t1.0\nbad\tsentiment\t-1.0\n", "line 1"),
         ("--sentiment-dict", "bad\tsentiment\t-1.0\ngood \tsentiment\t1\n", "line 2"),

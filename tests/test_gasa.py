@@ -568,6 +568,34 @@ class TestDeltaFitness:
         assert genes == (3 if shared else 6)
         assert columns == ([2, 3, 3] if shared else [2, 5, 6])
 
+    def test_a_child_equal_to_its_parent_at_its_position_rescores_no_rows(self):
+        """A child whose code at its changed position equals its parent's,
+        such as a self-crossover's, re-scores no rows; any other child
+        re-scores every row that holds its changed gene."""
+        rng = random.Random(12)
+        lexicon = random_planted_lexicon(6, 2, rng)
+        corpus = generate_synthetic_corpus(lexicon, 40, (2, 9), Semantics.LITERAL, rng)
+        sd, ad = empty_dicts()
+        index = build_unknown_index(corpus, sd, ad)
+        problem = GasaProblem(corpus, index, sd, ad)
+        parents = [problem.random_genome(rng) for _ in range(6)]
+        problem.fitness_many(parents)
+        children = [problem.mutate(parent, rng) for parent in parents[:3]]
+        children += problem.crossover(parents[3], parents[3], rng)  # swaps equal genes
+        for p1, p2 in zip(parents, parents[::-1]):
+            children += problem.crossover(p1, p2, rng)
+        links = [problem._lineage[id(child)] for child in children]
+        kept = [(c, problem._kept(p), at, d and problem._kept(d)) for c, p, at, d in links]
+        _, rows, counts = problem._deltas(kept)
+        starts, _ = problem._gene_rows
+        equal = [child.codes[at] == parent[0].codes[at] for child, parent, at, _ in kept]
+        holding = [starts[at + 1] - starts[at] for _, _, at, _ in kept]
+        assert all(holding) and sum(equal) >= 2 and not all(equal)
+        assert counts.tolist() == [0 if same else n for same, n in zip(equal, holding)]
+        assert len(rows) == counts.sum()
+        expected = [fitness(child, corpus, index, sd, ad) for child in children]
+        assert problem.fitness_many(children) == expected
+
     @pytest.mark.parametrize("algo", PROBLEMS)
     def test_keeps_at_most_two_generations(self, algo):
         problem_class, oracle = PROBLEMS[algo]
