@@ -7,6 +7,11 @@ pair fires when at least half of the neighborhood is in the gene's lists
 (`list_next` ahead, `list_previous` behind); otherwise, and always for an
 empty neighborhood, the context-free pair applies.
 
+A genome holds each gene as a row of ints (`CagasaChromosome`), its list
+words as ids into a sorted word table that the genomes of a problem share.
+The operators and scoring read the rows; `genes` decodes them to
+`CagasaGene` objects for readers such as `model.save_model`.
+
 `ContextCorpus.decide` applies the rule to every occurrence of a genome's
 gene words at once in numpy, for training and for prediction alike, and the
 GASA kernel scores the pairs it decides. Only `CagasaProblem` remembers
@@ -23,16 +28,15 @@ plain reference the test suite asserts this code equal to.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .corpus import Corpus, UnknownWordIndex
 from .gasa import (
-    PAIR_CODES,
     SLICE_CELLS,
     CompiledCorpus,
     WordGeneProblem,
@@ -43,12 +47,16 @@ from .gasa import (
 )
 from .lexicon import EVOLVABLE_PAIRS, ClassificationValuePair
 
-# A word's (preceding, following) corpus neighbours, each sorted.
-Neighbors = Tuple[Tuple[str, ...], Tuple[str, ...]]
-NO_NEIGHBORS: Neighbors = ((), ())
-
 # Cap on context-list capacities and look-distances; bounds the search space.
 MAX_CONTEXT = 3
+
+# A gene row's int32 fields: the look distances ahead and behind, the
+# context-free and the context pair codes, the capacities of the next and the
+# previous list, then the next and the previous list, each as ascending word
+# ids padded with -1 to MAX_CONTEXT.
+FREE, CONTEXT, NEXT_SIZE, NEXT = 2, 3, 4, 6
+ROW = NEXT + 2 * MAX_CONTEXT
+ROW_BYTES = 4 * ROW
 
 # The id of a list word outside the corpus, and the pad of shorter lists:
 # it equals no neighbor id, which is a word id or -1.
@@ -76,113 +84,143 @@ class ContextRule:
 
 @dataclass(frozen=True)
 class CagasaGene:
-    word: str
     rule: ContextRule
     context_free_pair: ClassificationValuePair
 
 
 @dataclass(frozen=True)
 class CagasaChromosome:
-    genes: tuple
+    """Genes as `rows`, ROW int32 fields a gene, whose list ids index
+    `words`, a sorted word table. Lists are stored sorted, so that two genes
+    on one table are equal exactly when their rows are."""
+
+    rows: bytes
+    words: tuple
 
     def __len__(self) -> int:
-        return len(self.genes)
+        return len(self.rows) // ROW_BYTES
+
+    @property
+    def genes(self) -> tuple:
+        """The genes as objects, in gene order, decoded at each call."""
+        words, genes = self.words, []
+        fields = np.frombuffer(self.rows, dtype=np.int32).reshape(-1, ROW).tolist()
+        for ahead, behind, free, context, next_size, previous_size, *ids in fields:
+            list_next, list_previous = (
+                frozenset(words[k] for k in ids[at : at + MAX_CONTEXT] if k >= 0)
+                for at in (0, MAX_CONTEXT)
+            )
+            rule = ContextRule(
+                next_size, previous_size, list_next, list_previous, ahead, behind,
+                EVOLVABLE_PAIRS[context],
+            )
+            genes.append(CagasaGene(rule, EVOLVABLE_PAIRS[free]))
+        return tuple(genes)
 
 
-def corpus_neighbors(corpus: Corpus) -> Dict[str, Neighbors]:
-    """The (preceding, following) adjacent words of every corpus word."""
-    neighbors: dict = {}
+def _padded(ids) -> list:
+    """`ids` ascending, padded with -1 to MAX_CONTEXT."""
+    ids = sorted(ids)
+    return ids + [-1] * (MAX_CONTEXT - len(ids))
+
+
+def from_fields(genes, words=None) -> CagasaChromosome:
+    """The chromosome of `genes`, each its row's first six fields and then
+    its next and its previous list, each at most MAX_CONTEXT words of
+    `words`, a sorted table; by default, the sorted words of the lists."""
+    if words is None:
+        words = tuple(sorted({w for *_, after, before in genes for w in (*after, *before)}))
+    id_of, rows = dict(zip(words, range(len(words)))).__getitem__, array("i")
+    for *head, list_next, list_previous in genes:
+        rows.extend([*head, *_padded(map(id_of, list_next)), *_padded(map(id_of, list_previous))])
+    if len(rows) != ROW * len(genes):
+        raise ValueError(f"a context list holds more than {MAX_CONTEXT} words")
+    return CagasaChromosome(rows.tobytes(), words)
+
+
+def corpus_neighbors(corpus: Corpus, index: UnknownWordIndex) -> Tuple[tuple, list]:
+    """(words, pools): the sorted words next to a gene word in the corpus,
+    and for each gene position the (following, preceding) words next to its
+    word, each as ascending ids into `words`, the pools of its next and its
+    previous list. Ids sort as their words do, so a draw from a pool picks
+    what it would from the sorted words."""
+    position_of = index.position_of
+    sides = [(set(), set()) for _ in index.words]
     for inst in corpus.instances:
         tokens = inst.tokens
-        for i, word in enumerate(tokens):
-            prev_set, next_set = neighbors.setdefault(word, (set(), set()))
-            if i > 0:
-                prev_set.add(tokens[i - 1])
-            if i + 1 < len(tokens):
-                next_set.add(tokens[i + 1])
-    return {w: (tuple(sorted(p)), tuple(sorted(n))) for w, (p, n) in neighbors.items()}
-
-
-def _sample_list(pool: Tuple[str, ...], capacity: int, rng: random.Random) -> frozenset:
-    return frozenset(rng.sample(pool, min(capacity, len(pool))))  # sampling none draws nothing
-
-
-def _new_pair(pair: ClassificationValuePair, rng: random.Random) -> ClassificationValuePair:
-    """Uniform over the five evolvable pairs other than `pair`."""
-    return EVOLVABLE_PAIRS[forced_new_code(PAIR_CODES[pair], rng)]
-
-
-def random_cagasa_gene(word: str, neighbors: Neighbors, rng: random.Random) -> CagasaGene:
-    preceding, following = neighbors
-    next_size = rng.randint(1, MAX_CONTEXT)
-    previous_size = rng.randint(1, MAX_CONTEXT)
-    rule = ContextRule(
-        next_size=next_size,
-        previous_size=previous_size,
-        list_next=_sample_list(following, next_size, rng),
-        list_previous=_sample_list(preceding, previous_size, rng),
-        number_ahead=rng.randint(1, MAX_CONTEXT),
-        number_behind=rng.randint(1, MAX_CONTEXT),
-        context_pair=EVOLVABLE_PAIRS[random_code(rng)],
-    )
-    return CagasaGene(word, rule, EVOLVABLE_PAIRS[random_code(rng)])
+        for before, after in zip(tokens, tokens[1:]):
+            if (k := position_of.get(before)) is not None:
+                sides[k][0].add(after)
+            if (k := position_of.get(after)) is not None:
+                sides[k][1].add(before)
+    words = tuple(sorted(set().union(*(side for pair in sides for side in pair))))
+    ids = dict(zip(words, range(len(words))))
+    pools = [tuple(tuple(sorted(map(ids.__getitem__, side))) for side in pair) for pair in sides]
+    return words, pools
 
 
 def random_cagasa_chromosome(
-    index: UnknownWordIndex, neighbors: Dict[str, Neighbors], rng: random.Random
+    words: tuple, pools: Sequence, rng: random.Random
 ) -> CagasaChromosome:
-    genes = tuple(
-        random_cagasa_gene(word, neighbors.get(word, NO_NEIGHBORS), rng) for word in index.words
-    )
-    return CagasaChromosome(genes)
+    """A random gene for each of `pools`, whose lists draw from its pools."""
+    rows, randint = array("i"), rng.randint
+    for following, preceding in pools:
+        next_size, previous_size = randint(1, MAX_CONTEXT), randint(1, MAX_CONTEXT)
+        # sampling none draws nothing
+        list_next = _padded(rng.sample(following, min(next_size, len(following))))
+        list_previous = _padded(rng.sample(preceding, min(previous_size, len(preceding))))
+        ahead, behind = randint(1, MAX_CONTEXT), randint(1, MAX_CONTEXT)
+        context, free = random_code(rng), random_code(rng)
+        rows.extend([ahead, behind, free, context, next_size, previous_size])
+        rows.extend(list_next + list_previous)
+    return CagasaChromosome(rows.tobytes(), words)
 
 
-def _mutate_list(gene: CagasaGene, neighbors: Neighbors, rng: random.Random) -> CagasaGene:
-    """Swap one stored context word for a fresh corpus neighbor; falls back
-    to resampling the context-free pair when no fresh neighbor exists."""
-    preceding, following = neighbors
-    rule = gene.rule
+def _edit_list(row: array, pools, rng: random.Random) -> bool:
+    """Swap one stored context word for a fresh word of its pool, or add it
+    below capacity; False, drawing nothing, when no list has a fresh word."""
     sides = []
-    fresh_next = [w for w in following if w not in rule.list_next]
-    fresh_prev = [w for w in preceding if w not in rule.list_previous]
-    if fresh_next and rule.next_size > 0:
-        sides.append((fresh_next, rule.next_size, "list_next"))
-    if fresh_prev and rule.previous_size > 0:
-        sides.append((fresh_prev, rule.previous_size, "list_previous"))
+    for side, pool in enumerate(pools):
+        at, capacity = NEXT + side * MAX_CONTEXT, row[NEXT_SIZE + side]
+        stored = [w for w in row[at : at + MAX_CONTEXT] if w >= 0]  # ascending
+        fresh = [w for w in pool if w not in stored]
+        if fresh and capacity > 0:
+            sides.append((fresh, capacity, at, stored))
     if not sides:
-        return replace(gene, context_free_pair=_new_pair(gene.context_free_pair, rng))
-    fresh_words, capacity, field = sides[rng.randrange(len(sides))]
-    fresh = fresh_words[rng.randrange(len(fresh_words))]
-    words = sorted(getattr(rule, field))
-    if len(words) >= capacity and words:
-        words[rng.randrange(len(words))] = fresh
+        return False
+    fresh, capacity, at, stored = sides[rng.randrange(len(sides))]
+    word = fresh[rng.randrange(len(fresh))]
+    if len(stored) >= capacity:
+        stored[rng.randrange(len(stored))] = word
     else:
-        words.append(fresh)
-    return replace(gene, rule=replace(rule, **{field: frozenset(words)}))
+        stored.append(word)
+    row[at : at + MAX_CONTEXT] = array("i", _padded(stored))
+    return True
+
+
+def _row(genome: CagasaChromosome, position: int) -> bytes:
+    return genome.rows[position * ROW_BYTES : (position + 1) * ROW_BYTES]
 
 
 def mutate_cagasa_at(
-    parent: CagasaChromosome, neighbors: Dict[str, Neighbors], rng: random.Random
+    parent: CagasaChromosome, pools: Sequence, rng: random.Random
 ) -> Tuple[CagasaChromosome, int]:
     """The child with one gene edited, and that gene's position. Pick one
     gene, then one of: resample the context-free pair, resample the context
-    pair, or edit a context list with a fresh neighbor."""
+    pair, or edit a context list with a fresh word of its pool, which
+    resamples the context-free pair when no list has one."""
     n = len(parent)
     if n == 0:
         raise ValueError("cannot mutate an empty chromosome")
     position = rng.randrange(n)
-    gene = parent.genes[position]
+    row = array("i", _row(parent, position))
     edit = rng.randrange(3)
-    if edit == 0:
-        new_gene = replace(gene, context_free_pair=_new_pair(gene.context_free_pair, rng))
-    elif edit == 1:
-        new_rule = replace(gene.rule, context_pair=_new_pair(gene.rule.context_pair, rng))
-        new_gene = replace(gene, rule=new_rule)
-    else:
-        new_gene = _mutate_list(gene, neighbors.get(gene.word, NO_NEIGHBORS), rng)
-    genes = list(parent.genes)
-    genes[position] = new_gene
-    return CagasaChromosome(tuple(genes)), position
+    if edit < 2 or not _edit_list(row, pools[position], rng):
+        field = CONTEXT if edit == 1 else FREE
+        row[field] = forced_new_code(row[field], rng)
+    start, rows = position * ROW_BYTES, parent.rows
+    rows = rows[:start] + row.tobytes() + rows[start + ROW_BYTES :]
+    return CagasaChromosome(rows, parent.words), position
 
 
 def _first_sightings(words: np.ndarray) -> np.ndarray:
@@ -192,43 +230,6 @@ def _first_sightings(words: np.ndarray) -> np.ndarray:
     for k in range(1, len(words)):
         words[k][(words[:k] == words[k]).any(axis=0)] = -1
     return words
-
-
-@dataclass(frozen=True)
-class EncodedGenes:
-    """Genes as int32 `fields`, one row per gene: its two look distances,
-    its context-free and context pair codes, then its next list and its
-    previous list as indices into `list_words`, each padded with -1 to the
-    longest list among the genes. They do not depend on the corpus."""
-
-    fields: np.ndarray
-    n_next: int
-    list_words: tuple
-
-
-def encode_genes(genes: Sequence[CagasaGene]) -> EncodedGenes:
-    n_next = max((len(g.rule.list_next) for g in genes), default=0)
-    n_previous = max((len(g.rule.list_previous) for g in genes), default=0)
-    list_index: dict = {}
-    rows = []
-    for gene in genes:
-        rule = gene.rule
-        list_next = [list_index.setdefault(w, len(list_index)) for w in rule.list_next]
-        list_previous = [list_index.setdefault(w, len(list_index)) for w in rule.list_previous]
-        rows.append(
-            [
-                rule.number_ahead,
-                rule.number_behind,
-                PAIR_CODES[gene.context_free_pair],
-                PAIR_CODES[rule.context_pair],
-                *list_next,
-                *[-1] * (n_next - len(list_next)),
-                *list_previous,
-                *[-1] * (n_previous - len(list_previous)),
-            ]
-        )
-    fields = np.array(rows, dtype=np.int32).reshape(len(genes), 4 + n_next + n_previous)
-    return EncodedGenes(fields, n_next, tuple(list_index))
 
 
 class ContextCorpus:
@@ -287,19 +288,19 @@ class ContextCorpus:
         return self._ahead, self._behind
 
     def decide(
-        self, positions: Sequence[int], encoded: EncodedGenes
+        self, positions: Sequence[int], rows: bytes, words: tuple
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(codes, counts): the pair codes that the encoded genes, one for
-        each of `positions`, resolve to at the occurrences of their
-        positions, int8, position by position; and each position's number of
-        occurrences. Decided in slices whose widest temporary holds at most
-        about SLICE_CELLS elements."""
+        """(codes, counts): the pair codes that the gene `rows`, one for each
+        of `positions`, whose list ids index `words`, resolve to at the
+        occurrences of their positions, int8, position by position; and each
+        position's number of occurrences. Decided in slices whose widest
+        temporary holds at most about SLICE_CELLS elements."""
         vocabulary = self.compiled.vocabulary
-        # list word ids, and _NO_WORD for a list word outside the corpus and
-        # for the pad, index -1
-        ids = [vocabulary.get(w, _NO_WORD) for w in encoded.list_words] + [_NO_WORD]
-        fields = encoded.fields
-        lists = np.array(ids, dtype=np.int32)[fields[:, 4:]]
+        # each table word's id in the corpus, and _NO_WORD for a word outside
+        # it and for the pad, index -1
+        ids = [vocabulary.get(w, _NO_WORD) for w in words] + [_NO_WORD]
+        fields = np.frombuffer(rows, dtype=np.int32).reshape(-1, ROW)
+        lists = np.array(ids, dtype=np.int32)[fields[:, NEXT:]]
         first = np.searchsorted(self.occurrence_gene, positions, side="left")
         counts = np.searchsorted(self.occurrence_gene, positions, side="right") - first
         ends = np.cumsum(counts)
@@ -310,18 +311,17 @@ class ContextCorpus:
         ahead, behind = self.neighbor_ids(depth)
         codes = np.empty(int(counts.sum()), dtype=np.int8)
         # the widest temporary compares (list words, offsets, cells)
-        n_lists = max(encoded.n_next, fields.shape[1] - 4 - encoded.n_next, 1)
-        step = max(SLICE_CELLS // (n_lists * max(depth, 1)), 1)
+        step = max(SLICE_CELLS // (MAX_CONTEXT * max(depth, 1)), 1)
         for start in range(0, len(codes), step):
             index = np.arange(start, min(start + step, len(codes)))
             part = np.searchsorted(ends, index, side="right")  # each one's row of `fields`
             cells = index + shift[part]
-            ahead_distance, behind_distance, free_code, context_code = fields[part, :4].T
+            ahead_distance, behind_distance, free_code, context_code = fields[part, :NEXT_SIZE].T
             at_lists = lists[part].T
             size = hits = 0
             sides = (
-                (ahead_distance, ahead, at_lists[: encoded.n_next]),
-                (behind_distance, behind, at_lists[encoded.n_next :]),
+                (ahead_distance, ahead, at_lists[:MAX_CONTEXT]),
+                (behind_distance, behind, at_lists[MAX_CONTEXT:]),
             )
             for distance, neighbors, side_lists in sides:
                 words = neighbors[:depth].take(cells, axis=1)  # (offsets, cells)
@@ -333,21 +333,16 @@ class ContextCorpus:
         return codes, counts
 
 
-# What decides where a rule fires.
-_trigger = attrgetter("list_next", "list_previous", "number_ahead", "number_behind")
-
-
-def _pair_codes(gene: CagasaGene) -> Tuple[int, int]:
-    """The codes of the gene's context pair and context-free pair."""
-    return PAIR_CODES[gene.rule.context_pair], PAIR_CODES[gene.context_free_pair]
-
-
 class CagasaProblem(WordGeneProblem):
     """Adapter exposing CA-GASA to the GA engine through `fitness` alone.
     The engine makes all of a generation's children, or its initial genomes,
     before it scores any; the first call on one scores all that are recorded
     (random genomes with no parent), and the others wait in `_batched`, from
     which a later call only moves the genome's state to `_scored`.
+
+    Its genomes share one word table, `words`, the corpus words that stand
+    next to a gene word; each gene position's lists draw from its pools of
+    the words next to its word, built once with the table.
 
     A genome's code chunks are its segments: the int8 pair codes each gene
     decides at its position's occurrences. Genomes that hold the same
@@ -360,7 +355,7 @@ class CagasaProblem(WordGeneProblem):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.neighbors = corpus_neighbors(self.corpus)
+        self.words, self._pools = corpus_neighbors(self.corpus, self.index)
 
     @cached_property
     def _context(self) -> ContextCorpus:
@@ -371,12 +366,12 @@ class CagasaProblem(WordGeneProblem):
         return self._context.compiled
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
-        genome = random_cagasa_chromosome(self.index, self.neighbors, rng)
+        genome = random_cagasa_chromosome(self.words, self._pools, rng)
         self._lineage[id(genome)] = genome, None, None, None
         return genome
 
     def _mutate_at(self, genome: CagasaChromosome, rng: random.Random):
-        return mutate_cagasa_at(genome, self.neighbors, rng)
+        return mutate_cagasa_at(genome, self._pools, rng)
 
     def fitness(self, genome: CagasaChromosome) -> int:
         """Correctly labelled instances. Every gene pair must be evolvable,
@@ -387,22 +382,23 @@ class CagasaProblem(WordGeneProblem):
         ahead = [link[0] for link in self._lineage.values()] if id(genome) in self._lineage else ()
         return self._score([genome], ahead)[0]
 
-    def _decide(self, positions: Sequence[int], genes: Sequence[CagasaGene]) -> list:
-        """The codes each gene decides at its position's occurrences."""
-        codes, counts = self._context.decide(positions, encode_genes(genes))
+    def _decide(self, positions: Sequence[int], rows: bytes, words: tuple) -> list:
+        """The codes each gene row decides at its position's occurrences."""
+        codes, counts = self._context.decide(positions, rows, words)
         ends = np.cumsum(counts).tolist()
         return [codes[start:end].tobytes() for start, end in zip([0, *ends], ends)]
 
     def _codes(self, genomes) -> list:
-        return [tuple(self._decide(range(len(self.index)), genome.genes)) for genome in genomes]
+        return [tuple(self._decide(range(len(self.index)), g.rows, g.words)) for g in genomes]
 
     def _deltas(self, children) -> tuple:
         segments = [self._segment(*child) for child in children]
         fresh = [k for k, segment in enumerate(segments) if segment is None]
         if fresh:
             positions = [children[k][2] for k in fresh]
-            genes = [children[k][0].genes[p] for k, p in zip(fresh, positions)]
-            for k, segment in zip(fresh, self._decide(positions, genes)):
+            rows = b"".join(_row(children[k][0], p) for k, p in zip(fresh, positions))
+            words = children[fresh[0]][0].words  # the table of every genome of the problem
+            for k, segment in zip(fresh, self._decide(positions, rows, words)):
                 segments[k] = segment
         codes, moved = [], []  # most children decide as their parents do
         for k, ((_, (_, chunks, _, _), position, _), new) in enumerate(zip(children, segments)):
@@ -439,9 +435,9 @@ class CagasaProblem(WordGeneProblem):
         or the parent's state shows them without a decision; else None."""
         if donor is not None:
             return donor[1][position]
-        old, new = parent[0].genes[position], child.genes[position]
-        context_code, free_code = _pair_codes(old)
-        if context_code != free_code and _trigger(old.rule) == _trigger(new.rule):
-            fired = np.frombuffer(parent[1][position], dtype=np.int8) == context_code
-            return np.where(fired, *_pair_codes(new)).astype(np.int8).tobytes()
+        old, new = (memoryview(_row(g, position)).cast("i").tolist() for g in (parent[0], child))
+        same_rule = old[:FREE] + old[CONTEXT + 1 :] == new[:FREE] + new[CONTEXT + 1 :]
+        if old[FREE] != old[CONTEXT] and same_rule:
+            fired = np.frombuffer(parent[1][position], dtype=np.int8) == old[CONTEXT]
+            return np.where(fired, new[CONTEXT], new[FREE]).astype(np.int8).tobytes()
         return None

@@ -160,15 +160,15 @@ def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
 def parse_config_file(source) -> dict:
     """Parse a line-oriented `key=value` GA config file into keyword overrides."""
     overrides = {}
-    for lineno, line in record_lines(source):
+    for place, line in record_lines(source):
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value")
+            raise ValueError(f"{place}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in overrides:
-            raise ValueError(f"line {lineno}: repeated key {key!r}")
+            raise ValueError(f"{place}: repeated key {key!r}")
         try:
             overrides[key] = parse_config_field(key, value.strip())
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"{place}: {exc}") from None
     return overrides

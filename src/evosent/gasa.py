@@ -82,18 +82,20 @@ def mutate_at(parent: GasaChromosome, rng: random.Random) -> Tuple[GasaChromosom
 
 def crossover_at(p1, p2, rng: random.Random) -> Tuple:
     """The two children that swap the parents' genes at one uniformly chosen
-    position, and that position. The children have the parents' chromosome
-    type; either type holds its genes in its one field, bytes or a tuple."""
+    position, and that position. Either chromosome type holds its genes as
+    rows of equal width in its first field, bytes; the children keep their
+    parents' type and other fields."""
     n = len(p1)
     if n != len(p2):
         raise ValueError(f"parent lengths differ: {n} vs {len(p2)}")
     if n == 0:
         raise ValueError("cannot cross over empty chromosomes")
     position = rng.randrange(n)
-    ((a,), (b,)) = vars(p1).values(), vars(p2).values()
-    end = position + 1
-    c1 = type(p1)(a[:position] + b[position:end] + a[end:])
-    c2 = type(p2)(b[:position] + a[position:end] + b[end:])
+    (a, *more1), (b, *more2) = vars(p1).values(), vars(p2).values()
+    width = len(a) // n
+    start, end = position * width, (position + 1) * width
+    c1 = type(p1)(a[:start] + b[start:end] + a[end:], *more1)
+    c2 = type(p2)(b[:start] + a[start:end] + b[end:], *more2)
     return c1, c2, position
 
 
@@ -263,10 +265,11 @@ def gene_rows(slots: np.ndarray, genes: int) -> Tuple[list, np.ndarray]:
     """(starts, rows): the rows of a slot matrix that hold gene g are
     rows[starts[g]:starts[g + 1]], ascending and each once."""
     instances = max(len(slots), 1)
-    rows, columns = np.nonzero(slots >= 0)
-    keys = np.unique(slots[rows, columns].astype(np.int64) * instances + rows)
-    starts = np.searchsorted(keys // instances, np.arange(genes + 1))
-    return starts.tolist(), keys % instances
+    cells = np.flatnonzero(slots >= 0)
+    rows = cells // max(slots.shape[1], 1)
+    keys = np.sort(slots.ravel()[cells].astype(np.int64) * instances + rows)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # each (gene, row) once
+    return np.searchsorted(keys, np.arange(genes + 1) * instances).tolist(), keys % instances
 
 
 class WordGeneProblem:

@@ -146,21 +146,24 @@ def text_lines(source: Union[str, Path, TextIO]) -> Iterator[str]:
             raise TextDecodeError(f"{source}: {exc}") from None
 
 
-def record_lines(source: Union[str, Path, TextIO]) -> Iterator[Tuple[int, str]]:
-    """(line number, stripped line) for each line of `text_lines` that is
-    neither blank nor a # comment."""
+def record_lines(source: Union[str, Path, TextIO]) -> Iterator[Tuple[str, str]]:
+    """(place, stripped line) for each line of `text_lines` that is neither
+    blank nor a # comment; the place, for errors, is "FILE: line N", or
+    "line N" for a stream without a name."""
+    name = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", None)
+    prefix = "" if name is None else f"{name}: "
     for lineno, line in enumerate(text_lines(source), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            yield lineno, line
+            yield f"{prefix}line {lineno}", line
 
 
-def _single_word(lineno: int, text: str) -> str:
-    """`text` lowercased, or LexiconParseError naming the line unless it
+def _single_word(place: str, text: str) -> str:
+    """`text` lowercased, or LexiconParseError naming the place unless it
     tokenizes to itself: any other word matches no token of any text."""
     word = text.lower()
     if tokenize(word) != [word]:
-        raise LexiconParseError(f"line {lineno}: expected a single word, got {text!r}")
+        raise LexiconParseError(f"{place}: expected a single word, got {text!r}")
     return word
 
 
@@ -169,13 +172,11 @@ def load_polarity_lists(positive_source, negative_source) -> Dictionary:
     entries = {}
     for source, value in ((positive_source, 1.0), (negative_source, -1.0)):
         pair = ClassificationValuePair(Kind.SENTIMENT, value)
-        words = [_single_word(lineno, line) for lineno, line in record_lines(source)]
-        for word in words:
+        for place, line in record_lines(source):
+            word = _single_word(place, line)
             existing = entries.get(word)
             if existing is not None and existing.value != value:
-                raise ConflictingWordError(
-                    f"word {word!r} appears in both polarity lists"
-                )
+                raise ConflictingWordError(f"{place}: word {word!r} appears in both polarity lists")
             entries[word] = pair
     return Dictionary(entries, Kind.SENTIMENT)
 
@@ -196,27 +197,31 @@ def parse_pair(kind_text: str, value_text: str) -> ClassificationValuePair:
     return ClassificationValuePair(kind, value)
 
 
-def parse_lexicon(source) -> dict:
-    """Parse `word<TAB>kind<TAB>value` records into a word -> pair mapping."""
+def parse_lexicon(source, kind: Optional[Kind] = None) -> dict:
+    """Parse `word<TAB>kind<TAB>value` records into a word -> pair mapping,
+    each record of `kind` if one is given. Errors name the file and line."""
     entries = {}
-    for lineno, line in record_lines(source):
+    for place, line in record_lines(source):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise LexiconParseError(f"line {lineno}: expected 3 tab-separated fields")
-        word = _single_word(lineno, fields[0])
+            raise LexiconParseError(f"{place}: expected 3 tab-separated fields")
+        word = _single_word(place, fields[0])
         try:
             pair = parse_pair(fields[1], fields[2])
         except ValueError as exc:
-            raise LexiconParseError(f"line {lineno}: {exc}") from None
+            raise LexiconParseError(f"{place}: {exc}") from None
+        if kind is not None and pair.kind is not kind:
+            kinds = f"has kind {pair.kind.value}, dictionary requires {kind.value}"
+            raise ConflictingWordError(f"{place}: entry {word!r} {kinds}")
         if word in entries and entries[word] != pair:
-            raise ConflictingWordError(f"word {word!r} listed twice with different pairs")
+            raise ConflictingWordError(f"{place}: word {word!r} listed twice with different pairs")
         entries[word] = pair
     return entries
 
 
 def load_labeled_dictionary(source, kind: Kind) -> Dictionary:
     """Load a single-file lexicon, requiring every record to be of `kind`."""
-    return Dictionary(parse_lexicon(source), kind)
+    return Dictionary(parse_lexicon(source, kind), kind)
 
 
 def lookup(

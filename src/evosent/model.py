@@ -15,15 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cagasa import (
-    MAX_CONTEXT,
-    CagasaChromosome,
-    CagasaGene,
-    ContextCorpus,
-    ContextRule,
-    EncodedGenes,
-    encode_genes,
-)
+from .cagasa import MAX_CONTEXT, ContextCorpus, from_fields
 from .corpus import UnknownWordIndex
 from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
@@ -59,11 +51,6 @@ class TrainedModel:
         """Built on first use, from the dictionaries and index of that time."""
         return slot_table(self.index, self.sentiment_dict, self.amplifier_dict)
 
-    @cached_property
-    def _encoded_genes(self) -> EncodedGenes:
-        """A CA-GASA model's genes, encoded on first use."""
-        return encode_genes(self.chromosome.genes)
-
     def predict(self, tokens: Sequence[str]) -> Verdict:
         """The polarity the model gives a token sequence."""
         return classify_score(self.sentence_scores(tokens, [len(tokens)])[0])
@@ -95,7 +82,8 @@ class TrainedModel:
             else:
                 context = ContextCorpus(compiled)
                 compiled = context.compiled
-                codes = context.decide(range(len(self.index)), self._encoded_genes)[0]
+                genome = self.chromosome
+                codes = context.decide(range(len(self.index)), genome.rows, genome.words)[0]
             block_scores[order[start:end]] = scores(compiled, codes[:, None], self.semantics)[0]
             start = end
         return block_scores
@@ -142,14 +130,16 @@ def save_model(model: TrainedModel, sink: Union[str, Path]) -> None:
             fh.write(f"dict\t{word}\t{format_pair(pair)}\n")
         for word, pair in model.amplifier_dict.entries.items():
             fh.write(f"dict\t{word}\t{format_pair(pair)}\n")
-        # a CA-GASA gene's word is its index word: training and `load_model`
-        # build them aligned
         for word, gene in zip(model.index.words, model.chromosome.genes):
             fh.write(_gene_line(word, gene) + "\n")
 
 
 def _split_words(text: str) -> frozenset:
-    return frozenset(w for w in text.split(",") if w)
+    return frozenset(filter(None, text.split(",")))
+
+
+# The int fields of a cgene record, in the order they are checked.
+_CGENE_INTS = ((2, "next_size"), (3, "previous_size"), (6, "number_ahead"), (7, "number_behind"))
 
 
 def _context_int(text: str, name: str) -> int:
@@ -159,10 +149,18 @@ def _context_int(text: str, name: str) -> int:
     return value
 
 
-def _evolvable(pair: ClassificationValuePair) -> ClassificationValuePair:
-    if not pair.is_evolvable():
-        raise ValueError(f"gene pair {pair.kind.value} {pair.value!r} is not evolvable")
-    return pair
+# The code of each evolvable pair as `format_pair` writes it, read without parsing.
+_WRITTEN_CODES = {tuple(format_pair(pair).split("\t")): code for pair, code in PAIR_CODES.items()}
+
+
+def _gene_code(kind_text: str, value_text: str) -> int:
+    """The pair code of a gene's pair, which must be evolvable."""
+    code = _WRITTEN_CODES.get((kind_text, value_text))
+    if code is None:
+        pair = parse_pair(kind_text, value_text)
+        if (code := PAIR_CODES.get(pair)) is None:  # the evolvable pairs are its keys
+            raise ValueError(f"gene pair {pair.kind.value} {pair.value!r} is not evolvable")
+    return code
 
 
 def load_model(source: Union[str, Path]) -> TrainedModel:
@@ -193,21 +191,18 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
             elif tag == "gene":
                 if len(fields) != 4:
                     raise ValueError("bad gene record")
-                gasa_codes.append(PAIR_CODES[_evolvable(parse_pair(fields[2], fields[3]))])
+                gasa_codes.append(_gene_code(fields[2], fields[3]))
             elif tag == "cgene":
                 if len(fields) != 12:
                     raise ValueError("bad cgene record")
-                rule = ContextRule(
-                    next_size=_context_int(fields[2], "next_size"),
-                    previous_size=_context_int(fields[3], "previous_size"),
-                    list_next=_split_words(fields[4]),
-                    list_previous=_split_words(fields[5]),
-                    number_ahead=_context_int(fields[6], "number_ahead"),
-                    number_behind=_context_int(fields[7], "number_behind"),
-                    context_pair=_evolvable(parse_pair(fields[8], fields[9])),
-                )
-                context_free_pair = _evolvable(parse_pair(fields[10], fields[11]))
-                cagasa_genes.append(CagasaGene(fields[1], rule, context_free_pair))
+                *sizes, ahead, behind = (_context_int(fields[k], name) for k, name in _CGENE_INTS)
+                lists = [_split_words(fields[4]), _split_words(fields[5])]
+                context = _gene_code(fields[8], fields[9])
+                for name, size, words in zip(("list_next", "list_previous"), sizes, lists):
+                    if len(words) > size:
+                        raise ValueError(f"{name} exceeds its declared capacity")
+                free = _gene_code(fields[10], fields[11])
+                cagasa_genes.append((ahead, behind, free, context, *sizes, *lists))
             elif len(fields) == 2:
                 if tag not in HEADER_KEYS:
                     raise ValueError(f"unknown header record {tag!r}")
@@ -249,8 +244,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
         if word in sentiment_entries or word in amplifier_entries:
             raise ModelFormatError(f"gene word {word!r} is also a dictionary word")
     index = UnknownWordIndex(tuple(gene_positions), gene_positions)
-    codes, genes = bytes(gasa_codes), tuple(cagasa_genes)
-    chromosome = GasaChromosome(codes) if algo == "gasa" else CagasaChromosome(genes)
+    chromosome = GasaChromosome(bytes(gasa_codes)) if algo == "gasa" else from_fields(cagasa_genes)
     return TrainedModel(
         algo=algo,
         semantics=semantics,

@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from evosent.cagasa import CagasaChromosome, CagasaGene
+from evosent.cagasa import CagasaGene
 from evosent.corpus import Corpus, Instance, Label, UnknownWordIndex
 from evosent.evaluator import Semantics, Verdict, classify_score
 from evosent.ga_engine import GAConfig
 from evosent.gasa import GasaChromosome
 from evosent.lexicon import ClassificationValuePair, Dictionary, Kind
 from evosent.model import TrainedModel
+from oracles import cagasa_chromosome
 
 # The experiment scripts are importable, so that tests run the code users run.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -62,7 +63,7 @@ def fires(rule, tokens, position) -> bool:
     word = tokens[position]
     assert rule.context_pair == S(-1.0) and list(tokens).count(word) == 1
     model = trained_model(
-        CagasaChromosome((CagasaGene(word, rule, S(1.0)),)),
+        cagasa_chromosome((CagasaGene(rule, S(1.0)),)),
         UnknownWordIndex((word,), {word: 0}),
         Dictionary({}, Kind.SENTIMENT),
         Dictionary({}, Kind.AMPLIFIER),

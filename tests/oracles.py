@@ -2,11 +2,16 @@
 
 import itertools
 import re
+from dataclasses import replace
+from functools import lru_cache
 
+import numpy as np
+
+from evosent.cagasa import MAX_CONTEXT, CagasaGene, ContextRule, from_fields
 from evosent.corpus import Corpus, Instance, Label
 from evosent.evaluator import Semantics
 from evosent.experiments import GenerationError
-from evosent.gasa import GasaChromosome
+from evosent.gasa import PAIR_CODES, GasaChromosome, forced_new_code, random_code
 from evosent.lexicon import (
     AMPLIFIER_VALUES,
     EVOLVABLE_PAIRS,
@@ -34,6 +39,121 @@ def to_context_free_gasa(chromosome) -> GasaChromosome:
     """The GASA chromosome formed from a CA-GASA chromosome's context-free
     pairs."""
     return gasa_chromosome(g.context_free_pair for g in chromosome.genes)
+
+
+def cagasa_chromosome(genes, words=None):
+    """The CA-GASA chromosome whose genes are the `CagasaGene`s `genes`, its
+    lists ids into `words`, a sorted word table holding every list word; by
+    default, the sorted words of the lists."""
+    fields = []
+    for gene in genes:
+        rule = gene.rule
+        fields.append(
+            (
+                rule.number_ahead,
+                rule.number_behind,
+                PAIR_CODES[gene.context_free_pair],
+                PAIR_CODES[rule.context_pair],
+                rule.next_size,
+                rule.previous_size,
+                rule.list_next,
+                rule.list_previous,
+            )
+        )
+    return from_fields(fields, words)
+
+
+@lru_cache(maxsize=8)
+def _genes(chromosome) -> tuple:
+    """`chromosome.genes`, decoded once for the verdicts of many sentences."""
+    return chromosome.genes
+
+
+def reference_corpus_neighbors(corpus) -> dict:
+    """The (preceding, following) adjacent words of every corpus word, each
+    sorted, as they were found before genomes held word ids."""
+    neighbors: dict = {}
+    for inst in corpus.instances:
+        tokens = inst.tokens
+        for i, word in enumerate(tokens):
+            prev_set, next_set = neighbors.setdefault(word, (set(), set()))
+            if i > 0:
+                prev_set.add(tokens[i - 1])
+            if i + 1 < len(tokens):
+                next_set.add(tokens[i + 1])
+    return {w: (tuple(sorted(p)), tuple(sorted(n))) for w, (p, n) in neighbors.items()}
+
+
+def reference_random_cagasa_gene(neighbors, rng) -> CagasaGene:
+    """A random CA-GASA gene drawn as before genomes were rows, its lists
+    from the word's (preceding, following) sorted neighbours."""
+    preceding, following = neighbors
+    next_size = rng.randint(1, MAX_CONTEXT)
+    previous_size = rng.randint(1, MAX_CONTEXT)
+    rule = ContextRule(
+        next_size=next_size,
+        previous_size=previous_size,
+        list_next=frozenset(rng.sample(following, min(next_size, len(following)))),
+        list_previous=frozenset(rng.sample(preceding, min(previous_size, len(preceding)))),
+        number_ahead=rng.randint(1, MAX_CONTEXT),
+        number_behind=rng.randint(1, MAX_CONTEXT),
+        context_pair=EVOLVABLE_PAIRS[random_code(rng)],
+    )
+    return CagasaGene(rule, EVOLVABLE_PAIRS[random_code(rng)])
+
+
+def _new_pair(pair, rng) -> ClassificationValuePair:
+    return EVOLVABLE_PAIRS[forced_new_code(PAIR_CODES[pair], rng)]
+
+
+def _reference_mutate_list(gene, neighbors, rng) -> CagasaGene:
+    """Swap one stored context word for a fresh corpus neighbor; falls back
+    to resampling the context-free pair when no fresh neighbor exists."""
+    preceding, following = neighbors
+    rule = gene.rule
+    sides = []
+    fresh_next = [w for w in following if w not in rule.list_next]
+    fresh_prev = [w for w in preceding if w not in rule.list_previous]
+    if fresh_next and rule.next_size > 0:
+        sides.append((fresh_next, rule.next_size, "list_next"))
+    if fresh_prev and rule.previous_size > 0:
+        sides.append((fresh_prev, rule.previous_size, "list_previous"))
+    if not sides:
+        return replace(gene, context_free_pair=_new_pair(gene.context_free_pair, rng))
+    fresh_words, capacity, field = sides[rng.randrange(len(sides))]
+    fresh = fresh_words[rng.randrange(len(fresh_words))]
+    words = sorted(getattr(rule, field))
+    if len(words) >= capacity and words:
+        words[rng.randrange(len(words))] = fresh
+    else:
+        words.append(fresh)
+    return replace(gene, rule=replace(rule, **{field: frozenset(words)}))
+
+
+def reference_mutate_cagasa_at(genes, neighbors, rng):
+    """(genes, position): `genes` with one gene edited as before genomes
+    were rows; `neighbors` holds each position's (preceding, following)
+    sorted neighbours."""
+    position = rng.randrange(len(genes))
+    gene = genes[position]
+    edit = rng.randrange(3)
+    if edit == 0:
+        new_gene = replace(gene, context_free_pair=_new_pair(gene.context_free_pair, rng))
+    elif edit == 1:
+        new_rule = replace(gene.rule, context_pair=_new_pair(gene.rule.context_pair, rng))
+        new_gene = replace(gene, rule=new_rule)
+    else:
+        new_gene = _reference_mutate_list(gene, neighbors[position], rng)
+    return genes[:position] + (new_gene,) + genes[position + 1 :], position
+
+
+def reference_gene_rows(slots, genes):
+    """`gasa.gene_rows` through `np.unique` over (gene, row) keys."""
+    instances = max(len(slots), 1)
+    rows, columns = np.nonzero(slots >= 0)
+    keys = np.unique(slots[rows, columns].astype(np.int64) * instances + rows)
+    starts = np.searchsorted(keys // instances, np.arange(genes + 1))
+    return starts.tolist(), keys % instances
 
 
 def reference_random_pair(rng) -> ClassificationValuePair:
@@ -128,7 +248,7 @@ def gasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, sema
         elif word in amplifier_dict.entries:
             pairs.append(amplifier_dict.entries[word])
         elif word in index.position_of:
-            pairs.append(chromosome.genes[index.position_of[word]])
+            pairs.append(_genes(chromosome)[index.position_of[word]])
         else:
             pairs.append(NEUTRAL_PAIR)
     return _verdict_value(reference_sentence_score(pairs, semantics is Semantics.PROSE))
@@ -144,7 +264,7 @@ def cagasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, se
         elif word in amplifier_dict.entries:
             pairs.append(amplifier_dict.entries[word])
         elif word in index.position_of:
-            gene = chromosome.genes[index.position_of[word]]
+            gene = _genes(chromosome)[index.position_of[word]]
             rule = gene.rule
             ahead = set(tokens[position + 1 : position + 1 + rule.number_ahead])
             behind = set(tokens[max(0, position - rule.number_behind) : position])

@@ -12,13 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from evosent.cagasa import (
-    CagasaChromosome,
-    CagasaGene,
-    ContextRule,
-    corpus_neighbors,
-    random_cagasa_chromosome,
-)
+from evosent.cagasa import CagasaGene, ContextRule, corpus_neighbors, random_cagasa_chromosome
 from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics
@@ -44,6 +38,7 @@ import run_frequency_trend
 import run_planted_recovery
 from conftest import A, S, fires, flat, make_corpus, predicted, trained_model
 from oracles import (
+    cagasa_chromosome,
     cagasa_fitness,
     exhaustive_best_fitness,
     gasa_chromosome,
@@ -164,7 +159,6 @@ def test_02_worked_examples_exact(capsys):
 
         # "the ship sunk": ratio (0+1)/(0+2) >= 0.5 fires the context pair
         gene = CagasaGene(
-            "sunk",
             ContextRule(
                 next_size=1,
                 previous_size=1,
@@ -336,12 +330,10 @@ def test_08_cagasa_reduction(capsys):
             sd = Dictionary({}, Kind.SENTIMENT)
             ad = seed_amplifier_dictionary()
             index = build_unknown_index(corpus, sd, ad)
-            neighbors = corpus_neighbors(corpus)
-            base = random_cagasa_chromosome(index, neighbors, rnd)
-            stripped = CagasaChromosome(
+            base = random_cagasa_chromosome(*corpus_neighbors(corpus, index), rnd)
+            stripped = cagasa_chromosome(
                 tuple(
                     CagasaGene(
-                        g.word,
                         ContextRule(
                             next_size=g.rule.next_size,
                             previous_size=g.rule.previous_size,

@@ -14,6 +14,7 @@ import evosent.cagasa
 import evosent.gasa
 from evosent.cagasa import (
     MAX_CONTEXT,
+    ROW_BYTES,
     CagasaChromosome,
     CagasaGene,
     CagasaProblem,
@@ -22,7 +23,6 @@ from evosent.cagasa import (
     corpus_neighbors,
     mutate_cagasa_at,
     random_cagasa_chromosome,
-    random_cagasa_gene,
 )
 from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, slot_table
@@ -32,7 +32,16 @@ from evosent.gasa import PAIR_CODES, compile_corpus, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
 from conftest import A, S, fires, make_corpus, predicted, trained_model
-from oracles import cagasa_fitness, gasa_fitness, gasa_verdict, to_context_free_gasa
+from oracles import (
+    cagasa_chromosome,
+    cagasa_fitness,
+    gasa_fitness,
+    gasa_verdict,
+    reference_corpus_neighbors,
+    reference_mutate_cagasa_at,
+    reference_random_cagasa_gene,
+    to_context_free_gasa,
+)
 
 
 def rule(
@@ -153,30 +162,42 @@ class TestResolveWord:
         assert not fires(rule(list_previous={"ship"}), ["sunk"], 0)
 
 
+def named_pools(corpus, index) -> list:
+    """Each gene position's (following, preceding) pool, as words."""
+    words, pools = corpus_neighbors(corpus, index)
+    return [tuple(tuple(words[k] for k in pool) for pool in pair) for pair in pools]
+
+
 class TestCorpusNeighbors:
     def test_adjacency(self):
         corpus = make_corpus([(["a", "b", "c"], "positive")])
-        neighbors = corpus_neighbors(corpus)
-        assert neighbors["b"] == (("a",), ("c",))
-        assert neighbors["a"] == ((), ("b",))
-        assert neighbors["c"] == (("b",), ())
+        index = UnknownWordIndex(("b", "a", "c"), {"b": 0, "a": 1, "c": 2})
+        assert corpus_neighbors(corpus, index)[0] == ("a", "b", "c")
+        assert named_pools(corpus, index) == [(("c",), ("a",)), (("b",), ()), ((), ("b",))]
 
     def test_sorted_distinct_words(self):
         corpus = make_corpus(
             [(["d", "w", "b"], "positive"), (["c", "w", "b", "w", "a"], "negative")]
         )
-        assert corpus_neighbors(corpus)["w"] == (("b", "c", "d"), ("a", "b"))
+        index = UnknownWordIndex(("w",), {"w": 0})
+        words, pools = corpus_neighbors(corpus, index)
+        assert words == ("a", "b", "c", "d") and pools == [((0, 1), (1, 2, 3))]
+        # the reference's (preceding, following) neighbours, in reverse
+        index = build_unknown_index(corpus, *make_problem([])[1:3])
+        reference = reference_corpus_neighbors(corpus)
+        assert named_pools(corpus, index) == [reference[w][::-1] for w in index.words]
 
 
 class TestRandomGene:
     def test_no_preceding_neighbors(self, rng):
-        gene = random_cagasa_gene("w", ((), ("x",)), rng)
+        (gene,) = random_cagasa_chromosome(("x",), [((0,), ())], rng).genes
         assert gene.rule.list_previous == frozenset()
 
     def test_field_ranges(self, rng):
+        words = ("a", "b", "c", "d", "e", "f", "g", "h")
         neighbors = (("a", "b", "c", "d"), ("e", "f", "g", "h"))
-        for _ in range(10_000):
-            gene = random_cagasa_gene("w", neighbors, rng)
+        genes = random_cagasa_chromosome(words, [((4, 5, 6, 7), (0, 1, 2, 3))] * 10_000, rng).genes
+        for gene in genes:
             r = gene.rule
             assert 1 <= r.next_size <= MAX_CONTEXT
             assert 1 <= r.previous_size <= MAX_CONTEXT
@@ -188,8 +209,7 @@ class TestRandomGene:
             assert r.list_previous <= set(neighbors[0])
 
     def test_pairs_evolvable(self, rng):
-        for _ in range(1000):
-            gene = random_cagasa_gene("w", (("a",), ("b",)), rng)
+        for gene in random_cagasa_chromosome(("a", "b"), [((1,), (0,))] * 1000, rng).genes:
             assert gene.rule.context_pair.is_evolvable()
             assert gene.context_free_pair.is_evolvable()
 
@@ -206,11 +226,11 @@ class TestOperators:
     def _random_chromosome(self, rng, rows=None):
         rows = rows or [(["u", "v", "w"], "positive"), (["v", "w", "u"], "negative")]
         corpus, sd, ad, index = make_problem(rows)
-        neighbors = corpus_neighbors(corpus)
-        return random_cagasa_chromosome(index, neighbors, rng), neighbors
+        words, pools = corpus_neighbors(corpus, index)
+        return random_cagasa_chromosome(words, pools, rng), pools
 
     def test_crossover_swaps_whole_gene(self, rng):
-        c1, neighbors = self._random_chromosome(rng)
+        c1, _ = self._random_chromosome(rng)
         c2, _ = self._random_chromosome(random.Random(5))
 
         class PositionZero(random.Random):
@@ -218,28 +238,27 @@ class TestOperators:
                 return 0
 
         o1, o2, _ = crossover_at(c1, c2, PositionZero())
-        assert o1.genes[0] == c2.genes[0] and o2.genes[0] == c1.genes[0]
-        assert o1.genes[1:] == c1.genes[1:] and o2.genes[1:] == c2.genes[1:]
+        (o1, o2, c1, c2) = (c.genes for c in (o1, o2, c1, c2))
+        assert o1[0] == c2[0] and o2[0] == c1[0]
+        assert o1[1:] == c1[1:] and o2[1:] == c2[1:]
 
     def test_mutation_changes_one_gene(self, rng):
         for _ in range(1000):
-            parent, neighbors = self._random_chromosome(rng)
-            child, position = mutate_cagasa_at(parent, neighbors, rng)
+            parent, pools = self._random_chromosome(rng)
+            child, position = mutate_cagasa_at(parent, pools, rng)
             assert len(child) == len(parent)
-            diffs = [
-                i for i in range(len(parent)) if parent.genes[i] != child.genes[i]
-            ]
+            parent, child = parent.genes, child.genes
+            diffs = [i for i in range(len(parent)) if parent[i] != child[i]]
             assert len(diffs) <= 1
             # every edit changes the gene: a list edit with no fresh neighbor
             # resamples the context-free pair instead
             assert diffs == [position]
             for i in diffs:
-                assert child.genes[i].word == parent.genes[i].word
-                assert child.genes[i].context_free_pair.is_evolvable()
-                assert child.genes[i].rule.context_pair.is_evolvable()
+                assert child[i].context_free_pair.is_evolvable()
+                assert child[i].rule.context_pair.is_evolvable()
 
     def test_mutation_edit_isolation(self, rng):
-        parent, neighbors = self._random_chromosome(rng)
+        parent, pools = self._random_chromosome(rng)
 
         class ForceContextFreeEdit(random.Random):
             def __init__(self):
@@ -252,22 +271,77 @@ class TestOperators:
                 except StopIteration:
                     return super().randrange(n)
 
-        child, position = mutate_cagasa_at(parent, neighbors, ForceContextFreeEdit())
+        child, position = mutate_cagasa_at(parent, pools, ForceContextFreeEdit())
         assert position == 0
-        assert child.genes[1:] == parent.genes[1:]
-        assert child.genes[0].rule == parent.genes[0].rule
-        assert child.genes[0].context_free_pair != parent.genes[0].context_free_pair
+        child, parent = child.genes, parent.genes
+        assert child[1:] == parent[1:]
+        assert child[0].rule == parent[0].rule
+        assert child[0].context_free_pair != parent[0].context_free_pair
 
     def test_empty_rejected(self, rng):
         with pytest.raises(ValueError):
-            mutate_cagasa_at(CagasaChromosome(()), {}, rng)
+            mutate_cagasa_at(CagasaChromosome(b"", ()), [], rng)
         with pytest.raises(ValueError):
-            crossover_at(CagasaChromosome(()), CagasaChromosome(()), rng)
+            crossover_at(CagasaChromosome(b"", ()), CagasaChromosome(b"", ()), rng)
 
     def test_length_mismatch(self, rng):
         c1, _ = self._random_chromosome(rng)
         with pytest.raises(ValueError):
-            crossover_at(c1, CagasaChromosome(c1.genes[:1]), rng)
+            crossover_at(c1, CagasaChromosome(c1.rows[:ROW_BYTES], c1.words), rng)
+
+
+class TestRowsMatchReference:
+    """Random genomes, mutation and crossover on gene rows against the
+    object-based operators in `tests/oracles.py`: each gives the same genes
+    and leaves the random stream in the same state. A genome re-encoded from
+    its decoded genes on its own table is the same genome, since lists are
+    stored sorted."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["u", "v", "w", "x", "y", "good", "not"]), max_size=8),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 30),
+    )
+    def test_same_genes_and_draws(self, texts, seed, steps):
+        corpus, _, _, index = make_problem(
+            [(t, "positive") for t in texts], {"good": S(1.0)}
+        )
+        words, pools = corpus_neighbors(corpus, index)
+        neighbors = reference_corpus_neighbors(corpus)
+        by_position = [neighbors.get(w, ((), ())) for w in index.words]
+        rng, reference = random.Random(seed), random.Random(seed)
+
+        def same(genome, genes):
+            assert genome.genes == genes and rng.getstate() == reference.getstate()
+            assert cagasa_chromosome(genes, words) == genome
+
+        population, expected = [], []
+        for _ in range(3):
+            population.append(random_cagasa_chromosome(words, pools, rng))
+            expected.append(tuple(reference_random_cagasa_gene(n, reference) for n in by_position))
+            same(population[-1], expected[-1])
+        if not len(index):
+            return
+        for step in range(steps):
+            k, j = step % 3, (step + 1) % 3
+            child, position = mutate_cagasa_at(population[k], pools, rng)
+            genes, at = reference_mutate_cagasa_at(expected[k], by_position, reference)
+            assert position == at
+            same(child, genes)
+            population[k], expected[k] = child, genes
+            c1, c2, position = crossover_at(population[k], population[j], rng)
+            at = reference.randrange(len(index))
+            a, b = expected[k], expected[j]
+            assert position == at
+            same(c1, a[:at] + b[at : at + 1] + a[at + 1 :])
+            same(c2, b[:at] + a[at : at + 1] + b[at + 1 :])
+            population[k], population[j] = c1, c2
+            expected[k], expected[j] = c1.genes, c2.genes
 
 
 def neutralized(chromosome):
@@ -276,7 +350,6 @@ def neutralized(chromosome):
     for gene in chromosome.genes:
         genes.append(
             CagasaGene(
-                gene.word,
                 rule(
                     number_ahead=0,
                     number_behind=0,
@@ -285,7 +358,7 @@ def neutralized(chromosome):
                 gene.context_free_pair,
             )
         )
-    return CagasaChromosome(tuple(genes))
+    return cagasa_chromosome(genes)
 
 
 class TestGasaReduction:
@@ -297,8 +370,7 @@ class TestGasaReduction:
         sd = Dictionary({}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        neighbors = corpus_neighbors(corpus)
-        chromosome = neutralized(random_cagasa_chromosome(index, neighbors, rnd))
+        chromosome = neutralized(random_cagasa_chromosome(*corpus_neighbors(corpus, index), rnd))
         gasa_chromosome = to_context_free_gasa(chromosome)
         assert cagasa_fitness(
             chromosome, corpus, index, sd, ad, semantics
@@ -335,12 +407,13 @@ ABSENT_WORDS = ["y", "z"]
 
 
 @st.composite
-def look_genes(draw, word):
-    """A gene with look distances 0..5 and lists that may name words outside
-    the corpus."""
+def look_genes(draw):
+    """A gene with look distances 0..5, capacities up to 5 and lists of up to
+    MAX_CONTEXT words, the most a gene row holds, that may name words
+    outside the corpus."""
     list_words = st.sampled_from(CORPUS_WORDS + ABSENT_WORDS)
-    list_next = frozenset(draw(st.lists(list_words, max_size=5)))
-    list_previous = frozenset(draw(st.lists(list_words, max_size=5)))
+    list_next = frozenset(draw(st.lists(list_words, max_size=MAX_CONTEXT)))
+    list_previous = frozenset(draw(st.lists(list_words, max_size=MAX_CONTEXT)))
     rule = ContextRule(
         next_size=draw(st.integers(len(list_next), 5)),
         previous_size=draw(st.integers(len(list_previous), 5)),
@@ -350,7 +423,7 @@ def look_genes(draw, word):
         number_behind=draw(st.integers(0, 5)),
         context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
     )
-    return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
+    return CagasaGene(rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
 
 
 corpus_word = st.sampled_from(CORPUS_WORDS)
@@ -396,12 +469,12 @@ class TestKernelFitness:
         )
         population = data.draw(
             st.lists(
-                st.tuples(*(look_genes(w) for w in gene_words)).map(CagasaChromosome),
+                st.tuples(*(look_genes() for _ in gene_words)).map(cagasa_chromosome),
                 max_size=4,
             )
         )
-        # the same gene objects again at other positions
-        population += [CagasaChromosome(c.genes[::-1]) for c in population]
+        # the same genes again at other positions
+        population += [cagasa_chromosome(c.genes[::-1], c.words) for c in population]
         problem = CagasaProblem(corpus, index, sd, ad, semantics)
         expected = [cagasa_fitness(c, corpus, index, sd, ad, semantics) for c in population]
         assert [problem.fitness(c) for c in population] == expected
@@ -417,10 +490,10 @@ class TestKernelFitness:
         problem = CagasaProblem(corpus, index, sd, ad, semantics)
         assert len(index) == 0
         # the empty sentence scores 0 and is never correct
-        assert [problem.fitness(CagasaChromosome(())) for _ in range(3)] == [2] * 3
+        assert [problem.fitness(CagasaChromosome(b"", ())) for _ in range(3)] == [2] * 3
         empty = make_corpus([([], "negative")])
         problem = CagasaProblem(empty, build_unknown_index(empty, sd, ad), sd, ad, semantics)
-        assert problem.fitness(CagasaChromosome(())) == 0
+        assert problem.fitness(CagasaChromosome(b"", ())) == 0
 
     def test_rule_reads_distinct_neighbours_of_each_occurrence(self):
         # "w x x x y": for "y", the behind list {w} hits once in the distinct
@@ -431,11 +504,9 @@ class TestKernelFitness:
         index = build_unknown_index(corpus, sd, ad)
 
         def genome(behind):
-            y = CagasaGene("y", rule(list_previous={"w", "q"}, number_behind=behind), S(1.0))
-            neutral = rule(context_pair=S(0.0))
-            return CagasaChromosome(
-                tuple(y if w == "y" else CagasaGene(w, neutral, S(0.0)) for w in index.words)
-            )
+            y = CagasaGene(rule(list_previous={"w", "q"}, number_behind=behind), S(1.0))
+            neutral = CagasaGene(rule(context_pair=S(0.0)), S(0.0))
+            return cagasa_chromosome(y if w == "y" else neutral for w in index.words)
 
         problem = CagasaProblem(corpus, index, sd, ad)
         population = [genome(behind) for behind in range(6)]
@@ -455,9 +526,7 @@ class TestKernelFitness:
         assert ahead.shape == behind.shape == (3, 3)
         assert (ahead == -1).all() and (behind == -1).all()
         both = rule(list_next={"u", "v"}, list_previous={"u", "v"}, number_ahead=3, number_behind=3)
-        genome = CagasaChromosome(
-            (CagasaGene("u", both, S(1.0)), CagasaGene("v", both, S(-1.0)))
-        )
+        genome = cagasa_chromosome((CagasaGene(both, S(1.0)), CagasaGene(both, S(-1.0))))
         assert index.words == ("u", "v")
         assert problem.fitness(genome) == cagasa_fitness(genome, corpus, index, sd, ad) == 3
 
@@ -722,23 +791,25 @@ class TestDeltaFitness:
 
         read, decided = [], []  # as (child, parent's state, position, no donor)
         for parent in parents:
-            for position, gene in enumerate(parent.genes):
+            parent_genes = parent.genes
+            for position, gene in enumerate(parent_genes):
                 context = replace(gene.rule, context_pair=other(gene.rule.context_pair))
                 for edited in (
                     replace(gene, context_free_pair=other(gene.context_free_pair)),
                     replace(gene, rule=context),
                 ):
-                    genes = list(parent.genes)
+                    genes = list(parent_genes)
                     genes[position] = edited
-                    entry = CagasaChromosome(tuple(genes)), problem._kept(parent), position, None
+                    child = cagasa_chromosome(genes, parent.words)
+                    entry = child, problem._kept(parent), position, None
                     differ = gene.rule.context_pair != gene.context_free_pair
                     (read if differ else decided).append(entry)
         calls = []
         decide = ContextCorpus.decide
 
-        def counted(context, positions, encoded):
+        def counted(context, positions, rows, words):
             calls.append(len(positions))
-            return decide(context, positions, encoded)
+            return decide(context, positions, rows, words)
 
         monkeypatch.setattr(ContextCorpus, "decide", counted)
         codes, _, counts = problem._deltas(read)

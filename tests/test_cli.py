@@ -250,10 +250,12 @@ class TestPredict:
         ("--corpus", "no tab here\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\tlots\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\n", "line 1"),
-        ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1.0\n", "twice"),
+        ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1\n", "line 2: word 'good'"),
+        ("--sentiment-dict", "bad\tsentiment\t-1.0\ngood\tsentiment\n", "line 2: expected 3"),
         ("--amplifier-dict", "not\tamplifier\tnan\n", "non-finite"),
         # a record of the other kind
-        ("--amplifier-dict", "not\tamplifier\t-1.0\nsplendid\tsentiment\t1.0\n", "'splendid'"),
+        ("--amplifier-dict", "not\tamplifier\t-1.0\nsplendid\tsentiment\t1\n", "line 2: entry"),
+        ("--sentiment-dict", "good\tsentiment\t1.0\nnot\tamplifier\t-1\n", "line 2: entry"),
         # a word no token can match
         ("--sentiment-dict", "very good\tsentiment\t1.0\nbad\tsentiment\t-1.0\n", "line 1"),
         ("--sentiment-dict", "bad\tsentiment\t-1.0\ngood \tsentiment\t1\n", "line 2"),
@@ -296,6 +298,9 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
     assert captured.err.startswith("error:") and message in captured.err
     if isinstance(content, bytes):  # a decode error names the file
         assert f"error: {bad}: " in captured.err
+    elif flag in ("--sentiment-dict", "--amplifier-dict", "--positive-words", "--config"):
+        # a lexicon, word-list or config error names the file and the line
+        assert f"error: {bad}: line " in captured.err
     if flag == "--input":
         assert captured.out == ""
         # nor is an existing --out file touched
@@ -417,7 +422,7 @@ class TestSynth:
         out = tmp_path / "c.tsv"
         assert main(["synth", "--out", str(out), "--lexicon", str(lex)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: line 2: expected a single word, got {word!r}\n"
+        assert err == f"error: {lex}: line 2: expected a single word, got {word!r}\n"
         assert not out.exists()
 
     def test_planted_lexicon_without_sentiment_exits_1(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from evosent.gasa import (
     compile_tokens,
     crossover_at,
     forced_new_code,
+    gene_rows,
     labelled_correctly,
     labelled_correctly_at,
     mutate_at,
@@ -39,7 +40,7 @@ from evosent.lexicon import (
 
 from conftest import A, S, make_corpus, trained_model
 from oracles import cagasa_fitness, gasa_chromosome
-from oracles import reference_forced_new_pair, reference_random_pair
+from oracles import reference_forced_new_pair, reference_gene_rows, reference_random_pair
 from oracles import gasa_fitness as fitness
 
 pairs = st.sampled_from(EVOLVABLE_PAIRS)
@@ -377,6 +378,28 @@ class TestBatchFitness:
         chroms = [random_chromosome(len(index), rng) for _ in range(30)]
         assert problem.fitness_many(chroms) == [fitness(c, corpus, index, sd, ad) for c in chroms]
         assert problem.max_fitness == 2
+
+
+class TestGeneRows:
+    """`gene_rows` sorts cells by gene once and drops repeated (gene, row)
+    pairs by comparing neighbours; the reference takes `np.unique` of keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 12), st.integers(0, 9)),
+        genes=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_matches_unique(self, shape, genes, data):
+        # gene slots 0..genes-1 and fixed slots below zero, anywhere
+        cells = st.integers(-3, genes - 1)
+        size = shape[0] * shape[1]
+        flat = data.draw(st.lists(cells, min_size=size, max_size=size))
+        slots = np.array(flat, dtype=np.int32).reshape(shape)
+        starts, rows = gene_rows(slots, genes)
+        expected_starts, expected_rows = reference_gene_rows(slots, genes)
+        assert starts == expected_starts and rows.tolist() == expected_rows.tolist()
+        assert rows.dtype == expected_rows.dtype
 
 
 class TestDeltaFitness:

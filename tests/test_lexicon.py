@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given
@@ -61,8 +62,9 @@ class TestPolarityLists:
 
     def test_conflicting_word_rejected(self, tmp_path):
         pos = write(tmp_path, "pos.txt", "good\n")
-        neg = write(tmp_path, "neg.txt", "good\n")
-        with pytest.raises(ConflictingWordError, match="good"):
+        neg = write(tmp_path, "neg.txt", "bad\ngood\n")
+        # the error names the file and line of the second listing
+        with pytest.raises(ConflictingWordError, match=re.escape(f"{neg}: line 2: word 'good'")):
             load_polarity_lists(pos, neg)
 
     def test_comments_blanks_and_case(self, tmp_path):
@@ -184,8 +186,8 @@ class TestExport:
 
 class TestLabeledDictionary:
     def test_kind_mismatch_rejected(self, tmp_path):
-        path = write(tmp_path, "amp.tsv", "very\tsentiment\t1.0\n")
-        with pytest.raises(ConflictingWordError):
+        path = write(tmp_path, "amp.tsv", "not\tamplifier\t-1.0\nvery\tsentiment\t1.0\n")
+        with pytest.raises(ConflictingWordError, match=re.escape(f"{path}: line 2: entry 'very'")):
             load_labeled_dictionary(path, Kind.AMPLIFIER)
 
     @given(value=st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]))

@@ -15,7 +15,6 @@ import evosent.cli
 import evosent.model
 from evosent.cagasa import (
     MAX_CONTEXT,
-    CagasaChromosome,
     CagasaGene,
     ContextRule,
     corpus_neighbors,
@@ -31,7 +30,7 @@ from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
 import oracles
 from conftest import A, S, make_corpus, predicted
-from oracles import cagasa_verdict, gasa_chromosome, gasa_verdict
+from oracles import cagasa_chromosome, cagasa_verdict, gasa_chromosome, gasa_verdict
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
 
@@ -69,7 +68,7 @@ def cagasa_model():
     sd = Dictionary({}, Kind.SENTIMENT)
     ad = seed_amplifier_dictionary()
     index = build_unknown_index(corpus, sd, ad)
-    chromosome = random_cagasa_chromosome(index, corpus_neighbors(corpus), random.Random(1))
+    chromosome = random_cagasa_chromosome(*corpus_neighbors(corpus, index), random.Random(1))
     return TrainedModel(
         algo="cagasa",
         semantics=Semantics.LITERAL,
@@ -96,7 +95,8 @@ class TestRoundTrip:
         assert loaded.sentiment_dict.entries == model.sentiment_dict.entries
         assert loaded.amplifier_dict.entries == model.amplifier_dict.entries
         assert loaded.index.words == model.index.words
-        assert loaded.chromosome == model.chromosome
+        # a loaded CA-GASA genome's word table holds only its list words
+        assert loaded.chromosome.genes == model.chromosome.genes
         assert loaded.best_fitness == model.best_fitness
         assert loaded.train_instances == model.train_instances
 
@@ -365,7 +365,7 @@ def dictionaries(draw):
 
 
 @st.composite
-def context_genes(draw, word):
+def context_genes(draw):
     """A gene with any fields a rule allows, zero capacities and look
     distances among them, whose lists may name words that no line holds."""
     list_words = st.sampled_from(LINE_WORDS + ["absent"])
@@ -380,7 +380,7 @@ def context_genes(draw, word):
         number_behind=draw(sizes),
         context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
     )
-    return CagasaGene(word, rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
+    return CagasaGene(rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
 
 
 class TestBlockPath:
@@ -414,8 +414,8 @@ class TestBlockPath:
             codes = st.lists(code, min_size=len(gene_words), max_size=len(gene_words))
             chromosome, verdict = GasaChromosome(bytes(data.draw(codes))), gasa_verdict
         else:
-            genes = tuple(data.draw(context_genes(w)) for w in gene_words)
-            chromosome, verdict = CagasaChromosome(genes), cagasa_verdict
+            genes = tuple(data.draw(context_genes()) for _ in gene_words)
+            chromosome, verdict = cagasa_chromosome(genes), cagasa_verdict
         model = TrainedModel(algo, semantics, GAConfig(), sd, ad, index, chromosome, 0, 0)
         lines.insert(data.draw(st.integers(0, len(lines))), (long_line, "\n"))
         texts = [line for line, _ in lines] + [text]
