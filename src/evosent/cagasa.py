@@ -247,7 +247,8 @@ class ContextCorpus:
         slots = compiled.slots
         cells = np.flatnonzero(slots >= 0)
         genes = slots.ravel()[cells]
-        order = np.argsort(genes, kind="stable")
+        # keys of 8 or 16 bits sort by radix, in the same stable order
+        order = np.argsort(genes.astype(np.min_scalar_type(genes.max(initial=0))), kind="stable")
         self._cells = cells[order]  # each occurrence's flat index into `slots`
         self.occurrence_gene = genes[order]  # ascending
         del cells, genes, order  # before the copy, which long sentences make large
@@ -293,43 +294,39 @@ class ContextCorpus:
         """(codes, counts): the pair codes that the gene `rows`, one for each
         of `positions`, whose list ids index `words`, resolve to at the
         occurrences of their positions, int8, position by position; and each
-        position's number of occurrences. Decided in slices whose widest
-        temporary holds at most about SLICE_CELLS elements."""
+        position's number of occurrences. Decided in slices of at most
+        SLICE_CELLS occurrences, one neighbor row at a time, so that every
+        temporary is one slice long."""
         vocabulary = self.compiled.vocabulary
         # each table word's id in the corpus, and _NO_WORD for a word outside
         # it and for the pad, index -1
         ids = [vocabulary.get(w, _NO_WORD) for w in words] + [_NO_WORD]
         fields = np.frombuffer(rows, dtype=np.int32).reshape(-1, ROW)
-        lists = np.array(ids, dtype=np.int32)[fields[:, NEXT:]]
+        # each side's list, one row per slot
+        lists = np.array(ids, dtype=np.int32)[fields[:, NEXT:].T].reshape(2, MAX_CONTEXT, -1)
         first = np.searchsorted(self.occurrence_gene, positions, side="left")
         counts = np.searchsorted(self.occurrence_gene, positions, side="right") - first
         ends = np.cumsum(counts)
         shift = first - (ends - counts)  # occurrence number minus index in the output
         # offsets past the longest distance among the genes hold no neighbor
         depth = int(fields[:, :2].max(initial=0))
-        offsets = np.arange(1, depth + 1)[:, None]
-        ahead, behind = self.neighbor_ids(depth)
+        neighbors = self.neighbor_ids(depth)
         codes = np.empty(int(counts.sum()), dtype=np.int8)
-        # the widest temporary compares (list words, offsets, cells)
-        step = max(SLICE_CELLS // (MAX_CONTEXT * max(depth, 1)), 1)
-        for start in range(0, len(codes), step):
-            index = np.arange(start, min(start + step, len(codes)))
+        for start in range(0, len(codes), SLICE_CELLS):
+            index = np.arange(start, min(start + SLICE_CELLS, len(codes)))
             part = np.searchsorted(ends, index, side="right")  # each one's row of `fields`
             cells = index + shift[part]
-            ahead_distance, behind_distance, free_code, context_code = fields[part, :NEXT_SIZE].T
-            at_lists = lists[part].T
-            size = hits = 0
-            sides = (
-                (ahead_distance, ahead, at_lists[:MAX_CONTEXT]),
-                (behind_distance, behind, at_lists[MAX_CONTEXT:]),
-            )
-            for distance, neighbors, side_lists in sides:
-                words = neighbors[:depth].take(cells, axis=1)  # (offsets, cells)
-                seen = (words >= 0) & (offsets <= distance)
-                size = size + seen.sum(axis=0)
-                hits = hits + (seen & (side_lists[:, None] == words).any(axis=0)).sum(axis=0)
+            size, hits = np.zeros((2, len(index)), dtype=np.int8)
+            for side, rows_of in enumerate(neighbors):
+                distance, side_lists = fields[:, side].take(part), lists[side].take(part, axis=1)
+                for k in range(depth):
+                    neighbor = rows_of[k].take(cells)  # distinct ids of one offset, or -1
+                    seen = (neighbor >= 0) & (distance > k)
+                    size += seen
+                    hits += seen & (neighbor == side_lists).any(axis=0)
             fire = (size > 0) & (2 * hits >= size)
-            codes[index] = np.where(fire, context_code, free_code)
+            free_code, context_code = (fields[:, c].take(part) for c in (FREE, CONTEXT))
+            codes[start : start + len(index)] = np.where(fire, context_code, free_code)
         return codes, counts
 
 

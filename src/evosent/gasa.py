@@ -21,9 +21,10 @@ changed gene's word.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,9 +103,9 @@ def crossover_at(p1, p2, rng: random.Random) -> Tuple:
 # The most elements one kernel call takes at once: slot-matrix cells, and the
 # fewer of each owner's cells and codes, for a re-score slice; instances and
 # codes for each genome of a full pass (a sentence or a genome with more takes
-# a call of its own); cells for a block of synthetic candidates; and of the
-# codes CA-GASA compares at once; also about the most elements a CA-GASA
-# decision's widest temporary holds. It bounds their memory.
+# a call of its own); cells for a block of synthetic candidates; of the
+# codes CA-GASA compares at once; and gene-word occurrences for a slice of a
+# CA-GASA decision, the length of its temporaries. It bounds their memory.
 SLICE_CELLS = 1 << 16
 
 
@@ -125,7 +126,7 @@ class CompiledCorpus:
 
     slots: np.ndarray  # (instances, width) int32
     words: np.ndarray  # (instances, width) int32
-    vocabulary: dict  # word -> id, in order of first occurrence
+    vocabulary: dict  # word -> id, in order of first occurrence; read with .get
     fixed_values: np.ndarray  # (fixed pairs,) float64
     fixed_is_amp: np.ndarray  # (fixed pairs,) bool
     label_positive: Optional[np.ndarray] = None  # (instances,) bool; None for unlabelled text
@@ -137,7 +138,8 @@ def compile_tokens(
     """The unlabelled `CompiledCorpus` of sentences given as one flat token
     sequence, sentence k the next lengths[k] tokens. A word missing from the
     table is neutral."""
-    vocabulary = {word: k for k, word in enumerate(dict.fromkeys(tokens))}
+    vocabulary = defaultdict(count().__next__)  # a new word takes the next id
+    ids = np.fromiter(map(vocabulary.__getitem__, tokens), dtype=np.int32, count=len(tokens))
     entries = [table.get(word, NEUTRAL_PAIR) for word in vocabulary]
     dictionary_pairs = dict.fromkeys(e for e in entries if not isinstance(e, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
@@ -146,7 +148,6 @@ def compile_tokens(
     word_slots = np.array(
         [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
     )
-    ids = np.fromiter(map(vocabulary.__getitem__, tokens), dtype=np.int32, count=len(tokens))
     words = left_padded(ids, np.asarray(lengths, dtype=np.int64))
     return CompiledCorpus(
         slots=word_slots[words],

@@ -133,17 +133,33 @@ def seed_amplifier_dictionary() -> Dictionary:
     return Dictionary({"not": negate, "never": negate}, Kind.AMPLIFIER)
 
 
+# Characters `text_lines` reads at a time.
+TEXT_CHUNK_CHARS = 1 << 16
+
+
 def text_lines(source: Union[str, Path, TextIO]) -> Iterator[str]:
     """The lines of a UTF-8 text file, or of an open text stream, without
-    their newlines. A file's lines end at LF only, less one CR just before
-    it. Text that is not UTF-8 raises TextDecodeError, which names the file."""
+    their newlines, read TEXT_CHUNK_CHARS characters at a time. A file's
+    lines end at LF only, less one CR just before it. Text that is not UTF-8
+    raises TextDecodeError, which names the file."""
     path = isinstance(source, (str, os.PathLike))
     with open(source, encoding="utf-8", newline="\n") if path else nullcontext(source) as fh:
         try:
-            for line in fh:
-                yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+            head, tail = [], ""  # the open line's pieces, and its CR that an LF may end
+            while chunk := fh.read(TEXT_CHUNK_CHARS):
+                lines = (tail + chunk).replace("\r\n", "\n").split("\n")
+                tail = lines.pop()
+                if lines:
+                    lines[0] = "".join(head) + lines[0]
+                    head = []
+                    yield from lines
+                cut = len(tail) - tail.endswith("\r")
+                head.append(tail[:cut])
+                tail = tail[cut:]
         except UnicodeDecodeError as exc:
             raise TextDecodeError(f"{source}: {exc}") from None
+        if last := "".join(head) + tail:
+            yield last
 
 
 def record_lines(source: Union[str, Path, TextIO]) -> Iterator[Tuple[str, str]]:

@@ -254,6 +254,17 @@ def gasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, sema
     return _verdict_value(reference_sentence_score(pairs, semantics is Semantics.PROSE))
 
 
+def reference_fires(rule, tokens, position) -> bool:
+    """Whether `rule` picks its context pair at tokens[position]: at least
+    half of the distinct words within its look distances, cut at the
+    sentence, are in its lists, and there is at least one."""
+    ahead = set(tokens[position + 1 : position + 1 + rule.number_ahead])
+    behind = set(tokens[max(0, position - rule.number_behind) : position])
+    hits = len(ahead & rule.list_next) + len(behind & rule.list_previous)
+    size = len(ahead) + len(behind)
+    return size > 0 and 2 * hits >= size
+
+
 def cagasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, semantics):
     """As `gasa_verdict`, but a gene's context pair replaces its context-free
     pair when at least half of the word's neighbourhood is in its lists."""
@@ -265,13 +276,8 @@ def cagasa_verdict(chromosome, tokens, index, sentiment_dict, amplifier_dict, se
             pairs.append(amplifier_dict.entries[word])
         elif word in index.position_of:
             gene = _genes(chromosome)[index.position_of[word]]
-            rule = gene.rule
-            ahead = set(tokens[position + 1 : position + 1 + rule.number_ahead])
-            behind = set(tokens[max(0, position - rule.number_behind) : position])
-            hits = len(ahead & rule.list_next) + len(behind & rule.list_previous)
-            size = len(ahead) + len(behind)
-            if size > 0 and 2 * hits >= size:
-                pairs.append(rule.context_pair)
+            if reference_fires(gene.rule, tokens, position):
+                pairs.append(gene.rule.context_pair)
             else:
                 pairs.append(gene.context_free_pair)
         else:

@@ -38,6 +38,7 @@ from oracles import (
     gasa_fitness,
     gasa_verdict,
     reference_corpus_neighbors,
+    reference_fires,
     reference_mutate_cagasa_at,
     reference_random_cagasa_gene,
     to_context_free_gasa,
@@ -557,6 +558,91 @@ class TestOccurrenceOrder:
         # every occurrence once, gene by gene, each gene's rows non-decreasing
         every = [(index.position_of[w], r) for r, t in enumerate(texts) for w in t if w != "good"]
         assert found == sorted(found) == sorted(every)
+
+
+def reference_decisions(corpus, index, positions, genes) -> tuple:
+    """`ContextCorpus.decide`'s (codes, counts) one occurrence at a time:
+    each gene's pair code at each occurrence of its position's word, row by
+    row and left to right, gene by gene."""
+    occurrences = {}
+    for inst in corpus.instances:
+        for at, word in enumerate(inst.tokens):
+            occurrences.setdefault(word, []).append((inst.tokens, at))
+    codes, counts = [], []
+    for position, gene in zip(positions, genes):
+        found = occurrences.get(index.words[position], [])
+        for tokens, at in found:
+            fired = reference_fires(gene.rule, tokens, at)
+            codes.append(PAIR_CODES[gene.rule.context_pair if fired else gene.context_free_pair])
+        counts.append(len(found))
+    return codes, counts
+
+
+def decisions(corpus, index, sd, ad, positions, genes) -> tuple:
+    context = ContextCorpus(compile_corpus(corpus, slot_table(index, sd, ad)))
+    genome = cagasa_chromosome(genes)
+    codes, counts = context.decide(positions, genome.rows, genome.words)
+    return codes.tolist(), counts.tolist()
+
+
+DECIDE_WORDS = ["u", "v", "w", "good", "not"]  # gene words, then dictionary words
+LIST_WORDS = st.sampled_from(DECIDE_WORDS + ["x1", "x2", "x3"])  # x*: outside the corpus
+decide_genes = st.builds(
+    lambda ahead, behind, after, before, context, free: CagasaGene(
+        rule(after, before, ahead, behind, EVOLVABLE_PAIRS[context]), EVOLVABLE_PAIRS[free]
+    ),
+    st.integers(0, MAX_CONTEXT),
+    st.integers(0, MAX_CONTEXT),
+    st.sets(LIST_WORDS, max_size=MAX_CONTEXT),
+    st.sets(LIST_WORDS, max_size=MAX_CONTEXT),
+    st.integers(0, len(EVOLVABLE_PAIRS) - 1),
+    st.integers(0, len(EVOLVABLE_PAIRS) - 1),
+)
+FULL = CagasaGene(rule({"v", "w", "x1"}, {"u", "v", "x2"}, 3, 3, S(-1.0)), S(1.0))
+
+
+class TestDecide:
+    """`ContextCorpus.decide` against the rule applied one occurrence at a
+    time, whatever the order of the positions and however slices split a
+    gene's occurrences."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(DECIDE_WORDS), max_size=12), max_size=8),
+        picks=st.lists(st.tuples(st.sampled_from(DECIDE_WORDS[:3]), decide_genes), max_size=6),
+        slice_cells=st.sampled_from([1, 2, 7, None]),
+    )
+    # repeated words in full windows, full lists with words outside the
+    # corpus, and positions out of order and repeated
+    @example(
+        texts=[["u", "v", "v", "u", "w", "w", "u", "v"], ["w", "u"], [], ["v", "v", "v"]],
+        picks=[("v", FULL), ("u", FULL), ("v", replace(FULL, context_free_pair=A(0.5)))],
+        slice_cells=2,
+    )
+    def test_matches_reference(self, texts, picks, slice_cells):
+        corpus, sd, ad, index = make_problem(
+            [(t, "positive") for t in texts], {"good": S(1.0)}
+        )
+        picks = [(index.position_of[w], gene) for w, gene in picks if w in index.position_of]
+        positions, genes = [p for p, _ in picks], [g for _, g in picks]
+        with pytest.MonkeyPatch.context() as patch:
+            if slice_cells is not None:
+                patch.setattr(evosent.cagasa, "SLICE_CELLS", slice_cells)
+            found = decisions(corpus, index, sd, ad, positions, genes)
+        assert found == reference_decisions(corpus, index, positions, genes)
+
+    def test_more_than_255_gene_words(self):
+        """Occurrences sort on 16-bit gene keys past 255 gene words."""
+        rng = random.Random(3)
+        vocab = [f"g{k}" for k in range(300)]
+        texts = [[rng.choice(vocab) for _ in range(rng.randrange(1, 12))] for _ in range(300)]
+        corpus, sd, ad, index = make_problem([(t, "positive") for t in texts])
+        assert len(index) > 255
+        genes = CagasaProblem(corpus, index, sd, ad).random_genome(rng).genes
+        positions = [rng.randrange(len(index)) for _ in range(2 * len(index))]
+        picked = [genes[p] for p in positions]
+        found = decisions(corpus, index, sd, ad, positions, picked)
+        assert found == reference_decisions(corpus, index, positions, picked)
 
 
 class TestDeltaFitness:

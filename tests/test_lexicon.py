@@ -2,9 +2,10 @@ import io
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import evosent.lexicon
 from evosent.lexicon import (
     AMPLIFIER_VALUES,
     EVOLVABLE_PAIRS,
@@ -14,6 +15,7 @@ from evosent.lexicon import (
     Dictionary,
     Kind,
     LexiconParseError,
+    TextDecodeError,
     check_disjoint,
     export_lexicon,
     load_labeled_dictionary,
@@ -21,6 +23,7 @@ from evosent.lexicon import (
     lookup,
     parse_lexicon,
     seed_amplifier_dictionary,
+    text_lines,
 )
 
 from conftest import A, S
@@ -220,3 +223,34 @@ class TestLabeledDictionary:
         path = write(tmp_path, "lex.tsv", "good\tsentiment\t1.0\nbad\tsentiment\t-1.0\n")
         d = load_labeled_dictionary(path, Kind.SENTIMENT)
         assert d.get("bad") == S(-1.0)
+
+
+def split_lines(text: str) -> list:
+    """`text_lines`' rule through `str.split`: lines end at LF, less one CR
+    just before it, and a last line without LF keeps a final CR."""
+    lines = text.split("\n")
+    last = lines.pop()
+    return [line.removesuffix("\r") for line in lines] + ([last] if last else [])
+
+
+class TestTextLines:
+    """`text_lines` reads in chunks; a line, a CR or a CRLF may span chunks."""
+
+    @given(text=st.text(alphabet="ab\r\n\u00e9", max_size=40), chunk=st.sampled_from([1, 2, 3, 5]))
+    @example(text="a\rb\r\nc\n\r\n\r", chunk=3)  # CR, CRLF, an empty line, a lone final CR
+    @example(text="ab\r\ncd", chunk=3)  # the CRLF split across chunks
+    @example(text="abcdefgh\r\r\nb", chunk=2)  # a line of four chunks, ended by CR CRLF
+    def test_matches_split(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("lines") / "text.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evosent.lexicon, "TEXT_CHUNK_CHARS", chunk)
+            assert list(text_lines(path)) == split_lines(text)
+
+    def test_bad_utf8_in_a_later_chunk_names_the_file(self, tmp_path):
+        path = tmp_path / "text.txt"
+        path.write_bytes(b"good\n" * 30_000 + b"\xff\n")  # past the first chunk
+        lines = text_lines(path)
+        assert next(lines) == "good"
+        with pytest.raises(TextDecodeError, match=re.escape(str(path))):
+            list(lines)
