@@ -8,9 +8,10 @@ pair fires when at least half of the neighborhood is in the gene's lists
 empty neighborhood, the context-free pair applies.
 
 A genome holds each gene as a row of ints (`CagasaChromosome`), its list
-words as ids into a sorted word table that the genomes of a problem share.
-The operators and scoring read the rows; `genes` decodes them to
-`CagasaGene` objects for readers such as `model.save_model`.
+words as ids into a sorted word table that the genomes of a problem share,
+drawn from pools read off the neighbor table that `decide` uses
+(`ContextCorpus.pools`). The operators and scoring read the rows; `genes`
+decodes them to `CagasaGene` objects for readers such as `model.save_model`.
 
 `ContextCorpus.decide` applies the rule to every occurrence of a genome's
 gene words at once in numpy, for training and for prediction alike, and the
@@ -31,11 +32,11 @@ import random
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import pairwise
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Corpus, UnknownWordIndex
 from .gasa import (
     SLICE_CELLS,
     CompiledCorpus,
@@ -136,27 +137,6 @@ def from_fields(genes, words=None) -> CagasaChromosome:
     if len(rows) != ROW * len(genes):
         raise ValueError(f"a context list holds more than {MAX_CONTEXT} words")
     return CagasaChromosome(rows.tobytes(), words)
-
-
-def corpus_neighbors(corpus: Corpus, index: UnknownWordIndex) -> Tuple[tuple, list]:
-    """(words, pools): the sorted words next to a gene word in the corpus,
-    and for each gene position the (following, preceding) words next to its
-    word, each as ascending ids into `words`, the pools of its next and its
-    previous list. Ids sort as their words do, so a draw from a pool picks
-    what it would from the sorted words."""
-    position_of = index.position_of
-    sides = [(set(), set()) for _ in index.words]
-    for inst in corpus.instances:
-        tokens = inst.tokens
-        for before, after in zip(tokens, tokens[1:]):
-            if (k := position_of.get(before)) is not None:
-                sides[k][0].add(after)
-            if (k := position_of.get(after)) is not None:
-                sides[k][1].add(before)
-    words = tuple(sorted(set().union(*(side for pair in sides for side in pair))))
-    ids = dict(zip(words, range(len(words))))
-    pools = [tuple(tuple(sorted(map(ids.__getitem__, side))) for side in pair) for pair in sides]
-    return words, pools
 
 
 def random_cagasa_chromosome(
@@ -288,6 +268,27 @@ class ContextCorpus:
             self._ahead, self._behind = ahead, behind
         return self._ahead, self._behind
 
+    def pools(self, genes: int) -> Tuple[tuple, list]:
+        """(words, pools): the sorted words next to a gene word, and for each
+        of `genes` positions the (following, preceding) words next to its
+        occurrences, as ascending ids into `words`: row 0 of each side of
+        `neighbor_ids`, which no repeat clears. Ids sort as their words do,
+        so a draw from a pool picks what it would from the sorted words."""
+        names, sides = list(self.compiled.vocabulary), [rows[0] for rows in self.neighbor_ids(1)]
+        used = np.zeros(len(names) + 1, dtype=bool)  # the last, index -1, for no word
+        used[sides[0]] = used[sides[1]] = True
+        order = sorted(np.flatnonzero(used[:-1]).tolist(), key=names.__getitem__)
+        rank, size = np.empty(len(names), dtype=np.int64), len(order)
+        rank[order] = np.arange(size)
+        shared, pools = list(range(size)).__getitem__, []  # one int object per id, for all pools
+        for row in sides:  # one side at a time, to bound the temporaries
+            seen = row >= 0
+            keys = np.sort(self.occurrence_gene[seen].astype(np.int64) * size + rank[row[seen]])
+            keys = keys[np.diff(keys, prepend=-1) != 0]  # each (gene, word) once
+            starts, ids = np.searchsorted(keys, np.arange(genes + 1) * size), keys % max(size, 1)
+            pools.append([tuple(map(shared, ids[a:b].tolist())) for a, b in pairwise(starts)])
+        return tuple(map(names.__getitem__, order)), list(zip(*pools))
+
     def decide(
         self, positions: Sequence[int], rows: bytes, words: tuple
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -337,9 +338,8 @@ class CagasaProblem(WordGeneProblem):
     (random genomes with no parent), and the others wait in `_batched`, from
     which a later call only moves the genome's state to `_scored`.
 
-    Its genomes share one word table, `words`, the corpus words that stand
-    next to a gene word; each gene position's lists draw from its pools of
-    the words next to its word, built once with the table.
+    Its genomes share one word table and draw their lists from the pools of
+    `ContextCorpus.pools`, built with `_context` on first use.
 
     A genome's code chunks are its segments: the int8 pair codes each gene
     decides at its position's occurrences. Genomes that hold the same
@@ -350,25 +350,25 @@ class CagasaProblem(WordGeneProblem):
     `decide` call, and a genome scored in full in a `decide` call of its own.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.words, self._pools = corpus_neighbors(self.corpus, self.index)
-
     @cached_property
     def _context(self) -> ContextCorpus:
         return ContextCorpus(compile_corpus(self.corpus, self.table))
+
+    @cached_property
+    def _neighbors(self) -> Tuple[tuple, list]:
+        return self._context.pools(len(self.index))
 
     @property
     def _compiled(self) -> CompiledCorpus:
         return self._context.compiled
 
     def random_genome(self, rng: random.Random) -> CagasaChromosome:
-        genome = random_cagasa_chromosome(self.words, self._pools, rng)
+        genome = random_cagasa_chromosome(*self._neighbors, rng)
         self._lineage[id(genome)] = genome, None, None, None
         return genome
 
     def _mutate_at(self, genome: CagasaChromosome, rng: random.Random):
-        return mutate_cagasa_at(genome, self._pools, rng)
+        return mutate_cagasa_at(genome, self._neighbors[1], rng)
 
     def fitness(self, genome: CagasaChromosome) -> int:
         """Correctly labelled instances. Every gene pair must be evolvable,

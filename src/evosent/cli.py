@@ -39,6 +39,7 @@ from .experiments import (
 )
 from .ga_engine import CONFIG_FIELDS, GAConfig, parse_config_file
 from .lexicon import (
+    NEUTRAL_PAIR,
     ConflictingWordError,
     Kind,
     LexiconParseError,
@@ -272,10 +273,11 @@ def cmd_synth(args) -> int:
     rng = random.Random(seed)
     if args.lexicon is not None:
         entries = parse_lexicon(_require_file(args.lexicon, "planted lexicon"))
-        planted = {w: p for w, p in entries.items() if p.value != 0.0}
-        _require(bool(planted), "planted lexicon has no word with a nonzero value")
-        fillers = frozenset(w for w, p in entries.items() if p.value == 0.0)
-        lexicon = PlantedLexicon(planted, fillers)
+        # only neutral sentiment words are fillers: an amplifier 0 is planted
+        planted = {w: p for w, p in entries.items() if p != NEUTRAL_PAIR}
+        nonzero = any(p.value != 0.0 for p in planted.values())
+        _require(nonzero, "planted lexicon has no word with a nonzero value")
+        lexicon = PlantedLexicon(planted, frozenset(entries.keys() - planted.keys()))
     else:
         lexicon = random_planted_lexicon(args.planted_words, args.filler_words, rng)
     lengths = (args.min_length, args.max_length)

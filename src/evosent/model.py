@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .cagasa import MAX_CONTEXT, ContextCorpus, from_fields
-from .corpus import UnknownWordIndex
+from .corpus import UnknownWordIndex, tokenize
 from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
 from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_tokens, left_padded, scores
@@ -172,6 +172,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
     gene_positions = {}
     gasa_codes = []
     cagasa_genes = []
+    named = []  # (line number, the words it names) for each record that names words
     for lineno, line in enumerate(text_lines(source), start=1):
         if not line:
             continue
@@ -188,10 +189,12 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                 if fields[1] in target:
                     raise ValueError(f"duplicate {pair.kind.value} word {fields[1]!r}")
                 target[fields[1]] = pair
+                named.append((lineno, fields[1]))
             elif tag == "gene":
                 if len(fields) != 4:
                     raise ValueError("bad gene record")
                 gasa_codes.append(_gene_code(fields[2], fields[3]))
+                named.append((lineno, fields[1]))
             elif tag == "cgene":
                 if len(fields) != 12:
                     raise ValueError("bad cgene record")
@@ -203,6 +206,7 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                         raise ValueError(f"{name} exceeds its declared capacity")
                 free = _gene_code(fields[10], fields[11])
                 cagasa_genes.append((ahead, behind, free, context, *sizes, *lists))
+                named.append((lineno, fields[1], *lists[0], *lists[1]))
             elif len(fields) == 2:
                 if tag not in HEADER_KEYS:
                     raise ValueError(f"unknown header record {tag!r}")
@@ -217,6 +221,11 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                 gene_positions[fields[1]] = len(gene_positions)
         except ValueError as exc:
             raise ModelFormatError(f"line {lineno}: {exc}") from exc
+    # the tokens of the words joined are the words exactly when each word is
+    # a token of itself; any other word matches no token of any text
+    if tokenize(" ".join(words := [w for record in named for w in record[1:]])) != words:
+        lineno, word = next((r[0], w) for r in named for w in r[1:] if tokenize(w) != [w])
+        raise ModelFormatError(f"line {lineno}: expected a single word, got {word!r}")
     if header.get("model") != FORMAT_VERSION:
         raise ModelFormatError("missing or unsupported model version header")
     algo = header.get("algo")

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from evosent.cagasa import CagasaGene
+from evosent.cagasa import CagasaGene, ContextCorpus
 from evosent.corpus import Corpus, Instance, Label, UnknownWordIndex
-from evosent.evaluator import Semantics, Verdict, classify_score
+from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
 from evosent.ga_engine import GAConfig
-from evosent.gasa import GasaChromosome
+from evosent.gasa import GasaChromosome, compile_corpus
 from evosent.lexicon import ClassificationValuePair, Dictionary, Kind
 from evosent.model import TrainedModel
 from oracles import cagasa_chromosome
@@ -30,6 +30,13 @@ def make_corpus(rows) -> Corpus:
     return Corpus(
         tuple(Instance(tuple(tokens), Label(label)) for tokens, label in rows)
     )
+
+
+def neighbor_pools(corpus, index) -> tuple:
+    """(words, pools) of `ContextCorpus.pools` on `corpus`, whose genes are
+    `index`'s words: what a `CagasaProblem` on them draws from."""
+    empty = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
+    return ContextCorpus(compile_corpus(corpus, slot_table(index, *empty))).pools(len(index))
 
 
 def flat(token_lists) -> tuple:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from evosent.cagasa import CagasaGene, ContextRule, corpus_neighbors, random_cagasa_chromosome
+from evosent.cagasa import CagasaGene, ContextRule, random_cagasa_chromosome
 from evosent.cli import main as cli_main
 from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics
@@ -36,7 +36,7 @@ from evosent.lexicon import (
 
 import run_frequency_trend
 import run_planted_recovery
-from conftest import A, S, fires, flat, make_corpus, predicted, trained_model
+from conftest import A, S, fires, flat, make_corpus, neighbor_pools, predicted, trained_model
 from oracles import (
     cagasa_chromosome,
     cagasa_fitness,
@@ -330,7 +330,7 @@ def test_08_cagasa_reduction(capsys):
             sd = Dictionary({}, Kind.SENTIMENT)
             ad = seed_amplifier_dictionary()
             index = build_unknown_index(corpus, sd, ad)
-            base = random_cagasa_chromosome(*corpus_neighbors(corpus, index), rnd)
+            base = random_cagasa_chromosome(*neighbor_pools(corpus, index), rnd)
             stripped = cagasa_chromosome(
                 tuple(
                     CagasaGene(

@@ -20,7 +20,6 @@ from evosent.cagasa import (
     CagasaProblem,
     ContextCorpus,
     ContextRule,
-    corpus_neighbors,
     mutate_cagasa_at,
     random_cagasa_chromosome,
 )
@@ -31,7 +30,7 @@ from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import PAIR_CODES, compile_corpus, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
-from conftest import A, S, fires, make_corpus, predicted, trained_model
+from conftest import A, S, fires, make_corpus, neighbor_pools, predicted, trained_model
 from oracles import (
     cagasa_chromosome,
     cagasa_fitness,
@@ -165,7 +164,7 @@ class TestResolveWord:
 
 def named_pools(corpus, index) -> list:
     """Each gene position's (following, preceding) pool, as words."""
-    words, pools = corpus_neighbors(corpus, index)
+    words, pools = neighbor_pools(corpus, index)
     return [tuple(tuple(words[k] for k in pool) for pool in pair) for pair in pools]
 
 
@@ -173,7 +172,7 @@ class TestCorpusNeighbors:
     def test_adjacency(self):
         corpus = make_corpus([(["a", "b", "c"], "positive")])
         index = UnknownWordIndex(("b", "a", "c"), {"b": 0, "a": 1, "c": 2})
-        assert corpus_neighbors(corpus, index)[0] == ("a", "b", "c")
+        assert neighbor_pools(corpus, index)[0] == ("a", "b", "c")
         assert named_pools(corpus, index) == [(("c",), ("a",)), (("b",), ()), ((), ("b",))]
 
     def test_sorted_distinct_words(self):
@@ -181,12 +180,40 @@ class TestCorpusNeighbors:
             [(["d", "w", "b"], "positive"), (["c", "w", "b", "w", "a"], "negative")]
         )
         index = UnknownWordIndex(("w",), {"w": 0})
-        words, pools = corpus_neighbors(corpus, index)
+        words, pools = neighbor_pools(corpus, index)
         assert words == ("a", "b", "c", "d") and pools == [((0, 1), (1, 2, 3))]
         # the reference's (preceding, following) neighbours, in reverse
         index = build_unknown_index(corpus, *make_problem([])[1:3])
         reference = reference_corpus_neighbors(corpus)
         assert named_pools(corpus, index) == [reference[w][::-1] for w in index.words]
+
+    @pytest.mark.parametrize(
+        "texts, genes, expected",
+        [
+            # a gene word next to itself
+            ([["w", "w"]], "w", (("w",), [((0,), (0,))])),
+            # a gene word only in one-word sentences has empty pools
+            ([["w"], ["w"]], "w", ((), [((), ())])),
+            ([["w"], ["a", "b"], ["w"]], "wab", (("a", "b"), [((), ()), ((1,), ()), ((), (0,))])),
+            # row 0 of a side keeps the adjacent word even where it repeats one
+            # further away, and each (gene, side, word) once
+            ([["a", "b", "a", "w", "a", "b", "a", "w", "a"]], "w", (("a",), [((0,), (0,))])),
+            ([["b", "w", "a", "a", "w", "b", "b"]], "w", (("a", "b"), [((0, 1), (0, 1))])),
+        ],
+    )
+    def test_directed(self, texts, genes, expected):
+        corpus = make_corpus([(tokens, "positive") for tokens in texts])
+        index = UnknownWordIndex(tuple(genes), {w: k for k, w in enumerate(genes)})
+        assert neighbor_pools(corpus, index) == expected
+
+    def test_dictionary_word_is_a_neighbor(self):
+        corpus, sd, ad, index = make_problem(
+            [(["good", "w", "not"], "positive"), (["not", "good"], "negative")], {"good": S(1.0)}
+        )
+        assert index.words == ("w",)
+        problem = CagasaProblem(corpus, index, sd, ad)
+        assert "_context" not in vars(problem)  # building the problem compiles nothing
+        assert problem._neighbors == (("good", "not"), [((1,), (0,))])
 
 
 class TestRandomGene:
@@ -227,7 +254,7 @@ class TestOperators:
     def _random_chromosome(self, rng, rows=None):
         rows = rows or [(["u", "v", "w"], "positive"), (["v", "w", "u"], "negative")]
         corpus, sd, ad, index = make_problem(rows)
-        words, pools = corpus_neighbors(corpus, index)
+        words, pools = neighbor_pools(corpus, index)
         return random_cagasa_chromosome(words, pools, rng), pools
 
     def test_crossover_swaps_whole_gene(self, rng):
@@ -312,7 +339,7 @@ class TestRowsMatchReference:
         corpus, _, _, index = make_problem(
             [(t, "positive") for t in texts], {"good": S(1.0)}
         )
-        words, pools = corpus_neighbors(corpus, index)
+        words, pools = neighbor_pools(corpus, index)
         neighbors = reference_corpus_neighbors(corpus)
         by_position = [neighbors.get(w, ((), ())) for w in index.words]
         rng, reference = random.Random(seed), random.Random(seed)
@@ -371,7 +398,7 @@ class TestGasaReduction:
         sd = Dictionary({}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        chromosome = neutralized(random_cagasa_chromosome(*corpus_neighbors(corpus, index), rnd))
+        chromosome = neutralized(random_cagasa_chromosome(*neighbor_pools(corpus, index), rnd))
         gasa_chromosome = to_context_free_gasa(chromosome)
         assert cagasa_fitness(
             chromosome, corpus, index, sd, ad, semantics

@@ -2,7 +2,11 @@ import pytest
 
 from evosent import experiments
 from evosent.cli import main
+from evosent.corpus import Label, load_corpus
+from evosent.lexicon import parse_lexicon
 from evosent.model import load_model
+
+from oracles import reference_sentence_score
 
 
 @pytest.fixture
@@ -220,6 +224,11 @@ class TestPredict:
             ("gasa", None, None, "semantics\tprose", "repeated header record 'semantics'"),
             ("gasa", None, None, "bogus_field\tx", "unknown header record 'bogus_field'"),
             ("gasa", None, None, "seed\t5", "repeated header record 'seed'"),
+            # a word no token can match
+            ("gasa", "gene", 1, "Good-Day", "expected a single word, got 'Good-Day'"),
+            ("gasa", "dict", 1, "well-done", "expected a single word, got 'well-done'"),
+            ("cagasa", "cgene", 1, "Zorp", "expected a single word, got 'Zorp'"),
+            ("cagasa", "cgene", 4, "good!", "expected a single word, got 'good!'"),
         ],
     )
     def test_impossible_model_exits_1(
@@ -432,6 +441,24 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--lexicon", str(lex)]) == 1
         assert "nonzero" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_amplifier_is_planted_not_a_filler(self, tmp_path):
+        """An amplifier 0 adds to the PROSE accumulator, which a filler, a
+        neutral sentiment word, would consume: every label is the sign of
+        the reference score, and the ground truth keeps the amplifier."""
+        lex, out, truth_out = (tmp_path / name for name in ("planted.tsv", "c.tsv", "truth.tsv"))
+        lex.write_text(
+            "big\tamplifier\t1.5\nzero\tamplifier\t0.0\n"
+            "good\tsentiment\t1.0\nbad\tsentiment\t-1.0\n"
+        )
+        flags = "--semantics prose --instances 200 --min-length 3 --max-length 3 --seed 3"
+        argv = ["synth", "--out", str(out), "--lexicon", str(lex), "--lexicon-out", str(truth_out)]
+        assert main(argv + flags.split()) == 0
+        truth = parse_lexicon(lex)
+        assert parse_lexicon(truth_out) == truth
+        for inst in load_corpus(out).instances:
+            score = reference_sentence_score([truth[w] for w in inst.tokens], prose=True)
+            assert score > 0.0 if inst.label is Label.POSITIVE else score < 0.0, inst.tokens
 
     @pytest.mark.parametrize(
         "flags, lexicon",

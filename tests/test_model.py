@@ -17,7 +17,6 @@ from evosent.cagasa import (
     MAX_CONTEXT,
     CagasaGene,
     ContextRule,
-    corpus_neighbors,
     random_cagasa_chromosome,
 )
 from evosent.cli import main
@@ -29,7 +28,7 @@ from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_di
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
 import oracles
-from conftest import A, S, make_corpus, predicted
+from conftest import A, S, make_corpus, neighbor_pools, predicted
 from oracles import cagasa_chromosome, cagasa_verdict, gasa_chromosome, gasa_verdict
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -68,7 +67,7 @@ def cagasa_model():
     sd = Dictionary({}, Kind.SENTIMENT)
     ad = seed_amplifier_dictionary()
     index = build_unknown_index(corpus, sd, ad)
-    chromosome = random_cagasa_chromosome(*corpus_neighbors(corpus, index), random.Random(1))
+    chromosome = random_cagasa_chromosome(*neighbor_pools(corpus, index), random.Random(1))
     return TrainedModel(
         algo="cagasa",
         semantics=Semantics.LITERAL,
@@ -277,6 +276,14 @@ class TestFormatErrors:
             (cagasa_model, "cgene", 1, 7, "-4", "number_behind -4 is outside 1..3"),
             (cagasa_model, "cgene", 0, 7, "4", "number_behind 4 is outside 1..3"),
             (gasa_model, "dict", 2, 1, "not", "duplicate amplifier word 'not'"),
+            # a word no token can match
+            (gasa_model, "gene", 0, 1, "Good-Day", "line 15: expected a single word, got 'Good-"),
+            (gasa_model, "gene", 1, 1, "Zorp", "expected a single word, got 'Zorp'"),
+            (gasa_model, "dict", 0, 1, "well-done", "line 12: expected a single word"),
+            (gasa_model, "dict", 1, 1, "", "expected a single word, got ''"),
+            (cagasa_model, "cgene", 0, 1, "a b", "expected a single word, got 'a b'"),
+            (cagasa_model, "cgene", 0, 4, "good!", "expected a single word, got 'good!'"),
+            (cagasa_model, "cgene", 1, 5, "Blick", "expected a single word, got 'Blick'"),
         ],
     )
     def test_inconsistent_model_rejected(
