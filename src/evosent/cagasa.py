@@ -41,7 +41,7 @@ from .gasa import (
     SLICE_CELLS,
     CompiledCorpus,
     WordGeneProblem,
-    compile_corpus,
+    compile_ids,
     forced_new_code,
     random_code,
     slices,
@@ -352,7 +352,8 @@ class CagasaProblem(WordGeneProblem):
 
     @cached_property
     def _context(self) -> ContextCorpus:
-        return ContextCorpus(compile_corpus(self.corpus, self.table))
+        c = self.corpus
+        return ContextCorpus(compile_ids(c.words, c.ids, c.lengths, self.table, c.positive))
 
     @cached_property
     def _neighbors(self) -> Tuple[tuple, list]:

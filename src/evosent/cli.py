@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import defaultdict
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 from .corpus import (
@@ -177,7 +179,7 @@ def _load_dictionaries(args):
 def _load_corpora(args) -> Corpus:
     corpora = [load_corpus(_require_file(p, "corpus")) for p in args.corpus]
     corpus = corpora[0] if len(corpora) == 1 else concat_corpora(corpora)
-    if not corpus.instances:
+    if len(corpus) == 0:
         raise ValidationError("corpus is empty")
     return corpus
 
@@ -225,9 +227,9 @@ def cmd_predict(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for start in range(0, len(lines), PREDICT_BLOCK_LINES):
-            # no name holds a block's tokens, so they go before the next block's
-            block = lines[start : start + PREDICT_BLOCK_LINES]
-            score = model.sentence_scores(*tokenize_block(block))
+            words = defaultdict(count().__next__)  # each block's own vocabulary
+            ids, lengths = tokenize_block(lines[start : start + PREDICT_BLOCK_LINES], words)
+            score = model.sentence_scores(words, ids, lengths)
             out.write("".join(map(text.__getitem__, (1 + (score > 0) - (score < 0)).tolist())))
     finally:
         if out is not sys.stdout:

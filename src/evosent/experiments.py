@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import random
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -20,8 +21,6 @@ import numpy as np
 from .cagasa import CagasaProblem
 from .corpus import (
     Corpus,
-    Instance,
-    Label,
     SplitError,
     build_unknown_index,
     make_folds,
@@ -30,7 +29,7 @@ from .corpus import (
 )
 from .evaluator import Semantics
 from .ga_engine import GAConfig, RunStats, config_records, run_ga
-from .gasa import SLICE_CELLS, GasaProblem, compile_tokens, scores
+from .gasa import SLICE_CELLS, GasaProblem, compile_ids, scores
 from .lexicon import NEUTRAL_PAIR, ClassificationValuePair, Dictionary, Kind, check_disjoint
 from .model import TrainedModel
 
@@ -188,11 +187,8 @@ def run_word_cv(
     )
 
 
-def _test_accuracy(
-    model: TrainedModel, test_corpus: Corpus
-) -> Tuple[float, Dict[str, float]]:
-    score = model.sentence_scores(*test_corpus.flat_tokens())
-    positive = np.array([inst.label is Label.POSITIVE for inst in test_corpus.instances])
+def _test_accuracy(model: TrainedModel, test: Corpus) -> Tuple[float, Dict[str, float]]:
+    score, positive = model.sentence_scores(test.words, test.ids, test.lengths), test.positive
     counts = {
         "true_positive": np.count_nonzero(positive & (score > 0.0)),
         "true_negative": np.count_nonzero(~positive & (score < 0.0)),
@@ -216,7 +212,7 @@ def run_holdout_accuracy(
     check_disjoint(sentiment_dict, amplifier_dict)
     train_corpus, test = split_holdout(corpus, train_fraction, config.seed)
     for side, part in (("train", train_corpus), ("test", test)):
-        if not part.instances:
+        if len(part) == 0:
             raise SplitError(f"train fraction {train_fraction} leaves the {side} side empty")
     model, stats = train(train_corpus, sentiment_dict, amplifier_dict, config, semantics, algo)
     accuracy, counts = _test_accuracy(model, test)
@@ -246,16 +242,15 @@ def run_instance_cv(
 ) -> ExperimentReport:
     """k-fold cross-validation over instances (the GASA vs CA-GASA protocol)."""
     check_disjoint(sentiment_dict, amplifier_dict)
-    folds = make_folds(list(corpus.instances), k, config.seed)
+    folds = make_folds(range(len(corpus)), k, config.seed)
     fold_accuracies = []
-    for fold_idx, test_instances in enumerate(folds):
-        held_out = set(id(inst) for inst in test_instances)
-        train_corpus = Corpus(tuple(i for i in corpus.instances if id(i) not in held_out))
+    for fold_idx, test_rows in enumerate(folds):
+        train_corpus = corpus.take(np.setdiff1d(np.arange(len(corpus)), test_rows))
         fold_config = replace(config, seed=config.seed + fold_idx)
         model, _ = train(
             train_corpus, sentiment_dict, amplifier_dict, fold_config, semantics, algo
         )
-        accuracy, _counts = _test_accuracy(model, Corpus(tuple(test_instances)))
+        accuracy, _counts = _test_accuracy(model, corpus.take(test_rows))
         fold_accuracies.append(accuracy)
     return ExperimentReport(
         protocol=Protocol.GASA_VS_CAGASA,
@@ -296,10 +291,10 @@ def generate_synthetic_corpus(
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ValueError(f"bad length range {length_range}")
-    vocabulary = sorted(lexicon.entries) + sorted(lexicon.fillers)
+    words = tuple(sorted(lexicon.entries) + sorted(lexicon.fillers))
     table = lexicon.entries  # fillers are missing, so they compile as neutral
     half = n_instances // 2
-    positives, negatives = [], []
+    positives, negatives = [], []  # each accepted sentence's ids
     budget = 10 * n_instances
     draws = 0
     while (len(positives) < half or len(negatives) < half) and draws < budget:
@@ -307,20 +302,22 @@ def generate_synthetic_corpus(
         block = []
         for _ in range(min(open_slots, budget - draws, max(SLICE_CELLS // hi, 1))):
             length = rng.randint(lo, hi)
-            block.append(tuple(vocabulary[rng.randrange(len(vocabulary))] for _ in range(length)))
+            block.append(array("i", [rng.randrange(len(words)) for _ in range(length)]))
         draws += len(block)
-        compiled = compile_tokens(list(chain.from_iterable(block)), list(map(len, block)), table)
+        ids = np.frombuffer(b"".join(block), dtype=np.int32)
+        compiled = compile_ids(words, ids, list(map(len, block)), table)
         block_scores = scores(compiled, np.zeros((0, 1), np.int8), semantics)
-        for tokens, score in zip(block, block_scores[0].tolist()):
+        for sentence, score in zip(block, block_scores[0].tolist()):
             if score > 0.0 and len(positives) < half:
-                positives.append(Instance(tokens, Label.POSITIVE))
+                positives.append(sentence)
             elif score < 0.0 and len(negatives) < half:
-                negatives.append(Instance(tokens, Label.NEGATIVE))
+                negatives.append(sentence)
     if len(positives) < half or len(negatives) < half:
-        raise GenerationError(
-            f"could not balance {n_instances} instances within {budget} draws"
-        )
-    return Corpus(tuple(chain.from_iterable(zip(positives, negatives))))
+        raise GenerationError(f"could not balance {n_instances} instances within {budget} draws")
+    sentences = list(chain.from_iterable(zip(positives, negatives)))
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n_instances)
+    ids = np.frombuffer(b"".join(sentences), dtype=np.int32)
+    return Corpus(words, ids, lengths, np.arange(n_instances) % 2 == 0)
 
 
 def report_records(report: ExperimentReport):

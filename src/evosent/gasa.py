@@ -5,7 +5,7 @@ index. Each gene is a pair code: a byte that indexes `EVOLVABLE_PAIRS`, the
 six classification-value pairs a gene may hold. Fitness is the number of
 training instances whose evaluated polarity matches the true label; the
 test suite asserts it equal to the plain reference implementation in
-`tests/oracles.py`. `compile_tokens` turns token sequences into a slot
+`tests/oracles.py`. `compile_ids` turns sentences of word ids into a slot
 matrix, and `scores` scores columns of pair codes on it through
 `accumulate`, the column loop over the slot matrix. `labelled_correctly`
 wraps `scores` for training; both algorithms train and predict on them.
@@ -21,7 +21,6 @@ changed gene's word.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, count
@@ -29,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Corpus, Label, UnknownWordIndex
+from .corpus import Corpus, UnknownWordIndex
 from .evaluator import Semantics, SlotTable, slot_table
 from .lexicon import EVOLVABLE_PAIRS, NEUTRAL_PAIR, Dictionary, Kind
 
@@ -126,20 +125,17 @@ class CompiledCorpus:
 
     slots: np.ndarray  # (instances, width) int32
     words: np.ndarray  # (instances, width) int32
-    vocabulary: dict  # word -> id, in order of first occurrence; read with .get
+    vocabulary: dict  # word -> id, in id order; read with .get
     fixed_values: np.ndarray  # (fixed pairs,) float64
     fixed_is_amp: np.ndarray  # (fixed pairs,) bool
     label_positive: Optional[np.ndarray] = None  # (instances,) bool; None for unlabelled text
 
 
-def compile_tokens(
-    tokens: Sequence[str], lengths: Sequence[int], table: SlotTable
-) -> CompiledCorpus:
-    """The unlabelled `CompiledCorpus` of sentences given as one flat token
-    sequence, sentence k the next lengths[k] tokens. A word missing from the
-    table is neutral."""
-    vocabulary = defaultdict(count().__next__)  # a new word takes the next id
-    ids = np.fromiter(map(vocabulary.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+def compile_ids(words, ids, lengths, table: SlotTable, label_positive=None) -> CompiledCorpus:
+    """The `CompiledCorpus` of sentences given as one flat array of ids into
+    `words` (a vocabulary dict is kept as it is), sentence k the next lengths[k]
+    ids, with their labels if given. A word missing from the table is neutral."""
+    vocabulary = words if isinstance(words, dict) else dict(zip(words, count()))
     entries = [table.get(word, NEUTRAL_PAIR) for word in vocabulary]
     dictionary_pairs = dict.fromkeys(e for e in entries if not isinstance(e, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
@@ -148,13 +144,14 @@ def compile_tokens(
     word_slots = np.array(
         [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
     )
-    words = left_padded(ids, np.asarray(lengths, dtype=np.int64))
+    padded = left_padded(ids, np.asarray(lengths, dtype=np.int64))
     return CompiledCorpus(
-        slots=word_slots[words],
-        words=words,
+        slots=word_slots[padded],
+        words=padded,
         vocabulary=vocabulary,
         fixed_values=np.array([p.value for p in fixed_pairs], dtype=np.float64),
         fixed_is_amp=np.array([p.kind is Kind.AMPLIFIER for p in fixed_pairs]),
+        label_positive=label_positive,
     )
 
 
@@ -166,12 +163,6 @@ def left_padded(cells: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     # the mask's cells run row by row, left to right, the order of `cells`
     matrix[np.arange(width) >= width - lengths[:, None]] = cells
     return matrix
-
-
-def compile_corpus(corpus: Corpus, table: SlotTable) -> CompiledCorpus:
-    compiled = compile_tokens(*corpus.flat_tokens(), table)
-    labels = [inst.label is Label.POSITIVE for inst in corpus.instances]
-    return replace(compiled, label_positive=np.array(labels, dtype=bool))
 
 
 def scores(compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics) -> np.ndarray:
@@ -318,7 +309,7 @@ class WordGeneProblem:
         self.sentiment_dict = sentiment_dict
         self.amplifier_dict = amplifier_dict
         self.semantics = semantics
-        self.max_fitness = len(corpus.instances)
+        self.max_fitness = len(corpus)
         self.table = slot_table(index, sentiment_dict, amplifier_dict)
         self._lineage: dict = {}  # id(child) -> (child, parent, position, donor or None)
         self._parents: dict = {}  # id(genome) -> its state, for the last generation
@@ -328,7 +319,8 @@ class WordGeneProblem:
     @cached_property
     def _compiled(self) -> CompiledCorpus:
         """Built on first use, so that building the problem stays cheap."""
-        return compile_corpus(self.corpus, self.table)
+        c = self.corpus
+        return compile_ids(c.words, c.ids, c.lengths, self.table, c.positive)
 
     def _kept(self, genome):
         key = id(genome)

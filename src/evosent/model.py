@@ -16,10 +16,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .cagasa import MAX_CONTEXT, ContextCorpus, from_fields
-from .corpus import UnknownWordIndex, tokenize
+from .corpus import UnknownWordIndex, token_cells, tokenize
 from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
-from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_tokens, left_padded, scores
+from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_ids, left_padded, scores
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair, text_lines
 
 FORMAT_VERSION = "1"
@@ -53,30 +53,28 @@ class TrainedModel:
 
     def predict(self, tokens: Sequence[str]) -> Verdict:
         """The polarity the model gives a token sequence."""
-        return classify_score(self.sentence_scores(tokens, [len(tokens)])[0])
+        words = {word: k for k, word in enumerate(dict.fromkeys(tokens))}
+        ids = [words[token] for token in tokens]
+        return classify_score(self.sentence_scores(words, ids, [len(ids)])[0])
 
-    def sentence_scores(self, tokens: Sequence[str], lengths: Sequence[int]) -> np.ndarray:
-        """The score of each line of a block given as one flat token sequence,
-        line k the next lengths[k] tokens. The block is compiled as one row; its
-        lines are then sorted by length and scored on the training kernel in
-        slices of at most SLICE_CELLS slot-matrix elements, so that short lines
-        are not padded to the width of long ones. A longer line takes a slice alone."""
-        row = compile_tokens(tokens, [len(tokens)], self.table)
+    def sentence_scores(self, words, ids, lengths: Sequence[int]) -> np.ndarray:
+        """The score of each line of a block as `tokenize_block` gives it, ids
+        into `words`, line k the next lengths[k]. The block is compiled as one
+        row, then its lines are sorted by length and scored on the training
+        kernel in slices of at most SLICE_CELLS slot-matrix elements, so short
+        lines are not padded to the width of long ones; a longer line is one slice."""
+        row = compile_ids(words, ids, [len(ids)], self.table)
         lengths = np.asarray(lengths, dtype=np.int64)
         order = np.argsort(lengths, kind="stable")
         firsts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
-        block_scores = np.empty(len(lengths))
-        start = 0
+        block_scores, start = np.empty(len(lengths)), 0
         while start < len(lengths):
             # the longest run of lines whose rows times its width fits, at least one
             elements = np.arange(1, len(lengths) - start + 1) * lengths[start:]
             end = start + max(1, int(np.searchsorted(elements, SLICE_CELLS, side="right")))
-            part = lengths[start:end]
-            # the run's tokens' indices in `tokens`, line by line
-            cells = np.repeat(firsts[start:end] - np.cumsum(part) + part, part)
-            cells += np.arange(len(cells))
-            words, slots = (left_padded(ids[0, cells], part) for ids in (row.words, row.slots))
-            compiled = replace(row, words=words, slots=slots)
+            part, cells = lengths[start:end], token_cells(firsts[start:end], lengths[start:end])
+            padded, slots = (left_padded(m[0, cells], part) for m in (row.words, row.slots))
+            compiled = replace(row, words=padded, slots=slots)
             if self.algo == "gasa":
                 codes = np.frombuffer(self.chromosome.codes, dtype=np.int8)
             else:

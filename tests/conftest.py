@@ -2,16 +2,17 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evosent.cagasa import CagasaGene, ContextCorpus
 from evosent.corpus import Corpus, Instance, Label, UnknownWordIndex
 from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
 from evosent.ga_engine import GAConfig
-from evosent.gasa import GasaChromosome, compile_corpus
+from evosent.gasa import GasaChromosome, compile_ids
 from evosent.lexicon import ClassificationValuePair, Dictionary, Kind
 from evosent.model import TrainedModel
-from oracles import cagasa_chromosome
+from oracles import cagasa_chromosome, corpus_of
 
 # The experiment scripts are importable, so that tests run the code users run.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -27,23 +28,29 @@ def A(value: float) -> ClassificationValuePair:
 
 def make_corpus(rows) -> Corpus:
     """rows: iterable of (tokens, 'positive'|'negative')."""
-    return Corpus(
-        tuple(Instance(tuple(tokens), Label(label)) for tokens, label in rows)
-    )
+    return corpus_of(Instance(tuple(tokens), Label(label)) for tokens, label in rows)
 
 
 def neighbor_pools(corpus, index) -> tuple:
     """(words, pools) of `ContextCorpus.pools` on `corpus`, whose genes are
     `index`'s words: what a `CagasaProblem` on them draws from."""
     empty = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
-    return ContextCorpus(compile_corpus(corpus, slot_table(index, *empty))).pools(len(index))
+    return ContextCorpus(compiled_corpus(corpus, slot_table(index, *empty))).pools(len(index))
+
+
+def compiled_corpus(corpus, table):
+    """`corpus` compiled as a training problem compiles it."""
+    return compile_ids(corpus.words, corpus.ids, corpus.lengths, table, corpus.positive)
 
 
 def flat(token_lists) -> tuple:
-    """(tokens, lengths): token lists as one flat list, and each list's
-    length, the form `compile_tokens` and `TrainedModel.sentence_scores` take."""
+    """(vocabulary, ids, lengths): token lists as `tokenize_block` gives
+    texts, one flat int32 array of ids into a vocabulary dict and each list's
+    length, the form `compile_ids` and `TrainedModel.sentence_scores` take."""
     token_lists = list(token_lists)
-    return [t for tokens in token_lists for t in tokens], [len(t) for t in token_lists]
+    vocabulary: dict = {}
+    ids = [vocabulary.setdefault(t, len(vocabulary)) for tokens in token_lists for t in tokens]
+    return vocabulary, np.array(ids, dtype=np.int32), [len(t) for t in token_lists]
 
 
 def predicted(model, token_lists) -> list:

@@ -1,7 +1,9 @@
 """Independent reference implementations used only as test oracles."""
 
 import itertools
+import random
 import re
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -28,6 +30,53 @@ _TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
 
 def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
+
+
+def corpus_of(instances) -> Corpus:
+    """The `Corpus` of `Instance`s, its word ids in order of first occurrence."""
+    instances = list(instances)
+    vocabulary: dict = {}
+    ids = [vocabulary.setdefault(t, len(vocabulary)) for inst in instances for t in inst.tokens]
+    return Corpus(
+        tuple(vocabulary),
+        np.array(ids, dtype=np.int32),
+        np.array([len(inst.tokens) for inst in instances], dtype=np.int64),
+        np.array([inst.label is Label.POSITIVE for inst in instances], dtype=bool),
+    )
+
+
+def reference_unknown_words(corpus, sentiment_dict, amplifier_dict) -> tuple:
+    """`corpus.build_unknown_index`'s words as a walk over the tokens: those
+    in neither dictionary, in order of first occurrence."""
+    seen = dict.fromkeys(itertools.chain.from_iterable(i.tokens for i in corpus.instances))
+    return tuple(w for w in seen if w not in sentiment_dict and w not in amplifier_dict)
+
+
+def reference_word_frequencies(corpus) -> Counter:
+    """`corpus.word_frequencies` as a walk over the tokens."""
+    return Counter(itertools.chain.from_iterable(i.tokens for i in corpus.instances))
+
+
+def reference_split_holdout(corpus, train_fraction, seed) -> tuple:
+    """The (train, test) instances of `corpus.split_holdout`, as it split
+    instance lists: each label's instances shuffled, cut at the rounded train
+    fraction, and the two labels' parts interleaved, positive first. A
+    missing label raises ValueError."""
+    groups = [[i for i in corpus.instances if i.label is label] for label in Label]
+    if not all(groups):
+        raise ValueError("corpus misses a label")
+    rng = random.Random(seed)
+    sides = ([], [])
+    for group in groups:
+        rng.shuffle(group)
+        n_train = int(len(group) * train_fraction + 0.5)
+        sides[0].append(group[:n_train])
+        sides[1].append(group[n_train:])
+    gap = object()
+    return tuple(
+        tuple(i for row in itertools.zip_longest(*parts, fillvalue=gap) for i in row if i is not gap)
+        for parts in sides
+    )
 
 
 def gasa_chromosome(pairs) -> GasaChromosome:
@@ -226,7 +275,7 @@ def reference_synthetic_corpus(lexicon, n_instances, length_range, semantics, rn
     instances = []
     for pos, neg in zip(positives, negatives):
         instances += [pos, neg]
-    return Corpus(tuple(instances))
+    return corpus_of(instances)
 
 
 def _verdict_value(score):

@@ -21,7 +21,7 @@ from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_
 from evosent.gasa import (
     PAIR_CODES,
     GasaProblem,
-    compile_tokens,
+    compile_ids,
     crossover_at,
     mutate_at,
     random_chromosome,
@@ -87,7 +87,7 @@ def test_01_evaluator_oracle_equivalence(capsys):
                     table[f"s{i}{word}"] = len(codes)
                     codes.append(PAIR_CODES[pair])
                 sentences.append([f"s{i}{word}" for word in tokens])
-            compiled = compile_tokens(*flat(sentences), table)
+            compiled = compile_ids(*flat(sentences), table)
             for semantics in Semantics:
                 got = scores(compiled, np.array(codes, dtype=np.int8)[:, None], semantics)[0]
                 prose = semantics is Semantics.PROSE

@@ -27,10 +27,19 @@ from evosent.corpus import UnknownWordIndex, build_unknown_index
 from evosent.evaluator import Semantics, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import GAConfig, run_ga
-from evosent.gasa import PAIR_CODES, compile_corpus, crossover_at
+from evosent.gasa import PAIR_CODES, crossover_at
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 
-from conftest import A, S, fires, make_corpus, neighbor_pools, predicted, trained_model
+from conftest import (
+    A,
+    S,
+    compiled_corpus,
+    fires,
+    make_corpus,
+    neighbor_pools,
+    predicted,
+    trained_model,
+)
 from oracles import (
     cagasa_chromosome,
     cagasa_fitness,
@@ -580,7 +589,7 @@ class TestOccurrenceOrder:
         corpus = make_corpus([(tokens, "positive") for tokens in texts])
         sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        context = ContextCorpus(compile_corpus(corpus, slot_table(index, sd, ad)))
+        context = ContextCorpus(compiled_corpus(corpus, slot_table(index, sd, ad)))
         found = list(zip(context.occurrence_gene.tolist(), context.occurrence_row.tolist()))
         # every occurrence once, gene by gene, each gene's rows non-decreasing
         every = [(index.position_of[w], r) for r, t in enumerate(texts) for w in t if w != "good"]
@@ -606,7 +615,7 @@ def reference_decisions(corpus, index, positions, genes) -> tuple:
 
 
 def decisions(corpus, index, sd, ad, positions, genes) -> tuple:
-    context = ContextCorpus(compile_corpus(corpus, slot_table(index, sd, ad)))
+    context = ContextCorpus(compiled_corpus(corpus, slot_table(index, sd, ad)))
     genome = cagasa_chromosome(genes)
     codes, counts = context.decide(positions, genome.rows, genome.words)
     return codes.tolist(), counts.tolist()

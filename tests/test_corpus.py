@@ -1,7 +1,10 @@
 import logging
 import random
 import sys
-from collections import Counter
+import tempfile
+from collections import Counter, defaultdict
+from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from hypothesis import strategies as st
 import oracles
 from evosent import corpus, lexicon
 from evosent.corpus import (
-    Corpus,
     CorpusParseError,
+    Instance,
     Label,
+    SplitError,
     build_unknown_index,
     concat_corpora,
     load_corpus,
@@ -22,7 +26,6 @@ from evosent.corpus import (
     split_holdout,
     tokenize,
     tokenize_block,
-    tokenize_lines,
     word_frequencies,
 )
 from evosent.lexicon import Dictionary, Kind, seed_amplifier_dictionary
@@ -43,6 +46,7 @@ TEXTS = st.lists(
     ),
     max_size=12,
 ).map("".join)
+LABELS = st.sampled_from(["positive", "negative", " Negative", "POSITIVE "])
 
 
 class TestTokenize:
@@ -81,24 +85,41 @@ class TestTokenize:
         assert tokenize(text) == first
 
     @pytest.mark.parametrize("block_chars", [1, 7])
-    @given(st.lists(TEXTS, max_size=10))
+    @given(st.lists(st.one_of(st.none(), st.tuples(LABELS, TEXTS)), max_size=10))
     @example([])
-    @example(["", "", ""])
-    @example(["AΣ", "Σ", "a\nΣ", "İ"])
-    def test_lines_match_oracle(self, block_chars, texts):
-        with pytest.MonkeyPatch.context() as mp:
+    @example([None, ("positive", ""), None])
+    @example([("positive", "AΣ"), ("negative", "Σ"), ("positive", "a\rΣ"), ("negative", "İ")])
+    def test_lines_match_oracle(self, block_chars, rows):
+        """`load_corpus` on lines drawn as (label, text) rows, or None for a
+        blank line, labels and tokenizes each line as `oracles.tokenize` does
+        alone, and skips blank lines and lines with no tokens. Its words are
+        in order of first occurrence."""
+        lines = ["" if row is None else f"{row[0]}\t{row[1].replace(chr(10), ' ')}" for row in rows]
+        expected = [
+            Instance(tuple(tokens), Label(label.strip().lower()))
+            for label, text in filter(None, rows)
+            if (tokens := oracles.tokenize(text))
+        ]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus, "TOKENIZE_BLOCK_CHARS", block_chars)
-            assert list(tokenize_lines(texts)) == [oracles.tokenize(t) for t in texts]
+            path = Path(tmp, "c.tsv")
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            loaded = load_corpus(path)
+        assert loaded.instances == tuple(expected)
+        assert loaded.words == tuple(dict.fromkeys(t for i in expected for t in i.tokens))
+        assert (loaded.ids.dtype, loaded.lengths.dtype) == (np.int32, np.int64)
 
     def test_lines_fall_back_for_newlines_and_non_ascii(self, monkeypatch):
         calls = []
         monkeypatch.setattr(corpus, "translate", lambda t: calls.append(t) or lexicon.translate(t))
-        assert list(tokenize_lines(["A b", "", "c_d"])) == [["a", "b"], [], ["c", "d"]]
+        vocabulary = defaultdict(count().__next__)
+        assert tokens_of(["A b", "", "c_d"], vocabulary) == [["a", "b"], [], ["c", "d"]]
         assert calls == ["A b\n\nc_d"]
-        assert list(tokenize_lines(["a\nb", "c"])) == [["a", "b"], ["c"]]
+        assert tokens_of(["a\nb", "c"], vocabulary) == [["a", "b"], ["c"]]
         assert calls[1:] == ["a\nb", "c"]
-        assert list(tokenize_lines(["d", "Café"])) == [["d"], ["café"]]
+        assert tokens_of(["d", "Café"], vocabulary) == [["d"], ["café"]]
         assert calls[3:] == ["d", "Café"]
+        assert vocabulary == {"a": 0, "b": 1, "c": 2, "d": 3, "café": 4}
 
     @pytest.mark.parametrize("block_chars", [1, 7, 1 << 16])
     @given(st.lists(TEXTS, max_size=10))
@@ -106,13 +127,25 @@ class TestTokenize:
     @example(["", "", ""])
     @example(["AΣ", "Σ", "a\nΣ", "İ", " x"])
     def test_block_matches_oracle(self, block_chars, texts):
+        """Ids of a vocabulary that holds some words already: a known word
+        keeps its id and a new one takes the next."""
         token_lists = [oracles.tokenize(t) for t in texts]
+        vocabulary = defaultdict(count(2).__next__, {"x": 0, "σ": 1})
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus, "TOKENIZE_BLOCK_CHARS", block_chars)
-            tokens, lengths = tokenize_block(texts)
-        assert tokens == [t for line in token_lists for t in line]
-        assert lengths.dtype == np.int64
+            ids, lengths = tokenize_block(texts, vocabulary)
+        words = list(vocabulary)
+        assert [words[k] for k in ids.tolist()] == [t for line in token_lists for t in line]
+        assert words[:2] == ["x", "σ"] and list(vocabulary.values()) == list(range(len(words)))
+        assert (ids.dtype, lengths.dtype) == (np.int32, np.int64)
         assert lengths.tolist() == [len(line) for line in token_lists]
+
+
+def tokens_of(texts, vocabulary) -> list:
+    """Each text's tokens, read back from the ids `tokenize_block` gives."""
+    ids, lengths = tokenize_block(texts, vocabulary)
+    words, ends = list(vocabulary), np.cumsum(lengths).tolist()
+    return [[words[k] for k in ids[end - n : end].tolist()] for end, n in zip(ends, lengths)]
 
 
 class TestLoadCorpus:
@@ -227,7 +260,7 @@ class TestWordFrequencies:
         assert word_frequencies(corpus) == Counter({"a": 2, "b": 1})
 
     def test_empty(self):
-        assert word_frequencies(Corpus(())) == Counter()
+        assert word_frequencies(make_corpus([])) == Counter()
 
     def test_counts_across_instances(self):
         corpus = make_corpus([(["a"], "positive"), (["a"], "negative")])
@@ -329,3 +362,42 @@ class TestConcat:
         c2 = make_corpus([(["b"], "negative")])
         combined = concat_corpora([c1, c2])
         assert [i.tokens for i in combined.instances] == [("a",), ("b",)]
+
+
+WORDS = st.sampled_from(["a", "b", "c", "d", "good", "bad", "not", "very"])
+ROWS = st.lists(
+    st.tuples(st.lists(WORDS, min_size=1, max_size=4), st.sampled_from(["positive", "negative"])),
+    max_size=12,
+)
+
+
+class TestIdPaths:
+    @given(ROWS, ROWS, st.data())
+    def test_match_token_walks(self, rows1, rows2, data):
+        """Unknown words, word counts and holdout splits read off the ids equal
+        the token walks of `tests/oracles.py`, also on a concatenation, on
+        rows taken with repeats and on split sides, whose word tables hold
+        words no sentence of theirs uses."""
+        c1, c2 = make_corpus(rows1), make_corpus(rows2)
+        joined = concat_corpora([c1, c2])
+        assert joined.instances == c1.instances + c2.instances
+        rows = data.draw(st.lists(st.integers(0, len(joined) - 1), max_size=10)) if len(joined) else []
+        taken = joined.take(rows)
+        assert taken.instances == tuple(joined.instances[r] for r in rows)
+        fraction = data.draw(st.floats(min_value=0.1, max_value=0.9))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        corpora = [c1, joined, taken]
+        try:
+            expected = oracles.reference_split_holdout(joined, fraction, seed)
+        except ValueError:
+            with pytest.raises(SplitError):
+                split_holdout(joined, fraction, seed)
+        else:
+            sides = split_holdout(joined, fraction, seed)
+            assert tuple(side.instances for side in sides) == expected
+            corpora += sides
+        sd = Dictionary({"good": S(1.0), "bad": S(-1.0)}, Kind.SENTIMENT)
+        ad = seed_amplifier_dictionary()
+        for c in corpora:
+            assert build_unknown_index(c, sd, ad).words == oracles.reference_unknown_words(c, sd, ad)
+            assert dict(word_frequencies(c)) == dict(oracles.reference_word_frequencies(c))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from evosent.corpus import Label, UnknownWordIndex
 from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
-from evosent.gasa import compile_tokens, scores
+from evosent.gasa import compile_ids, scores
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
 
-from conftest import A, S
+from conftest import A, S, flat
 from oracles import reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
@@ -22,7 +22,7 @@ def kernel_score(pairs, semantics=Semantics.LITERAL) -> float:
     """The score the kernel gives a sentence of `pairs`: token k is the word
     wk, which a slot table with no genes maps to pair k."""
     table = {f"w{k}": pair for k, pair in enumerate(pairs)}
-    compiled = compile_tokens(list(table), [len(table)], table)
+    compiled = compile_ids(*flat([list(table)]), table)
     return scores(compiled, np.zeros((0, 1), np.int8), semantics)[0, 0]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evosent.experiments
-from evosent.corpus import Label, SplitError
+from evosent.corpus import Label, SplitError, concat_corpora
 from evosent.evaluator import Semantics, classify_score
 from evosent.experiments import (
     Algo,
@@ -276,6 +276,30 @@ class TestInstanceCV:
         assert report.protocol is Protocol.GASA_VS_CAGASA
         assert len(report.fold_accuracies) == 3
         assert all(0.0 <= a <= 1.0 for a in report.fold_accuracies)
+
+    def test_repeated_sentences_stay_in_training(self, monkeypatch):
+        """A corpus holding each sentence twice, in 4 folds of 10: every fold
+        trains on the other 30 sentences, the held-out copies' twins among
+        them, and tests on its own 10."""
+        _, corpus, _, ad = training_setup(n=20)
+        corpus = concat_corpora([corpus, corpus])
+        sizes, train = [], evosent.experiments.train
+        monkeypatch.setattr(
+            evosent.experiments,
+            "train",
+            lambda part, *args: sizes.append(len(part)) or train(part, *args),
+        )
+        tested = []
+        test_accuracy = evosent.experiments._test_accuracy
+        monkeypatch.setattr(
+            evosent.experiments,
+            "_test_accuracy",
+            lambda model, part: tested.append(part.instances) or test_accuracy(model, part),
+        )
+        config = GAConfig(population_size=4, tournament_size=2, max_generations=1, seed=0)
+        run_instance_cv(corpus, Dictionary({}, Kind.SENTIMENT), ad, 4, config)
+        assert sizes == [30] * 4
+        assert Counter(i for part in tested for i in part) == Counter(corpus.instances)
 
 
 class TestReportSerialization:

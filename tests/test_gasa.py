@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 import evosent.gasa
 from evosent.cagasa import CagasaProblem, ContextCorpus
-from evosent.corpus import Corpus, build_unknown_index
+from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics, Verdict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
     GasaChromosome,
     GasaProblem,
-    compile_corpus,
-    compile_tokens,
+    compile_ids,
     crossover_at,
     forced_new_code,
     gene_rows,
@@ -38,7 +37,7 @@ from evosent.lexicon import (
     seed_amplifier_dictionary,
 )
 
-from conftest import A, S, make_corpus, trained_model
+from conftest import A, S, compiled_corpus, flat, make_corpus, trained_model
 from oracles import cagasa_fitness, gasa_chromosome
 from oracles import reference_forced_new_pair, reference_gene_rows, reference_random_pair
 from oracles import gasa_fitness as fitness
@@ -118,7 +117,7 @@ class TestCodeGenome:
         assert chrom.genes == tuple(EVOLVABLE_PAIRS[c] for c in gene_codes)
         # a sentence of gene k's word alone scores that gene's value
         words = [f"w{k}" for k in range(len(chrom))]
-        compiled = compile_tokens(words, [1] * len(words), {w: k for k, w in enumerate(words)})
+        compiled = compile_ids(*flat([w] for w in words), {w: k for k, w in enumerate(words)})
         got = scores(compiled, code_columns([chrom]), semantics)[0]
         assert got.tolist() == [pair.value for pair in chrom.genes]
         assert gasa_chromosome(chrom.genes) == chrom
@@ -162,7 +161,7 @@ class TestFitness:
 
     def test_empty_corpus(self):
         sd, ad = empty_dicts()
-        corpus = Corpus(())
+        corpus = make_corpus([])
         index = build_unknown_index(corpus, sd, ad)
         assert fitness(GasaChromosome(b""), corpus, index, sd, ad) == 0
 
@@ -314,7 +313,7 @@ class TestBatchFitness:
         sd = Dictionary({"good": S(1.0), "bad": S(-1.0)}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         rnd = random.Random(seed)
         chroms = [random_chromosome(len(index), rnd) for _ in range(5)]
@@ -349,7 +348,7 @@ class TestBatchFitness:
         )
         corpus = make_corpus(rows)
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
         rnd = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
         chroms = [random_chromosome(len(index), rnd) for _ in range(5)]
         batch = batch_fitness(chroms, compiled, semantics)
@@ -361,7 +360,7 @@ class TestBatchFitness:
         sd = Dictionary({"good": S(1.25)}, Kind.SENTIMENT)
         ad = seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
         assert len(index) == 0
         assert batch_fitness([], compiled).shape == (0,)
         # the empty sentence scores 0 and is never correct
@@ -471,7 +470,7 @@ class TestDeltaFitness:
         corpus = generate_synthetic_corpus(lexicon, 12, (2, 6), Semantics.LITERAL, rng)
         sd, ad = empty_dicts()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
         width = compiled.slots.shape[1]
         rows = [np.array([0, 3]), np.array([1]), np.arange(12), np.array([5, 7]), np.array([2])]
         genomes = [random_chromosome(len(index), rng) for _ in rows]
@@ -539,7 +538,7 @@ class TestDeltaFitness:
         corpus = make_corpus(rows)
         sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
         if not shared:
             compiled = ContextCorpus(compiled).compiled
         genes = int(compiled.slots.max(initial=-1)) + 1
@@ -570,7 +569,7 @@ class TestDeltaFitness:
         )
         sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compile_corpus(corpus, slot_table(index, sd, ad))
+        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
         if not shared:
             compiled = ContextCorpus(compiled).compiled
         genes = int(compiled.slots.max()) + 1

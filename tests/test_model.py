@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import itertools
@@ -428,8 +429,10 @@ class TestBlockPath:
         texts = [line for line, _ in lines] + [text]
 
         token_lists = [oracles.tokenize(t) for t in texts]
-        tokens, lengths = tokenize_block(texts)
-        assert tokens == [t for line in token_lists for t in line]
+        vocabulary = collections.defaultdict(itertools.count().__next__)
+        ids, lengths = tokenize_block(texts, vocabulary)
+        words = list(vocabulary)
+        assert [words[k] for k in ids.tolist()] == [t for line in token_lists for t in line]
         assert lengths.tolist() == [len(line) for line in token_lists]
 
         def shown(tokens):
