@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 from typing import Sequence, Tuple
@@ -218,9 +218,10 @@ class ContextCorpus:
     `compiled` is the GASA slot matrix in which every gene-word occurrence
     has a slot of its own, its occurrence number, so that a genome's value
     table holds the pair each occurrence resolves to. Occurrences are
-    numbered gene position by gene position. Training and prediction share
-    this object; it remembers no decisions, which `CagasaProblem` does for
-    training.
+    numbered gene position by gene position, in the slot matrix of the
+    compile handed in, which becomes `compiled`: each caller hands in a
+    fresh compile. Training and prediction share this object; it remembers
+    no decisions, which `CagasaProblem` does for training.
     """
 
     def __init__(self, compiled: CompiledCorpus):
@@ -231,10 +232,8 @@ class ContextCorpus:
         order = np.argsort(genes.astype(np.min_scalar_type(genes.max(initial=0))), kind="stable")
         self._cells = cells[order]  # each occurrence's flat index into `slots`
         self.occurrence_gene = genes[order]  # ascending
-        del cells, genes, order  # before the copy, which long sentences make large
-        own_slots = slots.copy()
-        np.put(own_slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
-        self.compiled = replace(compiled, slots=own_slots)
+        np.put(slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
+        self.compiled = compiled
         self._ahead = self._behind = np.zeros((0, len(self._cells)), dtype=np.int32)
 
     @cached_property

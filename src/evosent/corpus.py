@@ -129,8 +129,8 @@ def tokenize_block(texts: Sequence[str], vocabulary: dict) -> Tuple[np.ndarray, 
 
 
 def load_corpus(source: Union[str, Path]) -> Corpus:
-    """Load a `label<TAB>text` file, read and tokenized as a stream of blocks of
-    TOKENIZE_BLOCK_CHARS characters; instances with no tokens are skipped with a warning."""
+    """Load a `label<TAB>text` file, tokenized in blocks of at most TOKENIZE_BLOCK_CHARS
+    characters, or of one longer text; instances with no tokens are skipped with a warning."""
     vocabulary, positive, parts, block, chars = defaultdict(count().__next__), [], [], [], 0
     for lineno, line in enumerate(text_lines(source), start=1):
         if not line:
@@ -142,11 +142,11 @@ def load_corpus(source: Union[str, Path]) -> Corpus:
             positive.append(Label(label_text.strip().lower()) is Label.POSITIVE)
         except ValueError:
             raise CorpusParseError(f"line {lineno}: unknown label {label_text!r}") from None
-        block.append(text)
-        chars += len(text)
-        if chars >= TOKENIZE_BLOCK_CHARS:
+        if block and chars + len(text) > TOKENIZE_BLOCK_CHARS:  # one translate run per block
             parts.append(tokenize_block(block, vocabulary))
             block, chars = [], 0
+        block.append(text)
+        chars += len(text)
     parts.append(tokenize_block(block, vocabulary))
     ids, lengths = (np.concatenate(arrays) for arrays in zip(*parts))
     kept = lengths > 0

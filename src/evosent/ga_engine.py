@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,14 +41,7 @@ class GAConfig:
 
 
 # The text form of a GAConfig: field -> type, in the order fields are written.
-CONFIG_FIELDS = {
-    "population_size": int,
-    "tournament_size": int,
-    "max_generations": int,
-    "crossover_rate": float,
-    "mutation_rate": float,
-    "seed": int,
-}
+CONFIG_FIELDS = {f.name: type(f.default) for f in fields(GAConfig)}
 
 
 def config_records(config: GAConfig) -> Iterator[Tuple[str, str]]:

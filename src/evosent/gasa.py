@@ -111,7 +111,7 @@ SLICE_CELLS = 1 << 16
 @dataclass(frozen=True)
 class CompiledCorpus:
     """Token sequences as slots into each genome's value table: the genome's
-    genes, then the fixed pairs, the dictionary pairs the text uses followed
+    genes, then the fixed pairs, the vocabulary's dictionary pairs followed
     by the neutral pair. Gene slots are gene positions; fixed slots count
     back from the end of the table, so they do not depend on the genome's
     length. `words` holds each token's id in `vocabulary` in the same layout.
@@ -136,14 +136,18 @@ def compile_ids(words, ids, lengths, table: SlotTable, label_positive=None) -> C
     `words` (a vocabulary dict is kept as it is), sentence k the next lengths[k]
     ids, with their labels if given. A word missing from the table is neutral."""
     vocabulary = words if isinstance(words, dict) else dict(zip(words, count()))
-    entries = [table.get(word, NEUTRAL_PAIR) for word in vocabulary]
+    # the table's words in the vocabulary, in table order: a compile handed a
+    # block's whole vocabulary for a few of its lines walks the table only
+    known = list(filter(vocabulary.__contains__, table))
+    entries = list(map(table.__getitem__, known))
     dictionary_pairs = dict.fromkeys(e for e in entries if not isinstance(e, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
     fixed_slot = {pair: k - len(fixed_pairs) for k, pair in enumerate(dictionary_pairs)}
-    # one slot per word id, and the pad's slot -1 last, where id -1 reads it
-    word_slots = np.array(
-        [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
-    )
+    # one slot per word id and the pad's id -1 last; the pad and a word
+    # outside the table read the neutral pair's slot, -1; a gene is its slot
+    word_slots = np.full(len(vocabulary) + 1, -1, dtype=np.int32)
+    at = np.fromiter(map(vocabulary.__getitem__, known), np.int64, len(known))
+    word_slots[at] = np.fromiter(map(fixed_slot.get, entries, entries), np.int32, len(known))
     padded = left_padded(ids, np.asarray(lengths, dtype=np.int64))
     return CompiledCorpus(
         slots=word_slots[padded],

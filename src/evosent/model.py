@@ -8,7 +8,7 @@ the full context rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
@@ -19,7 +19,7 @@ from .cagasa import MAX_CONTEXT, ContextCorpus, from_fields
 from .corpus import UnknownWordIndex, token_cells, tokenize
 from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
-from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_ids, left_padded, scores
+from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_ids, scores
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair, text_lines
 
 FORMAT_VERSION = "1"
@@ -54,16 +54,15 @@ class TrainedModel:
     def predict(self, tokens: Sequence[str]) -> Verdict:
         """The polarity the model gives a token sequence."""
         words = {word: k for k, word in enumerate(dict.fromkeys(tokens))}
-        ids = [words[token] for token in tokens]
+        ids = np.array([words[token] for token in tokens], dtype=np.int32)
         return classify_score(self.sentence_scores(words, ids, [len(ids)])[0])
 
     def sentence_scores(self, words, ids, lengths: Sequence[int]) -> np.ndarray:
         """The score of each line of a block as `tokenize_block` gives it, ids
-        into `words`, line k the next lengths[k]. The block is compiled as one
-        row, then its lines are sorted by length and scored on the training
-        kernel in slices of at most SLICE_CELLS slot-matrix elements, so short
-        lines are not padded to the width of long ones; a longer line is one slice."""
-        row = compile_ids(words, ids, [len(ids)], self.table)
+        into `words`, line k the next lengths[k]. The lines are sorted by
+        length and each slice of at most SLICE_CELLS slot-matrix elements is
+        compiled and scored on the training kernel, so short lines are not
+        padded to the width of long ones; a longer line is one slice."""
         lengths = np.asarray(lengths, dtype=np.int64)
         order = np.argsort(lengths, kind="stable")
         firsts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
@@ -73,13 +72,11 @@ class TrainedModel:
             elements = np.arange(1, len(lengths) - start + 1) * lengths[start:]
             end = start + max(1, int(np.searchsorted(elements, SLICE_CELLS, side="right")))
             part, cells = lengths[start:end], token_cells(firsts[start:end], lengths[start:end])
-            padded, slots = (left_padded(m[0, cells], part) for m in (row.words, row.slots))
-            compiled = replace(row, words=padded, slots=slots)
+            compiled = compile_ids(words, ids[cells], part, self.table)
             if self.algo == "gasa":
                 codes = np.frombuffer(self.chromosome.codes, dtype=np.int8)
             else:
                 context = ContextCorpus(compiled)
-                compiled = context.compiled
                 genome = self.chromosome
                 codes = context.decide(range(len(self.index)), genome.rows, genome.words)[0]
             block_scores[order[start:end]] = scores(compiled, codes[:, None], self.semantics)[0]

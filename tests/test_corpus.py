@@ -203,6 +203,21 @@ class TestLoadCorpus:
         assert [i.tokens for i in loaded.instances] == [("bad",), ("good",)]
         assert "c.tsv: skipped 3 instance(s) with no tokens" in caplog.text
 
+    def test_each_block_is_one_translate_run(self, tmp_path, monkeypatch):
+        """A block takes texts while they fit TOKENIZE_BLOCK_CHARS, so that
+        `tokenize_block` translates it in one run; a longer text is a block
+        alone."""
+        monkeypatch.setattr(corpus, "TOKENIZE_BLOCK_CHARS", 10)
+        calls = []
+        monkeypatch.setattr(corpus, "translate", lambda t: calls.append(t) or lexicon.translate(t))
+        texts = [f"w{k:02d}" for k in range(12)] + ["a long text", "x"]
+        path = tmp_path / "c.tsv"
+        path.write_text("".join(f"positive\t{t}\n" for t in texts), encoding="utf-8")
+        loaded = load_corpus(path)
+        assert [i.tokens for i in loaded.instances] == [tuple(t.split()) for t in texts]
+        blocks = [texts[k : k + 3] for k in range(0, 12, 3)] + [["a long text"], ["x"]]
+        assert calls == ["\n".join(block) for block in blocks]
+
     def test_crlf_matches_lf(self, tmp_path, monkeypatch):
         monkeypatch.setattr(corpus, "TOKENIZE_BLOCK_CHARS", 4)
         rows = ["positive\tGood phone", "negative\tbad ΑΣ", "positive\t...", "negative\tno"]

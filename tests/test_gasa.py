@@ -123,6 +123,24 @@ class TestCodeGenome:
         assert gasa_chromosome(chrom.genes) == chrom
         assert code_columns([chrom, chrom])[:, 1].tolist() == list(gene_codes)
 
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_compile_looks_up_the_table_words_only(self, semantics):
+        """A compile handed a block's whole vocabulary for a few of its lines,
+        as each predict slice is, looks up the table's words and does not
+        walk the vocabulary; it scores as one on a plain dict does."""
+
+        class Unwalked(dict):
+            def __iter__(self):
+                raise AssertionError("the compile walked the vocabulary")
+
+        pairs = [*((f"x{k}", k) for k in range(1000)), ("good", 1000), ("w0", 1001), ("not", 1002)]
+        table = {"w0": 0, "good": S(1.0), "bad": S(-1.0), "not": A(-1.0)}
+        ids, lengths = np.array([1001, 1000, 5, 1002, 1000, 7], dtype=np.int32), [3, 0, 3]
+        codes = code_columns([GasaChromosome(bytes([3]))])
+        got = scores(compile_ids(Unwalked(pairs), ids, lengths, table), codes, semantics)
+        plain = scores(compile_ids(dict(pairs), ids, lengths, table), codes, semantics)
+        assert got.tolist() == plain.tolist()
+
     def test_random_code_draws_as_pairs_were_drawn(self):
         for seed in range(300):
             rng, reference = random.Random(seed), random.Random(seed)

@@ -7,6 +7,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from evosent.cli import main
 from evosent.corpus import UnknownWordIndex, build_unknown_index, tokenize_block
 from evosent.evaluator import Semantics, slot_table
 from evosent.ga_engine import GAConfig
-from evosent.gasa import GasaChromosome
+from evosent.gasa import GasaChromosome, compile_ids
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
@@ -452,3 +453,27 @@ class TestBlockPath:
             with redirect_stdout(io.StringIO()) as stdout:
                 assert main([*argv, "--text", text]) == 0
             assert stdout.getvalue() == shown(token_lists[-1]) + "\n"
+
+    @pytest.mark.parametrize("make", [gasa_model, cagasa_model])
+    def test_each_compile_holds_one_slice(self, make, monkeypatch):
+        """`sentence_scores` compiles each slice alone: every compile holds
+        at most SLICE_CELLS rows times width, or a single line, and the
+        compiles hold each line of the block exactly once."""
+        model = make()
+        token_lists = [["zorp", "blick", "good"][: k % 4] * (1 + k // 4) for k in range(12)]
+        expected = predicted(model, token_lists)
+        calls = []
+
+        def spy(words, ids, lengths, *rest):
+            names, counts = list(words), np.asarray(lengths).tolist()
+            tokens, ends = [names[k] for k in ids.tolist()], np.cumsum(counts).tolist()
+            calls.append([tokens[end - n : end] for end, n in zip(ends, counts)])
+            return compile_ids(words, ids, lengths, *rest)
+
+        monkeypatch.setattr(evosent.model, "SLICE_CELLS", 6)
+        monkeypatch.setattr(evosent.model, "compile_ids", spy)
+        assert predicted(model, token_lists) == expected
+        assert len(calls) > 1
+        for lines in calls:
+            assert len(lines) == 1 or len(lines) * max(map(len, lines)) <= 6
+        assert sorted(line for lines in calls for line in lines) == sorted(token_lists)
