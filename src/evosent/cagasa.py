@@ -41,7 +41,7 @@ from .gasa import (
     SLICE_CELLS,
     CompiledCorpus,
     WordGeneProblem,
-    compile_ids,
+    compiler,
     forced_new_code,
     random_code,
     slices,
@@ -217,15 +217,18 @@ class ContextCorpus:
 
     `compiled` is the GASA slot matrix in which every gene-word occurrence
     has a slot of its own, its occurrence number, so that a genome's value
-    table holds the pair each occurrence resolves to. Occurrences are
-    numbered gene position by gene position, in the slot matrix of the
-    compile handed in, which becomes `compiled`: each caller hands in a
-    fresh compile. Training and prediction share this object; it remembers
-    no decisions, which `CagasaProblem` does for training.
+    table holds the pair each occurrence resolves to. It is compiled here,
+    with `compile_sentences` as `gasa.compiler` makes it, from sentences of
+    ids, sentence k the next lengths[k], and their labels if given; the
+    occurrences are then numbered gene position by gene position in its
+    slot matrix, in place, as no caller holds it. Training and prediction
+    share this object; it remembers no decisions, which `CagasaProblem`
+    does for training.
     """
 
-    def __init__(self, compiled: CompiledCorpus):
-        slots = compiled.slots
+    def __init__(self, compile_sentences, ids, lengths, label_positive=None):
+        self.compiled = compile_sentences(ids, lengths, label_positive)
+        slots = self.compiled.slots
         cells = np.flatnonzero(slots >= 0)
         genes = slots.ravel()[cells]
         # keys of 8 or 16 bits sort by radix, in the same stable order
@@ -233,7 +236,6 @@ class ContextCorpus:
         self._cells = cells[order]  # each occurrence's flat index into `slots`
         self.occurrence_gene = genes[order]  # ascending
         np.put(slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
-        self.compiled = compiled
         self._ahead = self._behind = np.zeros((0, len(self._cells)), dtype=np.int32)
 
     @cached_property
@@ -352,7 +354,7 @@ class CagasaProblem(WordGeneProblem):
     @cached_property
     def _context(self) -> ContextCorpus:
         c = self.corpus
-        return ContextCorpus(compile_ids(c.words, c.ids, c.lengths, self.table, c.positive))
+        return ContextCorpus(compiler(c.words, self.table), c.ids, c.lengths, c.positive)
 
     @cached_property
     def _neighbors(self) -> Tuple[tuple, list]:

@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .evaluator import Semantics
 from .ga_engine import GAConfig, RunStats, config_records, run_ga
-from .gasa import SLICE_CELLS, GasaProblem, compile_ids, scores
+from .gasa import SLICE_CELLS, GasaProblem, compiler, scores
 from .lexicon import NEUTRAL_PAIR, ClassificationValuePair, Dictionary, Kind, check_disjoint
 from .model import TrainedModel
 
@@ -292,7 +292,8 @@ def generate_synthetic_corpus(
     if not 1 <= lo <= hi:
         raise ValueError(f"bad length range {length_range}")
     words = tuple(sorted(lexicon.entries) + sorted(lexicon.fillers))
-    table = lexicon.entries  # fillers are missing, so they compile as neutral
+    # fillers are missing from the table, so they compile as neutral
+    compile_block = compiler(words, lexicon.entries)
     half = n_instances // 2
     positives, negatives = [], []  # each accepted sentence's ids
     budget = 10 * n_instances
@@ -305,7 +306,7 @@ def generate_synthetic_corpus(
             block.append(array("i", [rng.randrange(len(words)) for _ in range(length)]))
         draws += len(block)
         ids = np.frombuffer(b"".join(block), dtype=np.int32)
-        compiled = compile_ids(words, ids, list(map(len, block)), table)
+        compiled = compile_block(ids, list(map(len, block)))
         block_scores = scores(compiled, np.zeros((0, 1), np.int8), semantics)
         for sentence, score in zip(block, block_scores[0].tolist()):
             if score > 0.0 and len(positives) < half:

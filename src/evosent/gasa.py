@@ -5,7 +5,7 @@ index. Each gene is a pair code: a byte that indexes `EVOLVABLE_PAIRS`, the
 six classification-value pairs a gene may hold. Fitness is the number of
 training instances whose evaluated polarity matches the true label; the
 test suite asserts it equal to the plain reference implementation in
-`tests/oracles.py`. `compile_ids` turns sentences of word ids into a slot
+`tests/oracles.py`. `compiler` turns sentences of word ids into a slot
 matrix, and `scores` scores columns of pair codes on it through
 `accumulate`, the column loop over the slot matrix. `labelled_correctly`
 wraps `scores` for training; both algorithms train and predict on them.
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, count
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,42 +131,37 @@ class CompiledCorpus:
     label_positive: Optional[np.ndarray] = None  # (instances,) bool; None for unlabelled text
 
 
-def compile_ids(words, ids, lengths, table: SlotTable, label_positive=None) -> CompiledCorpus:
-    """The `CompiledCorpus` of sentences given as one flat array of ids into
-    `words` (a vocabulary dict is kept as it is), sentence k the next lengths[k]
-    ids, with their labels if given. A word missing from the table is neutral."""
+def compiler(words, table: SlotTable) -> Callable[..., CompiledCorpus]:
+    """The compile of sentences of ids into `words` (a vocabulary dict is kept
+    as it is). It resolves each word once, so the slices of a block share one
+    walk of its vocabulary; a word missing from the table is neutral. Called
+    with one flat array of ids, sentence k the next lengths[k], and their
+    labels if given, it returns a new `CompiledCorpus` of them."""
     vocabulary = words if isinstance(words, dict) else dict(zip(words, count()))
-    # the table's words in the vocabulary, in table order: a compile handed a
-    # block's whole vocabulary for a few of its lines walks the table only
-    known = list(filter(vocabulary.__contains__, table))
-    entries = list(map(table.__getitem__, known))
+    # a word missing from the table reads -1, the neutral pair's slot, so
+    # that no pair is hashed for it
+    entries = [table.get(word, -1) for word in vocabulary]
     dictionary_pairs = dict.fromkeys(e for e in entries if not isinstance(e, int))
     fixed_pairs = (*dictionary_pairs, NEUTRAL_PAIR)
     fixed_slot = {pair: k - len(fixed_pairs) for k, pair in enumerate(dictionary_pairs)}
-    # one slot per word id and the pad's id -1 last; the pad and a word
-    # outside the table read the neutral pair's slot, -1; a gene is its slot
-    word_slots = np.full(len(vocabulary) + 1, -1, dtype=np.int32)
-    at = np.fromiter(map(vocabulary.__getitem__, known), np.int64, len(known))
-    word_slots[at] = np.fromiter(map(fixed_slot.get, entries, entries), np.int32, len(known))
-    padded = left_padded(ids, np.asarray(lengths, dtype=np.int64))
-    return CompiledCorpus(
-        slots=word_slots[padded],
-        words=padded,
-        vocabulary=vocabulary,
-        fixed_values=np.array([p.value for p in fixed_pairs], dtype=np.float64),
-        fixed_is_amp=np.array([p.kind is Kind.AMPLIFIER for p in fixed_pairs]),
-        label_positive=label_positive,
+    # one slot per word id, and the pad's slot -1 last, where id -1 reads it
+    word_slots = np.array(
+        [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
     )
+    fixed_values = np.array([p.value for p in fixed_pairs], dtype=np.float64)
+    fixed_is_amp = np.array([p.kind is Kind.AMPLIFIER for p in fixed_pairs])
 
+    def compile_sentences(ids, lengths, label_positive=None) -> CompiledCorpus:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        padded = np.full((len(lengths), width), -1, dtype=np.int32)
+        # the mask's cells run row by row, left to right, the order of `ids`
+        padded[np.arange(width) >= width - lengths[:, None]] = ids
+        return CompiledCorpus(
+            word_slots[padded], padded, vocabulary, fixed_values, fixed_is_amp, label_positive
+        )
 
-def left_padded(cells: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int32 matrix whose row k holds the next lengths[k] of `cells` in
-    its last columns, padded on the left with -1 to the longest row."""
-    width = int(lengths.max(initial=0))
-    matrix = np.full((len(lengths), width), -1, dtype=np.int32)
-    # the mask's cells run row by row, left to right, the order of `cells`
-    matrix[np.arange(width) >= width - lengths[:, None]] = cells
-    return matrix
+    return compile_sentences
 
 
 def scores(compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics) -> np.ndarray:
@@ -324,7 +319,7 @@ class WordGeneProblem:
     def _compiled(self) -> CompiledCorpus:
         """Built on first use, so that building the problem stays cheap."""
         c = self.corpus
-        return compile_ids(c.words, c.ids, c.lengths, self.table, c.positive)
+        return compiler(c.words, self.table)(c.ids, c.lengths, c.positive)
 
     def _kept(self, genome):
         key = id(genome)

@@ -19,7 +19,7 @@ from .cagasa import MAX_CONTEXT, ContextCorpus, from_fields
 from .corpus import UnknownWordIndex, token_cells, tokenize
 from .evaluator import Semantics, SlotTable, Verdict, classify_score, slot_table
 from .ga_engine import CONFIG_FIELDS, GAConfig, config_records, parse_config_field
-from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compile_ids, scores
+from .gasa import PAIR_CODES, SLICE_CELLS, GasaChromosome, compiler, scores
 from .lexicon import ClassificationValuePair, Dictionary, Kind, format_pair, parse_pair, text_lines
 
 FORMAT_VERSION = "1"
@@ -54,16 +54,18 @@ class TrainedModel:
     def predict(self, tokens: Sequence[str]) -> Verdict:
         """The polarity the model gives a token sequence."""
         words = {word: k for k, word in enumerate(dict.fromkeys(tokens))}
-        ids = np.array([words[token] for token in tokens], dtype=np.int32)
+        ids = [words[token] for token in tokens]
         return classify_score(self.sentence_scores(words, ids, [len(ids)])[0])
 
     def sentence_scores(self, words, ids, lengths: Sequence[int]) -> np.ndarray:
         """The score of each line of a block as `tokenize_block` gives it, ids
-        into `words`, line k the next lengths[k]. The lines are sorted by
+        into `words`, line k the next lengths[k]. The block's words are
+        resolved once, through one `compiler`; the lines are then sorted by
         length and each slice of at most SLICE_CELLS slot-matrix elements is
         compiled and scored on the training kernel, so short lines are not
         padded to the width of long ones; a longer line is one slice."""
-        lengths = np.asarray(lengths, dtype=np.int64)
+        compile_sentences = compiler(words, self.table)
+        ids, lengths = np.asarray(ids, dtype=np.int32), np.asarray(lengths, dtype=np.int64)
         order = np.argsort(lengths, kind="stable")
         firsts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
         block_scores, start = np.empty(len(lengths)), 0
@@ -72,12 +74,12 @@ class TrainedModel:
             elements = np.arange(1, len(lengths) - start + 1) * lengths[start:]
             end = start + max(1, int(np.searchsorted(elements, SLICE_CELLS, side="right")))
             part, cells = lengths[start:end], token_cells(firsts[start:end], lengths[start:end])
-            compiled = compile_ids(words, ids[cells], part, self.table)
             if self.algo == "gasa":
+                compiled = compile_sentences(ids[cells], part)
                 codes = np.frombuffer(self.chromosome.codes, dtype=np.int8)
             else:
-                context = ContextCorpus(compiled)
-                genome = self.chromosome
+                context = ContextCorpus(compile_sentences, ids[cells], part)
+                compiled, genome = context.compiled, self.chromosome
                 codes = context.decide(range(len(self.index)), genome.rows, genome.words)[0]
             block_scores[order[start:end]] = scores(compiled, codes[:, None], self.semantics)[0]
             start = end

@@ -9,7 +9,7 @@ from evosent.cagasa import CagasaGene, ContextCorpus
 from evosent.corpus import Corpus, Instance, Label, UnknownWordIndex
 from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
 from evosent.ga_engine import GAConfig
-from evosent.gasa import GasaChromosome, compile_ids
+from evosent.gasa import GasaChromosome, compiler
 from evosent.lexicon import ClassificationValuePair, Dictionary, Kind
 from evosent.model import TrainedModel
 from oracles import cagasa_chromosome, corpus_of
@@ -35,22 +35,33 @@ def neighbor_pools(corpus, index) -> tuple:
     """(words, pools) of `ContextCorpus.pools` on `corpus`, whose genes are
     `index`'s words: what a `CagasaProblem` on them draws from."""
     empty = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
-    return ContextCorpus(compiled_corpus(corpus, slot_table(index, *empty))).pools(len(index))
+    return context_corpus(corpus, slot_table(index, *empty)).pools(len(index))
 
 
 def compiled_corpus(corpus, table):
     """`corpus` compiled as a training problem compiles it."""
-    return compile_ids(corpus.words, corpus.ids, corpus.lengths, table, corpus.positive)
+    return compiler(corpus.words, table)(corpus.ids, corpus.lengths, corpus.positive)
+
+
+def context_corpus(corpus, table) -> ContextCorpus:
+    """`corpus` prepared for CA-GASA as a training problem prepares it."""
+    return ContextCorpus(compiler(corpus.words, table), corpus.ids, corpus.lengths, corpus.positive)
 
 
 def flat(token_lists) -> tuple:
     """(vocabulary, ids, lengths): token lists as `tokenize_block` gives
     texts, one flat int32 array of ids into a vocabulary dict and each list's
-    length, the form `compile_ids` and `TrainedModel.sentence_scores` take."""
+    length, the form `compiler` and `TrainedModel.sentence_scores` take."""
     token_lists = list(token_lists)
     vocabulary: dict = {}
     ids = [vocabulary.setdefault(t, len(vocabulary)) for tokens in token_lists for t in tokens]
     return vocabulary, np.array(ids, dtype=np.int32), [len(t) for t in token_lists]
+
+
+def compiled_lines(token_lists, table):
+    """Token lists compiled against `table`, through the vocabulary of `flat`."""
+    vocabulary, ids, lengths = flat(token_lists)
+    return compiler(vocabulary, table)(ids, lengths)
 
 
 def predicted(model, token_lists) -> list:

@@ -21,7 +21,6 @@ from evosent.ga_engine import EvaluatedIndividual, GAConfig, run_ga, tournament_
 from evosent.gasa import (
     PAIR_CODES,
     GasaProblem,
-    compile_ids,
     crossover_at,
     mutate_at,
     random_chromosome,
@@ -36,7 +35,16 @@ from evosent.lexicon import (
 
 import run_frequency_trend
 import run_planted_recovery
-from conftest import A, S, fires, flat, make_corpus, neighbor_pools, predicted, trained_model
+from conftest import (
+    A,
+    S,
+    compiled_lines,
+    fires,
+    make_corpus,
+    neighbor_pools,
+    predicted,
+    trained_model,
+)
 from oracles import (
     cagasa_chromosome,
     cagasa_fitness,
@@ -87,7 +95,7 @@ def test_01_evaluator_oracle_equivalence(capsys):
                     table[f"s{i}{word}"] = len(codes)
                     codes.append(PAIR_CODES[pair])
                 sentences.append([f"s{i}{word}" for word in tokens])
-            compiled = compile_ids(*flat(sentences), table)
+            compiled = compiled_lines(sentences, table)
             for semantics in Semantics:
                 got = scores(compiled, np.array(codes, dtype=np.int8)[:, None], semantics)[0]
                 prose = semantics is Semantics.PROSE

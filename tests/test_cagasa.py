@@ -33,7 +33,7 @@ from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_di
 from conftest import (
     A,
     S,
-    compiled_corpus,
+    context_corpus,
     fires,
     make_corpus,
     neighbor_pools,
@@ -589,7 +589,7 @@ class TestOccurrenceOrder:
         corpus = make_corpus([(tokens, "positive") for tokens in texts])
         sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        context = ContextCorpus(compiled_corpus(corpus, slot_table(index, sd, ad)))
+        context = context_corpus(corpus, slot_table(index, sd, ad))
         found = list(zip(context.occurrence_gene.tolist(), context.occurrence_row.tolist()))
         # every occurrence once, gene by gene, each gene's rows non-decreasing
         every = [(index.position_of[w], r) for r, t in enumerate(texts) for w in t if w != "good"]
@@ -615,7 +615,7 @@ def reference_decisions(corpus, index, positions, genes) -> tuple:
 
 
 def decisions(corpus, index, sd, ad, positions, genes) -> tuple:
-    context = ContextCorpus(compiled_corpus(corpus, slot_table(index, sd, ad)))
+    context = context_corpus(corpus, slot_table(index, sd, ad))
     genome = cagasa_chromosome(genes)
     codes, counts = context.decide(positions, genome.rows, genome.words)
     return codes.tolist(), counts.tolist()

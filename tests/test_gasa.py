@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evosent.gasa
-from evosent.cagasa import CagasaProblem, ContextCorpus
+from evosent.cagasa import CagasaProblem
 from evosent.corpus import build_unknown_index
 from evosent.evaluator import Semantics, Verdict, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
@@ -17,7 +17,6 @@ from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
     GasaChromosome,
     GasaProblem,
-    compile_ids,
     crossover_at,
     forced_new_code,
     gene_rows,
@@ -37,7 +36,15 @@ from evosent.lexicon import (
     seed_amplifier_dictionary,
 )
 
-from conftest import A, S, compiled_corpus, flat, make_corpus, trained_model
+from conftest import (
+    A,
+    S,
+    compiled_corpus,
+    compiled_lines,
+    context_corpus,
+    make_corpus,
+    trained_model,
+)
 from oracles import cagasa_fitness, gasa_chromosome
 from oracles import reference_forced_new_pair, reference_gene_rows, reference_random_pair
 from oracles import gasa_fitness as fitness
@@ -117,29 +124,11 @@ class TestCodeGenome:
         assert chrom.genes == tuple(EVOLVABLE_PAIRS[c] for c in gene_codes)
         # a sentence of gene k's word alone scores that gene's value
         words = [f"w{k}" for k in range(len(chrom))]
-        compiled = compile_ids(*flat([w] for w in words), {w: k for k, w in enumerate(words)})
+        compiled = compiled_lines(([w] for w in words), {w: k for k, w in enumerate(words)})
         got = scores(compiled, code_columns([chrom]), semantics)[0]
         assert got.tolist() == [pair.value for pair in chrom.genes]
         assert gasa_chromosome(chrom.genes) == chrom
         assert code_columns([chrom, chrom])[:, 1].tolist() == list(gene_codes)
-
-    @pytest.mark.parametrize("semantics", list(Semantics))
-    def test_compile_looks_up_the_table_words_only(self, semantics):
-        """A compile handed a block's whole vocabulary for a few of its lines,
-        as each predict slice is, looks up the table's words and does not
-        walk the vocabulary; it scores as one on a plain dict does."""
-
-        class Unwalked(dict):
-            def __iter__(self):
-                raise AssertionError("the compile walked the vocabulary")
-
-        pairs = [*((f"x{k}", k) for k in range(1000)), ("good", 1000), ("w0", 1001), ("not", 1002)]
-        table = {"w0": 0, "good": S(1.0), "bad": S(-1.0), "not": A(-1.0)}
-        ids, lengths = np.array([1001, 1000, 5, 1002, 1000, 7], dtype=np.int32), [3, 0, 3]
-        codes = code_columns([GasaChromosome(bytes([3]))])
-        got = scores(compile_ids(Unwalked(pairs), ids, lengths, table), codes, semantics)
-        plain = scores(compile_ids(dict(pairs), ids, lengths, table), codes, semantics)
-        assert got.tolist() == plain.tolist()
 
     def test_random_code_draws_as_pairs_were_drawn(self):
         for seed in range(300):
@@ -514,7 +503,7 @@ class TestDeltaFitness:
         # six cells twice, not its cells and its 48 codes, so a slice of 54
         # elements, one owner under the old charge, takes four, and reads only
         # the codes of their rows
-        context = ContextCorpus(compiled).compiled
+        context = context_corpus(corpus, slot_table(index, sd, ad)).compiled
         occurrences = int(context.slots.max()) + 1
         assert (width, occurrences) == (6, 48)
         monkeypatch.setattr(evosent.gasa, "SLICE_CELLS", width + occurrences)
@@ -556,9 +545,11 @@ class TestDeltaFitness:
         corpus = make_corpus(rows)
         sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
-        if not shared:
-            compiled = ContextCorpus(compiled).compiled
+        table = slot_table(index, sd, ad)
+        if shared:
+            compiled = compiled_corpus(corpus, table)
+        else:
+            compiled = context_corpus(corpus, table).compiled
         genes = int(compiled.slots.max(initial=-1)) + 1
         instances = st.integers(min_value=0, max_value=len(rows) - 1)
         owners = data.draw(st.integers(min_value=1, max_value=5))
@@ -587,9 +578,11 @@ class TestDeltaFitness:
         )
         sd, ad = Dictionary({"good": S(1.0)}, Kind.SENTIMENT), seed_amplifier_dictionary()
         index = build_unknown_index(corpus, sd, ad)
-        compiled = compiled_corpus(corpus, slot_table(index, sd, ad))
-        if not shared:
-            compiled = ContextCorpus(compiled).compiled
+        table = slot_table(index, sd, ad)
+        if shared:
+            compiled = compiled_corpus(corpus, table)
+        else:
+            compiled = context_corpus(corpus, table).compiled
         genes = int(compiled.slots.max()) + 1
         columns = []
 

@@ -25,7 +25,7 @@ from evosent.cli import main
 from evosent.corpus import UnknownWordIndex, build_unknown_index, tokenize_block
 from evosent.evaluator import Semantics, slot_table
 from evosent.ga_engine import GAConfig
-from evosent.gasa import GasaChromosome, compile_ids
+from evosent.gasa import GasaChromosome, compiler
 from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, seed_amplifier_dictionary
 from evosent.model import ModelFormatError, TrainedModel, load_model, save_model
 
@@ -456,23 +456,31 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("make", [gasa_model, cagasa_model])
     def test_each_compile_holds_one_slice(self, make, monkeypatch):
-        """`sentence_scores` compiles each slice alone: every compile holds
-        at most SLICE_CELLS rows times width, or a single line, and the
+        """`sentence_scores` resolves a block's words once, with one
+        `compiler`, and compiles each slice alone: every compile holds at
+        most SLICE_CELLS rows times width, or a single line, and the
         compiles hold each line of the block exactly once."""
         model = make()
         token_lists = [["zorp", "blick", "good"][: k % 4] * (1 + k // 4) for k in range(12)]
         expected = predicted(model, token_lists)
-        calls = []
+        built, calls = [], []
 
-        def spy(words, ids, lengths, *rest):
-            names, counts = list(words), np.asarray(lengths).tolist()
-            tokens, ends = [names[k] for k in ids.tolist()], np.cumsum(counts).tolist()
-            calls.append([tokens[end - n : end] for end, n in zip(ends, counts)])
-            return compile_ids(words, ids, lengths, *rest)
+        def spy(words, table):
+            compile_sentences, names = compiler(words, table), list(words)
+            built.append(names)
+
+            def spied(ids, lengths, *rest):
+                counts = np.asarray(lengths).tolist()
+                tokens, ends = [names[k] for k in ids.tolist()], np.cumsum(counts).tolist()
+                calls.append([tokens[end - n : end] for end, n in zip(ends, counts)])
+                return compile_sentences(ids, lengths, *rest)
+
+            return spied
 
         monkeypatch.setattr(evosent.model, "SLICE_CELLS", 6)
-        monkeypatch.setattr(evosent.model, "compile_ids", spy)
+        monkeypatch.setattr(evosent.model, "compiler", spy)
         assert predicted(model, token_lists) == expected
+        assert built == [["zorp", "blick", "good"]]
         assert len(calls) > 1
         for lines in calls:
             assert len(lines) == 1 or len(lines) * max(map(len, lines)) <= 6
