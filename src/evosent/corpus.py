@@ -29,6 +29,10 @@ class Label(enum.Enum):
     NEGATIVE = "negative"
 
 
+# Whether a label is positive, by its text once stripped and lowercased.
+_IS_POSITIVE = {label.value: label is Label.POSITIVE for label in Label}
+
+
 @dataclass(frozen=True)
 class Instance:
     tokens: tuple
@@ -117,12 +121,13 @@ def tokenize_block(texts: Sequence[str], vocabulary: dict) -> Tuple[np.ndarray, 
         else:
             translated = "\n".join(translate(text).replace("\n", " ") for text in block)
         # a token starts at a byte above " " after one that is not (all UTF-8
-        # bytes of a non-ASCII character are); its line counts the "\n" before it
+        # bytes of a non-ASCII character are); line k starts at the k-th "\n",
+        # after the tokens of the lines before it
         data = np.frombuffer(b"\n" + translated.encode(), dtype=np.uint8)
         inside = data > 32
         starts = np.flatnonzero(inside[1:] > inside[:-1])
-        lines = np.searchsorted(np.flatnonzero(data == 10), starts, side="right") - 1
-        lengths.append(np.bincount(lines, minlength=translated.count("\n") + 1))
+        firsts = np.searchsorted(starts, np.flatnonzero(data == 10))
+        lengths.append(np.diff(firsts, append=len(starts)))
         tokens = translated.split()
         ids.append(np.fromiter(map(vocabulary.__getitem__, tokens), np.int32, len(tokens)))
     return np.concatenate(ids), np.concatenate(lengths)
@@ -130,18 +135,21 @@ def tokenize_block(texts: Sequence[str], vocabulary: dict) -> Tuple[np.ndarray, 
 
 def load_corpus(source: Union[str, Path]) -> Corpus:
     """Load a `label<TAB>text` file, tokenized in blocks of at most TOKENIZE_BLOCK_CHARS
-    characters, or of one longer text; instances with no tokens are skipped with a warning."""
+    characters, or of one longer text; instances with no tokens are skipped with a warning.
+    A label is a `Label` value up to surrounding whitespace and case; the first bad line
+    raises CorpusParseError as "FILE: line N: ...", blank lines counted."""
     vocabulary, positive, parts, block, chars = defaultdict(count().__next__), [], [], [], 0
     for lineno, line in enumerate(text_lines(source), start=1):
         if not line:
             continue
         label_text, tab, text = line.partition("\t")
         if not tab:
-            raise CorpusParseError(f"line {lineno}: expected `label<TAB>text`")
+            raise CorpusParseError(f"{source}: line {lineno}: expected `label<TAB>text`")
         try:
-            positive.append(Label(label_text.strip().lower()) is Label.POSITIVE)
-        except ValueError:
-            raise CorpusParseError(f"line {lineno}: unknown label {label_text!r}") from None
+            positive.append(_IS_POSITIVE[label_text.strip().lower()])
+        except KeyError:
+            message = f"{source}: line {lineno}: unknown label {label_text!r}"
+            raise CorpusParseError(message) from None
         if block and chars + len(text) > TOKENIZE_BLOCK_CHARS:  # one translate run per block
             parts.append(tokenize_block(block, vocabulary))
             block, chars = [], 0

@@ -32,6 +32,28 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
+def reference_load_corpus(lines) -> list:
+    """The `Instance`s of `label<TAB>text` lines, each read alone, as
+    `corpus.load_corpus` must give them: a blank line or a line with no
+    tokens is skipped, and a label counts once stripped and lowercased. The
+    first line, blank lines counted, with no tab or another label raises
+    ValueError with `load_corpus`'s message, less the file's name."""
+    instances = []
+    for number, line in enumerate(lines, start=1):
+        if line == "":
+            continue
+        if "\t" not in line:
+            raise ValueError(f"line {number}: expected `label<TAB>text`")
+        field, text = line.split("\t", 1)
+        label = field.strip().lower()
+        if label not in ("positive", "negative"):
+            raise ValueError(f"line {number}: unknown label {field!r}")
+        tokens = tokenize(text)
+        if tokens:
+            instances.append(Instance(tuple(tokens), Label(label)))
+    return instances
+
+
 def corpus_of(instances) -> Corpus:
     """The `Corpus` of `Instance`s, its word ids in order of first occurrence."""
     instances = list(instances)

@@ -307,8 +307,9 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
     assert captured.err.startswith("error:") and message in captured.err
     if isinstance(content, bytes):  # a decode error names the file
         assert f"error: {bad}: " in captured.err
-    elif flag in ("--sentiment-dict", "--amplifier-dict", "--positive-words", "--config"):
-        # a lexicon, word-list or config error names the file and the line
+    elif flag in ("--corpus", "--sentiment-dict", "--amplifier-dict", "--positive-words",
+                  "--config"):
+        # a corpus, lexicon, word-list or config error names the file and the line
         assert f"error: {bad}: line " in captured.err
     if flag == "--input":
         assert captured.out == ""
@@ -317,6 +318,14 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
         out.write_bytes(b"positive\n")
         assert main([*args, "--out", str(out)]) == 1
         assert out.read_bytes() == b"positive\n"
+
+
+def test_corpus_error_names_the_bad_one_of_two_files(corpus_file, tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("positive\tgood\nneutral\tmeh\n")
+    args = [*train_args(corpus_file, tmp_path / "model"), "--corpus", str(bad)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 2: unknown label 'neutral'\n"
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,11 @@ TEXTS = st.lists(
     max_size=12,
 ).map("".join)
 LABELS = st.sampled_from(["positive", "negative", " Negative", "POSITIVE "])
+# Label fields near a label: whitespace that `str.strip` removes, mixed
+# case, a lowercase that grows, a letter that only casefolds to "s",
+# punctuation, inner space and an empty field.
+NEAR_MISSES = ["\x85positive", "positive\xa0", "\u3000Negative", "PoSiTiVe", "positive!",
+               "pos\u0130tive", "po\u017fitive", "pos itive", ""]
 
 
 class TestTokenize:
@@ -109,6 +114,43 @@ class TestTokenize:
         assert loaded.words == tuple(dict.fromkeys(t for i in expected for t in i.tokens))
         assert (loaded.ids.dtype, loaded.lengths.dtype) == (np.int32, np.int64)
 
+    @pytest.mark.parametrize("block_chars", [1, 7])
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(st.one_of(LABELS, st.sampled_from(NEAR_MISSES)), TEXTS),
+                TEXTS.map(lambda text: text.replace("\t", " ")),
+            ),
+            max_size=10,
+        )
+    )
+    @example([("positive", "good"), None, ("pos\u0130tive", "x"), ("neutral", "y")])
+    @example([("positive", "a"), "no tab", ("neutral", "b")])
+    @example([None, *[(label, "x") for label in NEAR_MISSES]])
+    def test_label_rule_matches_oracle(self, block_chars, rows):
+        """`load_corpus` accepts lines drawn as (label field, text) rows, lines
+        with no tab, or None for a blank line, exactly when the per-line
+        `oracles.reference_load_corpus` does, and otherwise names the file
+        and the oracle's first bad line."""
+        rows = [row if row is None or isinstance(row, str) else "\t".join(row) for row in rows]
+        # a line break within a line would end it in the file
+        lines = ["" if row is None else row.replace("\n", " ").replace("\r", " ") for row in rows]
+        try:
+            expected, error = oracles.reference_load_corpus(lines), None
+        except ValueError as exc:
+            expected, error = None, str(exc)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "TOKENIZE_BLOCK_CHARS", block_chars)
+            path = Path(tmp, "c.tsv")
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            if error is None:
+                assert load_corpus(path).instances == tuple(expected)
+            else:
+                with pytest.raises(CorpusParseError) as raised:
+                    load_corpus(path)
+                assert str(raised.value) == f"{path}: {error}"
+
     def test_lines_fall_back_for_newlines_and_non_ascii(self, monkeypatch):
         calls = []
         monkeypatch.setattr(corpus, "translate", lambda t: calls.append(t) or lexicon.translate(t))
@@ -126,6 +168,9 @@ class TestTokenize:
     @example([])
     @example(["", "", ""])
     @example(["AΣ", "Σ", "a\nΣ", "İ", " x"])
+    @example(["...", "a b", "c"])  # a first text with no tokens
+    @example(["a", "b c", ""])  # an empty last text
+    @example(["ab", "...", "c d", "e"])  # each text a block of its own at block_chars 1
     def test_block_matches_oracle(self, block_chars, texts):
         """Ids of a vocabulary that holds some words already: a known word
         keeps its id and a new one takes the next."""

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import evosent.gasa
 from evosent.cagasa import CagasaProblem
 from evosent.corpus import build_unknown_index
-from evosent.evaluator import Semantics, Verdict, slot_table
+from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
 from evosent.experiments import generate_synthetic_corpus, random_planted_lexicon
 from evosent.ga_engine import GAConfig, run_ga
 from evosent.gasa import (
@@ -45,7 +46,7 @@ from conftest import (
     make_corpus,
     trained_model,
 )
-from oracles import cagasa_fitness, gasa_chromosome
+from oracles import cagasa_fitness, gasa_chromosome, reference_sentence_score
 from oracles import reference_forced_new_pair, reference_gene_rows, reference_random_pair
 from oracles import gasa_fitness as fitness
 
@@ -361,6 +362,24 @@ class TestBatchFitness:
         batch = batch_fitness(chroms, compiled, semantics)
         scalar = [fitness(c, corpus, index, sd, ad, semantics) for c in chroms]
         assert list(batch) == scalar
+
+    # Sums past the largest float overflow to inf, and inf times zero or inf
+    # minus inf is nan; both must come out as the reference's.
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_overflow_matches_reference(self, semantics):
+        table = {"very": A(1e308), "not": A(-1.0), "good": S(1.0), "meh": S(0.0), "huge": S(1e308)}
+        sentences = ["very very not", "very very not good", "very very not meh",
+                     "very very meh not", "huge huge not", "very very good not meh",
+                     "not very very not good"]
+        token_lists = [sentence.split() for sentence in sentences]
+        compiled = compiled_lines(token_lists, table)
+        got = scores(compiled, np.zeros((0, 1), np.int8), semantics)[0].tolist()
+        prose = semantics is Semantics.PROSE
+        for tokens, score in zip(token_lists, got):
+            expected = reference_sentence_score([table[w] for w in tokens], prose)
+            assert score == expected or math.isnan(score) and math.isnan(expected), tokens
+            assert classify_score(score) is classify_score(expected)
 
     def test_empty_population_and_zero_genes(self):
         corpus = make_corpus([([], "positive"), (["good"], "positive"), (["not"], "negative")])
