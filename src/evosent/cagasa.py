@@ -236,46 +236,36 @@ class ContextCorpus:
         self._cells = cells[order]  # each occurrence's flat index into `slots`
         self.occurrence_gene = genes[order]  # ascending
         np.put(slots, self._cells, np.arange(len(self._cells), dtype=np.int32))
-        self._ahead = self._behind = np.zeros((0, len(self._cells)), dtype=np.int32)
+        # (ahead, behind), MAX_CONTEXT rows each and one column per occurrence:
+        # row k - 1 holds the id of the word k positions after or before the
+        # occurrence, or -1 where that position is outside the sentence or
+        # repeats a nearer word on the same side. The distinct words within
+        # look distance d are then exactly the valid ids in rows 0..d-1.
+        self.neighbors = np.empty((2, MAX_CONTEXT, len(self._cells)), dtype=np.int32)
+        words = self.compiled.words
+        padded = np.pad(words, ((0, 0), (MAX_CONTEXT, MAX_CONTEXT)), constant_values=-1)
+        for start in range(0, len(self._cells), SLICE_CELLS):
+            cells = self._cells[start : start + SLICE_CELLS]
+            # the flat index into `padded`: row r gains 2 * MAX_CONTEXT cells
+            # before it and MAX_CONTEXT cells before its first column
+            at = cells + (2 * (cells // words.shape[1]) + 1) * MAX_CONTEXT
+            for part, sign in zip(self.neighbors[:, :, start : start + len(cells)], (1, -1)):
+                for k in range(MAX_CONTEXT):
+                    part[k] = padded.take(at + sign * (k + 1))
+                _first_sightings(part)
 
     @cached_property
     def occurrence_row(self) -> np.ndarray:
         """The instance each occurrence is in."""
         return self._cells // self.compiled.slots.shape[1]
 
-    def neighbor_ids(self, depth: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(ahead, behind), each with at least `depth` rows and one column
-        per occurrence: row k - 1 holds the id of the word k positions after
-        or before the occurrence, or -1 where that position is outside the
-        sentence or repeats a nearer word on the same side. The distinct
-        words within look distance d are then exactly the valid ids in rows
-        0..d-1. The rows are built when first asked for, at least
-        MAX_CONTEXT of them."""
-        if depth > len(self._ahead):
-            depth = max(depth, MAX_CONTEXT)
-            words = self.compiled.words
-            padded = np.pad(words, ((0, 0), (depth, depth)), constant_values=-1)
-            ahead, behind = np.empty((2, depth, len(self._cells)), dtype=np.int32)
-            for start in range(0, len(self._cells), SLICE_CELLS):
-                cells = self._cells[start : start + SLICE_CELLS]
-                # the flat index into `padded`: row r gains 2 * depth cells
-                # before it and depth cells before its first column
-                at = cells + (2 * (cells // words.shape[1]) + 1) * depth
-                for ids, sign in ((ahead, 1), (behind, -1)):
-                    part = ids[:, start : start + len(cells)]
-                    for k in range(depth):
-                        part[k] = padded.take(at + sign * (k + 1))
-                    _first_sightings(part)
-            self._ahead, self._behind = ahead, behind
-        return self._ahead, self._behind
-
     def pools(self, genes: int) -> Tuple[tuple, list]:
         """(words, pools): the sorted words next to a gene word, and for each
         of `genes` positions the (following, preceding) words next to its
         occurrences, as ascending ids into `words`: row 0 of each side of
-        `neighbor_ids`, which no repeat clears. Ids sort as their words do,
-        so a draw from a pool picks what it would from the sorted words."""
-        names, sides = list(self.compiled.vocabulary), [rows[0] for rows in self.neighbor_ids(1)]
+        `neighbors`, which no repeat clears. Ids sort as their words do, so a
+        draw from a pool picks what it would from the sorted words."""
+        names, sides = list(self.compiled.vocabulary), self.neighbors[:, 0]
         used = np.zeros(len(names) + 1, dtype=bool)  # the last, index -1, for no word
         used[sides[0]] = used[sides[1]] = True
         order = sorted(np.flatnonzero(used[:-1]).tolist(), key=names.__getitem__)
@@ -312,14 +302,13 @@ class ContextCorpus:
         shift = first - (ends - counts)  # occurrence number minus index in the output
         # offsets past the longest distance among the genes hold no neighbor
         depth = int(fields[:, :2].max(initial=0))
-        neighbors = self.neighbor_ids(depth)
         codes = np.empty(int(counts.sum()), dtype=np.int8)
         for start in range(0, len(codes), SLICE_CELLS):
             index = np.arange(start, min(start + SLICE_CELLS, len(codes)))
             part = np.searchsorted(ends, index, side="right")  # each one's row of `fields`
             cells = index + shift[part]
             size, hits = np.zeros((2, len(index)), dtype=np.int8)
-            for side, rows_of in enumerate(neighbors):
+            for side, rows_of in enumerate(self.neighbors):
                 distance, side_lists = fields[:, side].take(part), lists[side].take(part, axis=1)
                 for k in range(depth):
                     neighbor = rows_of[k].take(cells)  # distinct ids of one offset, or -1

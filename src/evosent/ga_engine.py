@@ -106,43 +106,38 @@ def _evaluate(problem, genomes) -> list:
 _fitness = attrgetter("fitness")
 
 
+def _breed(problem, population, config: GAConfig, rng: random.Random) -> list:
+    """A generation's children, made by crossover or mutation of tournament
+    winners; a crossover's second child is dropped once the population is
+    full."""
+    size, k, offspring = config.population_size, config.tournament_size, []
+    while len(offspring) < size:
+        if rng.random() < config.crossover_rate:
+            p1 = tournament_select(population, k, rng)
+            p2 = tournament_select(population, k, rng)
+            offspring.extend(problem.crossover(p1.genome, p2.genome, rng))
+        else:
+            offspring.append(problem.mutate(tournament_select(population, k, rng).genome, rng))
+    return offspring[:size]
+
+
 def run_ga(problem, config: GAConfig) -> Tuple[EvaluatedIndividual, RunStats]:
     config.validate()
     rng = random.Random(config.seed)
     max_fitness: Optional[int] = getattr(problem, "max_fitness", None)
 
     genomes = [problem.random_genome(rng) for _ in range(config.population_size)]
-    population = [
-        EvaluatedIndividual(g, f) for g, f in zip(genomes, _evaluate(problem, genomes))
-    ]
-    best = max(population, key=_fitness)  # the first of tied maxima
-    stats = RunStats(best_fitness_per_generation=[best.fitness])
-
-    if max_fitness is not None and best.fitness >= max_fitness:
-        stats.terminated_early = True
-        return best, stats
-
-    for _ in range(config.max_generations):
-        offspring = []
-        while len(offspring) < config.population_size:
-            if rng.random() < config.crossover_rate:
-                p1 = tournament_select(population, config.tournament_size, rng)
-                p2 = tournament_select(population, config.tournament_size, rng)
-                c1, c2 = problem.crossover(p1.genome, p2.genome, rng)
-                offspring.append(c1)
-                if len(offspring) < config.population_size:
-                    offspring.append(c2)
-            else:
-                parent = tournament_select(population, config.tournament_size, rng)
-                offspring.append(problem.mutate(parent.genome, rng))
+    best, stats = None, RunStats()
+    for generation in range(config.max_generations + 1):  # 0 is the initial population
+        if generation:
+            genomes = _breed(problem, population, config, rng)
         population = [
-            EvaluatedIndividual(g, f)
-            for g, f in zip(offspring, _evaluate(problem, offspring))
+            EvaluatedIndividual(g, f) for g, f in zip(genomes, _evaluate(problem, genomes))
         ]
-        generation_best = max(population, key=_fitness)
-        if generation_best.fitness > best.fitness:
+        generation_best = max(population, key=_fitness)  # the first of tied maxima
+        if best is None or generation_best.fitness > best.fitness:
             best = generation_best
-        stats.generations_executed += 1
+        stats.generations_executed = generation
         stats.best_fitness_per_generation.append(best.fitness)
         if max_fitness is not None and best.fitness >= max_fitness:
             stats.terminated_early = True

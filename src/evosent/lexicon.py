@@ -138,12 +138,12 @@ TEXT_CHUNK_CHARS = 1 << 16
 
 
 def text_lines(source: Union[str, Path, TextIO]) -> Iterator[str]:
-    """The lines of a UTF-8 text file, or of an open text stream, without
-    their newlines, read TEXT_CHUNK_CHARS characters at a time. A file's
-    lines end at LF only, less one CR just before it. Text that is not UTF-8
-    raises TextDecodeError, which names the file."""
+    """The lines of a UTF-8 text file, less a leading byte-order mark, or of
+    an open text stream, without their newlines, read TEXT_CHUNK_CHARS
+    characters at a time. A file's lines end at LF only, less one CR just
+    before it. Text that is not UTF-8 raises TextDecodeError, naming the file."""
     path = isinstance(source, (str, os.PathLike))
-    with open(source, encoding="utf-8", newline="\n") if path else nullcontext(source) as fh:
+    with open(source, encoding="utf-8-sig", newline="\n") if path else nullcontext(source) as fh:
         try:
             head, tail = [], ""  # the open line's pieces, and its CR that an LF may end
             while chunk := fh.read(TEXT_CHUNK_CHARS):

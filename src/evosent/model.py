@@ -161,8 +161,8 @@ def _gene_code(kind_text: str, value_text: str) -> int:
 
 
 def load_model(source: Union[str, Path]) -> TrainedModel:
-    """Parse a model file; ModelFormatError on a malformed record or on a
-    model that `save_model` could not have written from a training run."""
+    """Parse a model file; ModelFormatError, naming the file, on a malformed
+    record or on a model no training run's `save_model` could have written."""
     header = {}
     sentiment_entries = {}
     amplifier_entries = {}
@@ -217,21 +217,21 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
                     raise ValueError(f"duplicate gene word {fields[1]!r}")
                 gene_positions[fields[1]] = len(gene_positions)
         except ValueError as exc:
-            raise ModelFormatError(f"line {lineno}: {exc}") from exc
+            raise ModelFormatError(f"{source}: line {lineno}: {exc}") from exc
     # the tokens of the words joined are the words exactly when each word is
     # a token of itself; any other word matches no token of any text
     if tokenize(" ".join(words := [w for record in named for w in record[1:]])) != words:
         lineno, word = next((r[0], w) for r in named for w in r[1:] if tokenize(w) != [w])
-        raise ModelFormatError(f"line {lineno}: expected a single word, got {word!r}")
+        raise ModelFormatError(f"{source}: line {lineno}: expected a single word, got {word!r}")
     if header.get("model") != FORMAT_VERSION:
-        raise ModelFormatError("missing or unsupported model version header")
+        raise ModelFormatError(f"{source}: missing or unsupported model version header")
     algo = header.get("algo")
     if algo not in ("gasa", "cagasa"):
-        raise ModelFormatError(f"unknown algo {algo!r}")
+        raise ModelFormatError(f"{source}: unknown algo {algo!r}")
     if algo == "gasa" and cagasa_genes:
-        raise ModelFormatError("gasa model contains context genes")
+        raise ModelFormatError(f"{source}: gasa model contains context genes")
     if algo == "cagasa" and gasa_codes:
-        raise ModelFormatError("cagasa model contains plain genes")
+        raise ModelFormatError(f"{source}: cagasa model contains plain genes")
     try:
         config = GAConfig(
             **{key: parse_config_field(key, header[key]) for key in CONFIG_FIELDS}
@@ -241,14 +241,15 @@ def load_model(source: Union[str, Path]) -> TrainedModel:
         best_fitness = int(header["best_fitness"])
         train_instances = int(header["train_instances"])
     except (KeyError, ValueError) as exc:
-        raise ModelFormatError(f"bad model header: {exc}") from exc
+        raise ModelFormatError(f"{source}: bad model header: {exc}") from exc
     if not 0 <= best_fitness <= train_instances:
         raise ModelFormatError(
-            f"best_fitness {best_fitness} is outside 0..train_instances ({train_instances})"
+            f"{source}: best_fitness {best_fitness} is outside 0..train_instances"
+            f" ({train_instances})"
         )
     for word in gene_positions:
         if word in sentiment_entries or word in amplifier_entries:
-            raise ModelFormatError(f"gene word {word!r} is also a dictionary word")
+            raise ModelFormatError(f"{source}: gene word {word!r} is also a dictionary word")
     index = UnknownWordIndex(tuple(gene_positions), gene_positions)
     chromosome = GasaChromosome(bytes(gasa_codes)) if algo == "gasa" else from_fields(cagasa_genes)
     return TrainedModel(

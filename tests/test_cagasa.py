@@ -89,10 +89,9 @@ class TestGatherContext:
 
     def test_start_boundary(self):
         # "b" ahead fires; nothing behind the first word matches either word
-        assert fires(rule(list_next={"b"}, number_ahead=1, number_behind=5), ["a", "b"], 0)
-        assert not fires(
-            rule(list_previous={"a", "b"}, number_ahead=1, number_behind=5), ["a", "b"], 0
-        )
+        far = dict(number_ahead=1, number_behind=MAX_CONTEXT)
+        assert fires(rule(list_next={"b"}, **far), ["a", "b"], 0)
+        assert not fires(rule(list_previous={"a", "b"}, **far), ["a", "b"], 0)
 
     def test_zero_distances(self):
         # zero look distances leave an empty neighborhood, which never fires
@@ -116,9 +115,9 @@ class TestGatherContext:
 
     def test_deduplication(self):
         # ahead of "w" is {x, y}: one hit of two fires; counting the repeated
-        # "x" three times would make it one of four
-        r = rule(list_next={"y"}, number_ahead=4, number_behind=0)
-        assert fires(r, ["w", "x", "x", "x", "y"], 0)
+        # "x" twice would make it one of three
+        r = rule(list_next={"y"}, number_ahead=3, number_behind=0)
+        assert fires(r, ["w", "x", "x", "y"], 0)
 
 
 class TestContextApplies:
@@ -445,9 +444,9 @@ ABSENT_WORDS = ["y", "z"]
 
 @st.composite
 def look_genes(draw):
-    """A gene with look distances 0..5, capacities up to 5 and lists of up to
-    MAX_CONTEXT words, the most a gene row holds, that may name words
-    outside the corpus."""
+    """A gene with look distances 0..MAX_CONTEXT, the most a neighbour table
+    holds, capacities up to 5 and lists of up to MAX_CONTEXT words, the most
+    a gene row holds, that may name words outside the corpus."""
     list_words = st.sampled_from(CORPUS_WORDS + ABSENT_WORDS)
     list_next = frozenset(draw(st.lists(list_words, max_size=MAX_CONTEXT)))
     list_previous = frozenset(draw(st.lists(list_words, max_size=MAX_CONTEXT)))
@@ -456,8 +455,8 @@ def look_genes(draw):
         previous_size=draw(st.integers(len(list_previous), 5)),
         list_next=list_next,
         list_previous=list_previous,
-        number_ahead=draw(st.integers(0, 5)),
-        number_behind=draw(st.integers(0, 5)),
+        number_ahead=draw(st.integers(0, MAX_CONTEXT)),
+        number_behind=draw(st.integers(0, MAX_CONTEXT)),
         context_pair=draw(st.sampled_from(EVOLVABLE_PAIRS)),
     )
     return CagasaGene(rule, draw(st.sampled_from(EVOLVABLE_PAIRS)))
@@ -533,10 +532,10 @@ class TestKernelFitness:
         assert problem.fitness(CagasaChromosome(b"", ())) == 0
 
     def test_rule_reads_distinct_neighbours_of_each_occurrence(self):
-        # "w x x x y": for "y", the behind list {w} hits once in the distinct
-        # words {x, w} from look distance 4 on, which fires; counted with
-        # repeats, it would be 1 hit of 4 words
-        corpus = make_corpus([(["w", "x", "x", "x", "y"], "negative")])
+        # "w x x y": for "y", the behind list {w} hits once in the distinct
+        # words {x, w} at look distance 3, which fires; counted with
+        # repeats, it would be 1 hit of 3 words
+        corpus = make_corpus([(["w", "x", "x", "y"], "negative")])
         sd, ad = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
         index = build_unknown_index(corpus, sd, ad)
 
@@ -546,8 +545,8 @@ class TestKernelFitness:
             return cagasa_chromosome(y if w == "y" else neutral for w in index.words)
 
         problem = CagasaProblem(corpus, index, sd, ad)
-        population = [genome(behind) for behind in range(6)]
-        assert [problem.fitness(c) for c in population] == [0, 0, 0, 0, 1, 1]
+        population = [genome(behind) for behind in range(MAX_CONTEXT + 1)]
+        assert [problem.fitness(c) for c in population] == [0, 0, 0, 1]
         assert [problem.fitness(c) for c in population] == [
             cagasa_fitness(c, corpus, index, sd, ad) for c in population
         ]
@@ -559,9 +558,8 @@ class TestKernelFitness:
         sd, ad = Dictionary({}, Kind.SENTIMENT), Dictionary({}, Kind.AMPLIFIER)
         index = build_unknown_index(corpus, sd, ad)
         problem = CagasaProblem(corpus, index, sd, ad)
-        ahead, behind = problem._context.neighbor_ids(3)
-        assert ahead.shape == behind.shape == (3, 3)
-        assert (ahead == -1).all() and (behind == -1).all()
+        assert problem._context.neighbors.shape == (2, MAX_CONTEXT, 3)
+        assert (problem._context.neighbors == -1).all()
         both = rule(list_next={"u", "v"}, list_previous={"u", "v"}, number_ahead=3, number_behind=3)
         genome = cagasa_chromosome((CagasaGene(both, S(1.0)), CagasaGene(both, S(-1.0))))
         assert index.words == ("u", "v")

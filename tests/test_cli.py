@@ -257,6 +257,8 @@ class TestPredict:
     [
         ("--corpus", "maybe\tgood text\n", "line 1"),
         ("--corpus", "no tab here\n", "line 1"),
+        # a byte-order mark is dropped only at the start of a file
+        ("--corpus", "positive\tzorp\n\ufeffnegative\tflern\n", "line 2: unknown label"),
         ("--sentiment-dict", "good\tsentiment\tlots\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\n", "line 1"),
         ("--sentiment-dict", "good\tsentiment\t1.0\ngood\tsentiment\t-1\n", "line 2: word 'good'"),
@@ -280,6 +282,7 @@ class TestPredict:
         ("--input", b"zorp\n\xfe\xff\n", "utf-8"),
         ("--config", b"seed=1\n\xff\n", "utf-8"),
         ("--config", "population_size=10\npopulation_size=6\n", "line 2: repeated key"),
+        ("--model", "model\t1\nbogus\t1\n", "line 2: unknown header record 'bogus'"),
     ],
 )
 def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_path, capsys):
@@ -308,8 +311,8 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
     if isinstance(content, bytes):  # a decode error names the file
         assert f"error: {bad}: " in captured.err
     elif flag in ("--corpus", "--sentiment-dict", "--amplifier-dict", "--positive-words",
-                  "--config"):
-        # a corpus, lexicon, word-list or config error names the file and the line
+                  "--config", "--model"):
+        # a corpus, lexicon, word-list, config or model error names the file and the line
         assert f"error: {bad}: line " in captured.err
     if flag == "--input":
         assert captured.out == ""
@@ -318,6 +321,45 @@ def test_malformed_input_file_exits_1(flag, content, message, corpus_file, tmp_p
         out.write_bytes(b"positive\n")
         assert main([*args, "--out", str(out)]) == 1
         assert out.read_bytes() == b"positive\n"
+
+
+@pytest.mark.parametrize(
+    "flag", ["--corpus", "--sentiment-dict", "--positive-words", "--config", "--model", "--input"]
+)
+def test_leading_byte_order_mark_is_dropped(flag, corpus_file, tmp_path, capsys):
+    """Each text input reads the same with a leading UTF-8 byte-order mark,
+    as Windows editors write one, as without it."""
+    model = tmp_path / "model"
+    assert main(train_args(corpus_file, model)) == 0
+    negative = tmp_path / "negative.txt"
+    negative.write_text("flern\n")
+    content = {
+        "--corpus": corpus_file.read_text(),
+        "--sentiment-dict": "zorp\tsentiment\t1.0\n",
+        "--positive-words": "zorp\n",
+        "--config": "population_size=10\n",
+        "--model": model.read_text(),
+        "--input": "zorp blick\nnot zorp\n",
+    }[flag]
+    results = []
+    for mark in ("", "\ufeff"):
+        path, out = tmp_path / f"input{len(mark)}", tmp_path / f"out{len(mark)}"
+        path.write_text(mark + content, encoding="utf-8")
+        args = train_args(corpus_file, out)
+        if flag == "--corpus":
+            args[2] = str(path)
+        elif flag == "--positive-words":
+            args += [flag, str(path), "--negative-words", str(negative)]
+        elif flag == "--model":
+            args = ["predict", "--model", str(path), "--text", "zorp blick"]
+        elif flag == "--input":
+            args = ["predict", "--model", str(model), "--input", str(path), "--out", str(out)]
+        else:
+            args += [flag, str(path)]
+        capsys.readouterr()
+        assert main(args) == 0, capsys.readouterr().err
+        results.append(out.read_bytes() if out.exists() else capsys.readouterr().out)
+    assert results[0] == results[1]
 
 
 def test_corpus_error_names_the_bad_one_of_two_files(corpus_file, tmp_path, capsys):

@@ -189,17 +189,36 @@ class TestRunGA:
         assert stats.generations_executed < 500
 
     def test_population_size_constant(self):
-        evaluated_batches = []
-
         class Counting(OneMax):
             max_fitness = None
 
+            def __init__(self):
+                self.batches = []
+
             def fitness_many(self, genomes):
-                evaluated_batches.append(len(genomes))
+                self.batches.append(len(genomes))
                 return [sum(g) for g in genomes]
 
-        run_ga(Counting(), self.small(max_generations=5))
-        assert evaluated_batches == [30] * 6  # initial population + 5 generations
+        # at 5 with crossover alone, each generation's third crossover overfills it
+        for size, rates in ((30, {}), (5, dict(crossover_rate=1.0, mutation_rate=0.0))):
+            problem = Counting()
+            run_ga(problem, self.small(population_size=size, max_generations=5, **rates))
+            assert problem.batches == [size] * 6  # initial population + 5 generations
+
+    def test_solved_initial_population_stops_before_any_variation(self):
+        class Solved(OneMax):
+            def random_genome(self, rng):
+                return (1,) * self.n
+
+            def mutate(self, genome, rng):
+                raise AssertionError("mutate called")
+
+            def crossover(self, g1, g2, rng):
+                raise AssertionError("crossover called")
+
+        best, stats = run_ga(Solved(), self.small())
+        assert (stats.generations_executed, stats.terminated_early) == (0, True)
+        assert stats.best_fitness_per_generation == [best.fitness] == [Solved.max_fitness]
 
     @pytest.mark.parametrize("generations", [0, 1])
     def test_ties_return_the_first_fittest(self, generations):
