@@ -13,9 +13,13 @@ readings that differ in when the amplifier accumulator is consumed:
 Gene values are multiples of one half, and sums and products of such values
 are exact in double precision. Dictionaries accept any finite value, and
 then the arithmetic rounds. The kernel still gives the same scores as the
-straight-line reference, `reference_sentence_score` in `tests/oracles.py`,
-because it performs the same operations in the same order; the padding it
-adds contributes only exact zeros.
+straight-line reference, `reference_sentence_score` in `tests/oracles.py`:
+while its sums stay finite it makes the reference's sums and products in
+the same order, and exact extras (an amplifier word adds ±0.0 to the
+sentiment sum, the PROSE reset multiplies the accumulator by 0, the padding
+adds zeros). A non-finite score has overflowed, and an amplifier word may
+then have added NaN, so the kernel scores that row again with amplifier
+words masked to add exactly 0, as the reference does.
 """
 
 from __future__ import annotations

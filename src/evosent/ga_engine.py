@@ -77,23 +77,32 @@ def tournament_select(
     population: Sequence[EvaluatedIndividual], k: int, rng: random.Random
 ) -> EvaluatedIndividual:
     """Draw k individuals uniformly with replacement, return a fittest one;
-    ties are broken uniformly at random among the tied maxima."""
+    ties are broken uniformly at random among the tied maxima. Each index is
+    drawn as CPython's `rng.randrange(n)` draws it, `getrandbits` of n's bit
+    length until the value is below n, so the picks and the stream's state
+    are those of k + 1 `randrange` calls."""
     if not population:
         raise ValueError("cannot select from an empty population")
     if k < 1:
         raise ValueError("tournament size must be at least 1")
-    n = len(population)
-    randrange = rng.randrange
-    best = population[randrange(n)]
-    tied = [best]  # the draws as fit as `best`, repeats included, in draw order
-    for _ in range(k - 1):
-        ind = population[randrange(n)]
-        if ind.fitness > best.fitness:
+    n, getrandbits = len(population), rng.getrandbits
+    bits = n.bit_length()
+    best, tied = None, []  # tied: the draws as fit as `best`, repeats included, in draw order
+    for _ in range(k):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        ind = population[i]
+        if best is None or ind.fitness > best.fitness:
             best = ind
             tied = [ind]
         elif ind.fitness == best.fitness:
             tied.append(ind)
-    return tied[randrange(len(tied))]
+    n = len(tied)  # the tie-break draws the same way, one bit even for one tied draw
+    i = getrandbits(n.bit_length())
+    while i >= n:
+        i = getrandbits(n.bit_length())
+    return tied[i]
 
 
 def _evaluate(problem, genomes) -> list:

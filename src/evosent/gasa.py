@@ -32,10 +32,18 @@ from .corpus import Corpus, UnknownWordIndex
 from .evaluator import Semantics, SlotTable, slot_table
 from .lexicon import EVOLVABLE_PAIRS, NEUTRAL_PAIR, Dictionary, Kind
 
+
+def value_tables(pairs) -> tuple:
+    """(sentiment, amplifier, is_amp) per pair: its value as each kind of
+    word, 0 as the other kind, and whether it is an amplifier."""
+    is_amp = np.array([p.kind is Kind.AMPLIFIER for p in pairs], dtype=bool)
+    values = np.array([p.value for p in pairs], dtype=np.float64)
+    return np.where(is_amp, 0.0, values), np.where(is_amp, values, 0.0), is_amp
+
+
 # Pair codes: the index of a gene's pair in EVOLVABLE_PAIRS.
 PAIR_CODES = {pair: code for code, pair in enumerate(EVOLVABLE_PAIRS)}
-CODE_VALUES = np.array([p.value for p in EVOLVABLE_PAIRS])
-CODE_IS_AMP = np.array([p.kind is Kind.AMPLIFIER for p in EVOLVABLE_PAIRS])
+CODE_TABLES = value_tables(EVOLVABLE_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,7 @@ class CompiledCorpus:
     slots: np.ndarray  # (instances, width) int32
     words: np.ndarray  # (instances, width) int32
     vocabulary: dict  # word -> id, in id order; read with .get
-    fixed_values: np.ndarray  # (fixed pairs,) float64
-    fixed_is_amp: np.ndarray  # (fixed pairs,) bool
+    fixed: tuple  # the fixed pairs' `value_tables`
     label_positive: Optional[np.ndarray] = None  # (instances,) bool; None for unlabelled text
 
 
@@ -148,8 +155,7 @@ def compiler(words, table: SlotTable) -> Callable[..., CompiledCorpus]:
     word_slots = np.array(
         [e if isinstance(e, int) else fixed_slot[e] for e in entries] + [-1], dtype=np.int32
     )
-    fixed_values = np.array([p.value for p in fixed_pairs], dtype=np.float64)
-    fixed_is_amp = np.array([p.kind is Kind.AMPLIFIER for p in fixed_pairs])
+    fixed = value_tables(fixed_pairs)
 
     def compile_sentences(ids, lengths, label_positive=None) -> CompiledCorpus:
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -157,9 +163,7 @@ def compiler(words, table: SlotTable) -> Callable[..., CompiledCorpus]:
         padded = np.full((len(lengths), width), -1, dtype=np.int32)
         # the mask's cells run row by row, left to right, the order of `ids`
         padded[np.arange(width) >= width - lengths[:, None]] = ids
-        return CompiledCorpus(
-            word_slots[padded], padded, vocabulary, fixed_values, fixed_is_amp, label_positive
-        )
+        return CompiledCorpus(word_slots[padded], padded, vocabulary, fixed, label_positive)
 
     return compile_sentences
 
@@ -168,15 +172,22 @@ def scores(compiled: CompiledCorpus, codes: np.ndarray, semantics: Semantics) ->
     """Sentence scores, shape (genomes, instances). `codes` holds one column
     of pair codes per genome, a row per gene slot; the fixed slots after
     them read `compiled`'s fixed pairs."""
-    codes = np.ascontiguousarray(codes)
-    fixed = (len(compiled.fixed_values), codes.shape[1])
-    values = np.concatenate(
-        [CODE_VALUES[codes], np.broadcast_to(compiled.fixed_values[:, None], fixed)]
-    )
-    is_amp = np.concatenate(
-        [CODE_IS_AMP[codes], np.broadcast_to(compiled.fixed_is_amp[:, None], fixed)]
-    )
-    return accumulate(compiled.slots, values, is_amp, semantics)
+    genes, fixed, pairs = len(codes), len(compiled.fixed[0]), len(EVOLVABLE_PAIRS)
+    # a row per slot, a column per genome: a gene's code, or `pairs` + a fixed pair's index
+    keys = np.empty((genes + fixed, codes.shape[1]), np.min_scalar_type(pairs + fixed))
+    keys[:genes] = codes
+    keys[genes:] = np.arange(pairs, pairs + fixed)[:, None]
+
+    def table(k: int) -> np.ndarray:  # value table k, gathered with no temporary of its size
+        return np.concatenate([CODE_TABLES[k], compiled.fixed[k]])[keys]
+
+    tables = [table(0), table(1), table(2) if semantics is Semantics.PROSE else None]
+    score = accumulate(compiled.slots, tables, semantics)
+    rows = np.flatnonzero(~np.isfinite(score).all(axis=0))
+    if len(rows):  # an overflow: score those rows again as the reference does
+        tables[2] = table(2)
+        score[:, rows] = accumulate(compiled.slots[rows], tables, semantics, masked=True)
+    return score
 
 
 def labelled_correctly(
@@ -228,25 +239,29 @@ def labelled_correctly_at(
     return np.concatenate(correct)
 
 
-def accumulate(
-    slots: np.ndarray, values: np.ndarray, is_amp: np.ndarray, semantics: Semantics
-) -> np.ndarray:
+def accumulate(slots: np.ndarray, tables, semantics: Semantics, masked: bool = False) -> np.ndarray:
     """Sentence scores, shape (genomes, instances), of a left-padded slot
-    matrix read through value tables with one row per slot and one column
-    per genome (`values` and `is_amp`, the pair's value and whether it is an
-    amplifier). Each sentence's score depends on its own row alone."""
-    sentiment = np.zeros((len(slots), values.shape[1]))
+    matrix read through `value_tables` with one row per slot and one column
+    per genome; the last, `is_amp`, may be None for LITERAL unless `masked`.
+    Each sentence's score depends on its own row alone. Once an accumulator
+    overflows, an amplifier word adds NaN and the PROSE reset makes NaN;
+    `masked` makes them add and reset exactly 0, as the reference does."""
+    sentiment_values, amplifier_values, is_amp = tables
+    sentiment = np.zeros((len(slots), sentiment_values.shape[1]))
     amplifier = np.zeros_like(sentiment)
     for column in slots.T:
         # `take` along the slots is faster than indexing with `column`
-        v = values.take(column, axis=0)
-        amp = is_amp.take(column, axis=0)
-        contrib = np.where(amplifier != 0.0, amplifier * v, v)
-        sentiment += np.where(amp, 0.0, contrib)
-        if semantics is Semantics.LITERAL:
-            amplifier += np.where(amp, v, 0.0)
-        else:  # PROSE: a sentiment word consumes the accumulator
-            amplifier = np.where(amp, amplifier + v, 0.0)
+        step = amplifier + (amplifier == 0.0)  # the accumulator, or 1 while it is zero
+        step *= sentiment_values.take(column, axis=0)  # ±0.0 for an amplifier word
+        if masked:
+            amp = is_amp.take(column, axis=0)
+            step[amp] = 0.0
+            if semantics is Semantics.PROSE:
+                amplifier[~amp] = 0.0
+        elif semantics is Semantics.PROSE:  # a sentiment word consumes the accumulator
+            amplifier *= is_amp.take(column, axis=0)
+        sentiment += step
+        amplifier += amplifier_values.take(column, axis=0)
     # LITERAL adds the accumulator whenever it is nonzero; under PROSE it is
     # nonzero only when the sentence ends in an amplifier.
     return (sentiment + amplifier).T

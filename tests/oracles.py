@@ -227,6 +227,23 @@ def reference_gene_rows(slots, genes):
     return starts.tolist(), keys % instances
 
 
+def reference_tournament_select(population, k, rng):
+    """`ga_engine.tournament_select` through `rng.randrange`: k draws with
+    replacement, then a uniform pick among the draws as fit as the fittest,
+    repeats included, in draw order."""
+    n = len(population)
+    best = population[rng.randrange(n)]
+    tied = [best]
+    for _ in range(k - 1):
+        ind = population[rng.randrange(n)]
+        if ind.fitness > best.fitness:
+            best = ind
+            tied = [ind]
+        elif ind.fitness == best.fitness:
+            tied.append(ind)
+    return tied[rng.randrange(len(tied))]
+
+
 def reference_random_pair(rng) -> ClassificationValuePair:
     """A random gene as pairs were drawn before genes became pair codes:
     kind first, then its value."""

@@ -230,22 +230,13 @@ def test_04_tournament_statistics(capsys):
 
         pop = [EvaluatedIndividual(genome=i, fitness=i) for i in range(10)]
 
-        class Recording(random.Random):
-            def __init__(self, seed):
-                super().__init__(seed)
-                self.sampled = []
-
-            def randrange(self, n):
-                i = super().randrange(n)
-                if n == len(pop):
-                    self.sampled.append(i)
-                return i
-
         wins_max = 0
         for trial in range(10_000):
-            rec = Recording(trial)
-            winner = tournament_select(pop, 7, rec)
-            if winner.fitness == max(pop[i].fitness for i in rec.sampled[:7]):
+            winner = tournament_select(pop, 7, random.Random(trial))
+            # the same seed's first seven `randrange` draws are the sample
+            replay = random.Random(trial)
+            sampled = [replay.randrange(len(pop)) for _ in range(7)]
+            if winner.fitness == max(pop[i].fitness for i in sampled):
                 wins_max += 1
         assert wins_max == 10_000
 

@@ -1,20 +1,33 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosent.corpus import Label, UnknownWordIndex
 from evosent.evaluator import Semantics, Verdict, classify_score, slot_table
 from evosent.gasa import scores
-from evosent.lexicon import EVOLVABLE_PAIRS, Dictionary, Kind, lookup
+from evosent.lexicon import EVOLVABLE_PAIRS, ClassificationValuePair, Dictionary, Kind, lookup
 
 from conftest import A, S, compiled_lines
 from oracles import reference_sentence_score
 
 pairs_strategy = st.lists(st.sampled_from(EVOLVABLE_PAIRS), max_size=12)
+# Pairs of any kind and any finite value, the edge cases drawn often: zeros of
+# either sign (an amplifier 0 or a neutral sentiment word), a negative
+# amplifier, and values whose sums and products overflow past 1e308.
+edge_values = st.sampled_from([0.0, -0.0, -1.0, 1e308, -1e308, 1.7e308])
+any_pairs = st.lists(
+    st.builds(
+        ClassificationValuePair,
+        st.sampled_from(Kind),
+        edge_values | st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=12,
+)
 modes = pytest.mark.parametrize("semantics", list(Semantics))
 
 
@@ -84,6 +97,15 @@ class TestProperties:
         assert kernel_score(pairs, semantics) == reference_sentence_score(
             pairs, semantics is Semantics.PROSE
         )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @modes
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=any_pairs)
+    def test_matches_reference_for_any_values(self, pairs, semantics):
+        got = kernel_score(pairs, semantics)
+        want = reference_sentence_score(pairs, semantics is Semantics.PROSE)
+        assert got == want or math.isnan(got) and math.isnan(want)
 
     @modes
     @given(pairs=pairs_strategy)

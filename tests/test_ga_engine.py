@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosent.ga_engine import (
     EvaluatedIndividual,
@@ -10,6 +12,8 @@ from evosent.ga_engine import (
     run_ga,
     tournament_select,
 )
+
+from oracles import reference_tournament_select
 
 
 class OneMax:
@@ -117,8 +121,8 @@ class TestTournament:
                 super().__init__(0)
                 self.draws = iter([0, 1, 2, 0])  # three members then tie-break
 
-            def randrange(self, n):
-                return next(self.draws) % n
+            def getrandbits(self, k):
+                return next(self.draws) % (1 << k)
 
         assert tournament_select(pop, 3, ForcedDraws()).fitness == 9
 
@@ -130,9 +134,10 @@ class TestTournament:
                 super().__init__(123)
                 self.sampled = []
 
-            def randrange(self, n):
-                i = super().randrange(n)
-                if n == len(pop):
+            def getrandbits(self, k):
+                # an index draw reads n's bit length and keeps a value below n
+                i = super().getrandbits(k)
+                if k == len(pop).bit_length() and i < len(pop):
                     self.sampled.append(i)
                 return i
 
@@ -151,6 +156,22 @@ class TestTournament:
         counts = Counter(tournament_select(pop, 4, rng).genome for _ in range(10_000))
         _stat, p = chisquare([counts[i] for i in range(4)])
         assert p > 0.01
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # sizes at and next to powers of two, where the most draws are redrawn
+        n=st.sampled_from([1, 2, 3, 4, 127, 128, 129, 256, 300]) | st.integers(1, 300),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_as_randrange(self, n, data, seed):
+        # few fitness values, so that most tournaments break a tie
+        pop = population_of(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, n), label="k")
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert tournament_select(pop, k, rng) is reference_tournament_select(pop, k, reference)
+            assert rng.getstate() == reference.getstate()
 
 
 class TestRunGA:
